@@ -1,11 +1,10 @@
 // Concurrent multi-query throughput: combined rows/sec of a TPC-H-like
-// multi-query workload under the cooperative round-robin executor versus
-// the concurrent engine at 1/2/4/8 pool workers.
+// multi-query workload on the concurrent engine at 1/2/4/8 pool workers.
 //
 // Queries are independent (own ExecContext, own operator tree) over a
 // shared read-only catalog, so worker scaling is embarrassingly parallel:
 // on a machine with >= 4 cores the 4-worker row should be >= 2x the
-// cooperative row. The monitor thread samples combined progress at 1 ms
+// 1-worker row. The monitor thread samples combined progress at 1 ms
 // throughout, demonstrating that live snapshotting does not stall the
 // workers (PF-OLA's negligible-overhead observation).
 
@@ -15,13 +14,12 @@
 #include "common/table_printer.h"
 #include "common/timer.h"
 #include "progress/concurrent_multi_query.h"
-#include "progress/multi_query.h"
 
 namespace qpi {
 namespace {
 
 constexpr double kScaleFactor = 0.02;  // 3K customers / 30K orders
-constexpr uint64_t kQuantum = 4096;
+constexpr uint64_t kPublishInterval = 4096;
 
 struct Workload {
   bench::Workbench wb;
@@ -60,8 +58,7 @@ struct Workload {
     return ctx;
   }
 
-  template <typename Executor>
-  void Register(Executor* mq) {
+  void Register(ConcurrentMultiQueryExecutor* mq) {
     std::vector<PlanNodePtr> plans = MakePlans();
     for (size_t i = 0; i < plans.size(); ++i) {
       auto ctx = MakeContext();
@@ -86,25 +83,10 @@ struct RunResult {
   size_t samples = 0;  // combined-progress history points recorded
 };
 
-RunResult RunCooperative(Workload* workload) {
-  MultiQueryExecutor mq;
-  workload->Register(&mq);
-  Timer timer;
-  Status s = mq.RunAll(kQuantum);
-  RunResult result;
-  result.seconds = timer.ElapsedSeconds();
-  if (!s.ok()) std::abort();
-  for (size_t i = 0; i < mq.num_queries(); ++i) {
-    result.rows += mq.entry(i).rows_emitted;
-  }
-  result.samples = mq.combined_history().size();
-  return result;
-}
-
 RunResult RunConcurrent(Workload* workload, size_t workers) {
   ConcurrentMultiQueryExecutor::Options options;
   options.num_workers = workers;
-  options.publish_interval = kQuantum;
+  options.publish_interval = kPublishInterval;
   options.monitor_period = std::chrono::milliseconds(1);
   ConcurrentMultiQueryExecutor mq(options);
   workload->Register(&mq);
@@ -128,35 +110,27 @@ int main() {
   using namespace qpi;
   std::printf(
       "Concurrent multi-query throughput: 8-query TPC-H-like batch "
-      "(SF %.2f),\ncooperative round-robin loop vs worker pool + monitor "
-      "thread.\nHardware threads available: %u\n\n",
+      "(SF %.2f),\nworker pool + monitor thread.\nHardware threads "
+      "available: %u\n\n",
       kScaleFactor, std::thread::hardware_concurrency());
 
   Workload workload;
-  RunResult coop = RunCooperative(&workload);
-
-  TablePrinter table(
-      {"executor", "workers", "seconds", "rows/sec", "speedup", "samples"});
-  auto add_row = [&](const std::string& name, const std::string& workers,
-                     const RunResult& r) {
-    table.AddRow({name, workers, FormatDouble(r.seconds, 3),
-                  FormatDouble(static_cast<double>(r.rows) / r.seconds, 0),
-                  FormatDouble(coop.seconds / r.seconds, 2),
-                  std::to_string(r.samples)});
-  };
-  add_row("cooperative", "1", coop);
+  TablePrinter table({"workers", "seconds", "rows/sec", "speedup", "samples"});
+  double one_worker_seconds = 0;
   // The catalog is read-only during execution; each run registers freshly
   // compiled operator trees over the same shared tables.
   for (size_t workers : {1, 2, 4, 8}) {
     RunResult r = RunConcurrent(&workload, workers);
-    add_row("concurrent", std::to_string(workers), r);
+    if (workers == 1) one_worker_seconds = r.seconds;
+    table.AddRow({std::to_string(workers), FormatDouble(r.seconds, 3),
+                  FormatDouble(static_cast<double>(r.rows) / r.seconds, 0),
+                  FormatDouble(one_worker_seconds / r.seconds, 2),
+                  std::to_string(r.samples)});
   }
   table.Print();
   std::printf(
       "\nExpected shape: rows/sec grows with workers until the batch's 8 "
       "queries or\nthe machine's cores are exhausted (>= 2x at 4 workers "
-      "on >= 4 cores); the\n1-worker concurrent row approximates the "
-      "cooperative loop, bounding the\nthread-pool + snapshot-publication "
-      "overhead.\n");
+      "on >= 4 cores);\nspeedup is relative to the 1-worker row.\n");
   return 0;
 }

@@ -42,16 +42,17 @@ Series RunJoin(double z, uint32_t domain) {
       });
   // Tuple-granular sampling: the figure's estimate trajectory is defined at
   // exact probe fractions, so run this accuracy harness at batch size 1
-  // (identical tick ordering to the row-at-a-time engine).
+  // (one tick per probe tuple).
   wb.ctx.batch_size = 1;
   wb.ctx.AddTickObserver(&sampler);
 
   Status s = root->Open(&wb.ctx);
   if (!s.ok()) std::abort();
-  // One Next() drives build + probe partitioning (where all estimation
-  // happens); we do not need the join phase's output for this figure.
-  Row row;
-  root->Next(&row);
+  // One NextBatch() drives build + probe partitioning (where all
+  // estimation happens); we do not need the join phase's output for this
+  // figure.
+  RowBatch batch(wb.ctx.batch_size);
+  root->NextBatch(&batch);
   double exact = join->once_estimator()->Estimate();  // exact at this point
   root->Close();
 

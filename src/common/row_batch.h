@@ -9,7 +9,7 @@
 namespace qpi {
 
 /// \brief A fixed-capacity vector of rows — the unit of work of the
-/// batch-at-a-time execution path (`Operator::NextBatch`).
+/// execution engine (`Operator::NextBatch`).
 ///
 /// Row storage is allocated once and reused across refills: Clear() resets
 /// the logical size but keeps every Row's heap allocations alive, so a
@@ -18,14 +18,15 @@ namespace qpi {
 /// `random_run()` carries the per-tuple stream-randomness property of
 /// Section 4.1.4 at batch granularity: it is the number of *leading* rows
 /// of the batch that were emitted while the producer's stream was still a
-/// uniform random prefix (exactly the rows for which a row-at-a-time
-/// consumer would have seen `producer->ProducesRandomStream() == true`
-/// after the emitting Next() call). Estimators observe the first
+/// uniform random prefix (the post-emission rule: exactly the rows for
+/// which `producer->ProducesRandomStream()` would still answer true if
+/// asked right after that row was emitted). Estimators observe the first
 /// `random_run()` rows of each batch and freeze when a batch's run ends
 /// before its size — one branch per batch instead of a virtual-call chain
-/// per tuple, with bit-identical freeze decisions. The run is monotone
-/// across batches: once a batch ends with `random_run() < size()`, every
-/// later batch from the same producer has a run of zero.
+/// per tuple, with freeze decisions independent of the batch size. The
+/// run is monotone across batches: once a batch ends with
+/// `random_run() < size()`, every later batch from the same producer has a
+/// run of zero.
 class RowBatch {
  public:
   /// Default batch capacity; `ExecContext::batch_size` overrides per query.

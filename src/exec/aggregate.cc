@@ -183,14 +183,6 @@ void HashAggregateOp::FillOutputRow(const Accumulator& acc, Row* out) const {
   }
 }
 
-bool HashAggregateOp::NextImpl(Row* out) {
-  if (!intake_done_) DoIntake();
-  if (emit_pos_ >= emit_order_.size()) return false;
-  FillOutputRow(*emit_order_[emit_pos_], out);
-  ++emit_pos_;
-  return true;
-}
-
 void HashAggregateOp::NextBatchImpl(RowBatch* out) {
   if (!intake_done_) DoIntake();
   while (!out->full() && emit_pos_ < emit_order_.size()) {
@@ -252,11 +244,6 @@ void SortAggregateOp::DoIntake() {
   }
   IntakeComplete(num_groups);
   pos_ = 0;
-}
-
-bool SortAggregateOp::NextImpl(Row* out) {
-  if (!intake_done_) DoIntake();
-  return EmitGroup(out);
 }
 
 void SortAggregateOp::NextBatchImpl(RowBatch* out) {

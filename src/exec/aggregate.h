@@ -87,8 +87,7 @@ class AggregateBaseOp : public Operator {
   /// Called by subclasses for every intake batch (estimator bookkeeping):
   /// advances input_consumed by batch.size() and feeds the group estimator
   /// the batch's leading random run, freezing estimation at the first row
-  /// past it — the same per-tuple freeze decision the row path made via
-  /// child(0)->ProducesRandomStream().
+  /// past it — the per-tuple freeze decision, at any batch size.
   void ObserveIntakeBatch(const RowBatch& batch);
   void IntakeComplete(uint64_t exact_groups);
 
@@ -114,7 +113,6 @@ class HashAggregateOp : public AggregateBaseOp {
                   Schema output_schema);
 
  protected:
-  bool NextImpl(Row* out) override;
   void NextBatchImpl(RowBatch* out) override;
   void CloseImpl() override;
 
@@ -144,7 +142,6 @@ class SortAggregateOp : public AggregateBaseOp {
                   Schema output_schema);
 
  protected:
-  bool NextImpl(Row* out) override;
   void NextBatchImpl(RowBatch* out) override;
   void CloseImpl() override;
 

@@ -63,7 +63,7 @@ const char* QueryPhaseName(QueryPhase phase);
 /// \brief Receives the engine's progress ticks.
 ///
 /// One OnTick(n) arrives per emitted batch with n = the batch's row count
-/// (n == 1 per tuple on the row path), replacing the former per-tuple
+/// (n == 1 per tuple at batch_size 1), replacing the former per-tuple
 /// `std::function<void()>` indirection: observers are registered once and
 /// invoked through a devirtualizable interface, and a batch of 1024 rows
 /// costs one call instead of 1024.
@@ -164,10 +164,9 @@ struct ExecContext {
   /// optional base-table statistics) instead of uniform interpolation.
   bool use_column_histograms = false;
 
-  /// Rows per RowBatch on the batch execution path. 1 degenerates to exact
-  /// row-at-a-time tick granularity (every internal intake loop sizes its
-  /// batches from this, so estimator freeze points and monitor snapshots
-  /// land on the same tuples as the pre-batch engine).
+  /// Rows per RowBatch. 1 gives tuple-granular ticks: every internal intake
+  /// loop sizes its batches from this, so monitor snapshots land on single
+  /// tuples (estimator freeze points are the same at every batch size).
   size_t batch_size = 1024;
 
   /// Online-aggregation options (src/ola). Defaults to disabled, in which
@@ -239,7 +238,7 @@ struct ExecContext {
 
   /// Marks the execution window during which the observer list is frozen.
   /// Called by QueryExecutor::Run and the concurrent executor's worker;
-  /// manual row-at-a-time drivers may skip it (they lose the lifecycle
+  /// manual NextBatch drivers may skip it (they lose the lifecycle
   /// check, nothing else). BeginExecution also clears tick shards left by
   /// a cancelled previous run.
   void BeginExecution() {
@@ -269,7 +268,7 @@ struct ExecContext {
   }
 
   /// Deliver `n` getnext ticks to the observers. Called only from the
-  /// query's driving thread (every Operator::Next/NextBatch wrapper runs
+  /// query's driving thread (every Operator::NextBatch wrapper runs
   /// there); ticks banked by parallel workers via TickConcurrent are
   /// folded into this delivery, so observers always run single-threaded.
   void Tick(uint64_t n) {

@@ -33,13 +33,6 @@ Status FilterOp::OpenImpl() {
 
 void FilterOp::CloseImpl() { driver_.reset(); }
 
-bool FilterOp::NextImpl(Row* out) {
-  while (child(0)->Next(out)) {
-    if (predicate_->Evaluate(*out)) return true;
-  }
-  return false;
-}
-
 void FilterOp::NextBatchImpl(RowBatch* out) {
   if (!fusion_checked_) {
     fusion_checked_ = true;
@@ -60,9 +53,8 @@ void FilterOp::NextBatchImpl(RowBatch* out) {
     }
     while (in_pos_ < in_.size() && !out->full()) {
       size_t i = in_pos_++;
-      // A row-at-a-time consumer would check the child's randomness after
-      // each consumed tuple — rows past the run boundary end it whether or
-      // not they pass the predicate.
+      // The first consumed row past the child's run ends this run too,
+      // whether or not it passes the predicate.
       if (i >= in_.random_run()) random_over_ = true;
       if (predicate_->Evaluate(in_.row(i))) {
         *out->NextSlot() = std::move(in_.row(i));
@@ -102,15 +94,6 @@ ProjectOp::ProjectOp(OperatorPtr child, std::vector<size_t> indices,
     : Operator("Project", OneChild(std::move(child))),
       indices_(std::move(indices)) {
   SetSchema(std::move(output_schema));
-}
-
-bool ProjectOp::NextImpl(Row* out) {
-  Row input;
-  if (!child(0)->Next(&input)) return false;
-  out->clear();
-  out->reserve(indices_.size());
-  for (size_t idx : indices_) out->push_back(std::move(input[idx]));
-  return true;
 }
 
 ProjectOp::~ProjectOp() = default;

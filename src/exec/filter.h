@@ -32,7 +32,6 @@ class FilterOp : public Operator {
 
  protected:
   Status OpenImpl() override;
-  bool NextImpl(Row* out) override;
   void NextBatchImpl(RowBatch* out) override;
   void CloseImpl() override;
 
@@ -74,7 +73,6 @@ class ProjectOp : public Operator {
 
  protected:
   Status OpenImpl() override;
-  bool NextImpl(Row* out) override;
   void NextBatchImpl(RowBatch* out) override;
   void CloseImpl() override;
 

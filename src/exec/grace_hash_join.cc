@@ -190,8 +190,7 @@ void GraceHashJoinOp::RunProbePartitionPhase() {
 
     // The estimation window: refine while the probe stream is still a
     // random prefix, freeze the moment it stops being one (Section 4.4).
-    // The batch's random_run marks the same per-tuple boundary the row
-    // path found via probe_child()->ProducesRandomStream().
+    // The batch's random_run marks that boundary per tuple.
     size_t run = static_cast<size_t>(batch.random_run());
     if (run > n) run = n;
     if (once_ != nullptr && !once_->frozen()) {
@@ -218,15 +217,6 @@ void GraceHashJoinOp::PreparePartitions() {
   RunBuildPhase();
   RunProbePartitionPhase();
   phase_ = Phase::kJoin;
-}
-
-bool GraceHashJoinOp::NextImpl(Row* out) {
-  PreparePartitions();
-  if (phase_ == Phase::kJoin) {
-    if (AdvanceJoin(out)) return true;
-    phase_ = Phase::kDone;
-  }
-  return false;
 }
 
 void GraceHashJoinOp::StartParallelJoin() {
@@ -402,10 +392,8 @@ void GraceHashJoinOp::NextBatchImpl(RowBatch* out) {
   PreparePartitions();
   if (phase_ != Phase::kJoin) return;
   // Launch the parallel join on the first batch request (also after an
-  // explicit PreparePartitions), but never once the sequential cursor has
-  // advanced — a row-path caller may already own join-phase state.
-  if (!parallel_join_ && ctx_ != nullptr && ctx_->exec_workers > 1 &&
-      current_part_ == 0 && !part_table_built_) {
+  // explicit PreparePartitions).
+  if (!parallel_join_ && ctx_ != nullptr && ctx_->exec_workers > 1) {
     StartParallelJoin();
   }
   if (parallel_join_) {
@@ -487,9 +475,6 @@ void GraceHashJoinOp::NextBatchImpl(RowBatch* out) {
 }
 
 bool GraceHashJoinOp::AdvanceJoin(Row* out) {
-  QPI_CHECK(!parallel_join_ &&
-            "row-at-a-time join cursor used while the parallel join phase "
-            "owns the partitions");
   while (current_part_ < num_partitions_) {
     const std::vector<Row>& build_rows = build_parts_[current_part_];
     const std::vector<Row>& probe_rows = probe_parts_[current_part_];

@@ -77,7 +77,7 @@ class GraceHashJoinOp : public Operator {
   size_t num_partitions() const { return num_partitions_; }
 
   /// Run the (sequential, ONCE-instrumented) build and probe-partition
-  /// phases now, leaving only the join phase for Next/NextBatch. No-op if
+  /// phases now, leaving only the join phase for NextBatch. No-op if
   /// the phases already ran. Benches use this to time the join phase in
   /// isolation; parallel join workers are only launched by the first
   /// NextBatch, so the timed region includes their whole lifetime.
@@ -109,7 +109,6 @@ class GraceHashJoinOp : public Operator {
 
  protected:
   Status OpenImpl() override;
-  bool NextImpl(Row* out) override;
   void NextBatchImpl(RowBatch* out) override;
   void CloseImpl() override;
 
@@ -118,10 +117,12 @@ class GraceHashJoinOp : public Operator {
 
   void RunBuildPhase();
   void RunProbePartitionPhase();
+  /// Sequential join cursor (ctx->exec_workers == 1): the next output row
+  /// of the partition-wise join phase; false once every partition is done.
   bool AdvanceJoin(Row* out);
 
   /// Fan the partition pairs out as subtasks on the query's TaskScheduler
-  /// (batch path with ctx->exec_workers > 1), at most `join_window_`
+  /// (ctx->exec_workers > 1), at most `join_window_`
   /// partitions ahead of the merge cursor. Each subtask joins one
   /// partition, publishing every completed output batch under `join_mu_`
   /// as it is produced — a bounded-time push, never a blocking wait, which

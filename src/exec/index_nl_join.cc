@@ -32,7 +32,15 @@ void IndexNestedLoopsJoinOp::EnableOnceEstimation() {
       [outer] { return outer->CurrentCardinalityEstimate(); });
 }
 
-bool IndexNestedLoopsJoinOp::NextImpl(Row* out) {
+Status IndexNestedLoopsJoinOp::OpenImpl() {
+  outer_ = RowBatch(ctx_ != nullptr ? ctx_->batch_size
+                                    : RowBatch::kDefaultCapacity);
+  outer_pos_ = 0;
+  current_matches_ = nullptr;
+  return Status::OK();
+}
+
+void IndexNestedLoopsJoinOp::NextBatchImpl(RowBatch* out) {
   if (!index_built_) {
     // Preprocessing: materialize the inner input and build the temporary
     // index; the estimation histogram rides along, as in a hash join build.
@@ -50,34 +58,47 @@ bool IndexNestedLoopsJoinOp::NextImpl(Row* out) {
     if (once_ != nullptr) once_->BuildComplete();
     index_built_ = true;
   }
-  while (true) {
+  while (!out->full()) {
     if (current_matches_ == nullptr) {
-      if (!child(0)->Next(&current_outer_)) {
-        if (once_ != nullptr) once_->ProbeComplete();
-        return false;
+      if (outer_pos_ >= outer_.size()) {
+        if (!child(0)->NextBatch(&outer_)) {
+          if (once_ != nullptr) once_->ProbeComplete();
+          break;
+        }
+        outer_pos_ = 0;
       }
+      // outer_consumed_ and the observe-or-freeze decision advance per
+      // processed outer tuple, so they match batch size 1 exactly.
       ++outer_consumed_;
-      uint64_t key = HistogramKeyCode(current_outer_[outer_key_index_]);
+      uint64_t key =
+          HistogramKeyCode(outer_.row(outer_pos_)[outer_key_index_]);
       if (once_ != nullptr && !once_->frozen()) {
-        if (child(0)->ProducesRandomStream()) {
+        if (outer_pos_ < outer_.random_run()) {
           once_->ObserveProbeKey(key);
         } else {
           once_->Freeze();
         }
       }
       auto it = index_.find(key);
-      if (it == index_.end()) continue;
+      if (it == index_.end()) {
+        ++outer_pos_;
+        continue;
+      }
       current_matches_ = &it->second;
       match_idx_ = 0;
     }
-    if (match_idx_ < current_matches_->size()) {
-      *out = ConcatRows(current_outer_,
-                        inner_rows_[(*current_matches_)[match_idx_]]);
-      ++match_idx_;
-      return true;
+    const Row& outer_row = outer_.row(outer_pos_);
+    while (match_idx_ < current_matches_->size() && !out->full()) {
+      *out->NextSlot() = ConcatRows(
+          outer_row, inner_rows_[(*current_matches_)[match_idx_++]]);
+      out->CommitSlot();
     }
-    current_matches_ = nullptr;
+    if (match_idx_ == current_matches_->size()) {
+      current_matches_ = nullptr;
+      ++outer_pos_;
+    }
   }
+  CountEmitted(out->size());
 }
 
 void IndexNestedLoopsJoinOp::CloseImpl() {

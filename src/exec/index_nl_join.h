@@ -48,7 +48,8 @@ class IndexNestedLoopsJoinOp : public Operator {
   double OnceEstimate() const;
 
  protected:
-  bool NextImpl(Row* out) override;
+  Status OpenImpl() override;
+  void NextBatchImpl(RowBatch* out) override;
   void CloseImpl() override;
 
  private:
@@ -59,7 +60,10 @@ class IndexNestedLoopsJoinOp : public Operator {
   std::unordered_map<uint64_t, std::vector<size_t>> index_;
   bool index_built_ = false;
 
-  Row current_outer_;
+  // Outer input, pulled a batch at a time (sized at Open); while
+  // current_matches_ is set, outer_.row(outer_pos_) is the row being joined.
+  RowBatch outer_{0};
+  size_t outer_pos_ = 0;
   const std::vector<size_t>* current_matches_ = nullptr;
   size_t match_idx_ = 0;
   uint64_t outer_consumed_ = 0;

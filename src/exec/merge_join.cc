@@ -69,8 +69,7 @@ void MergeJoinOp::RunIntakePhases() {
 
   // Right intake: probe the left histogram while the input is still in
   // random order, before sorting destroys that property. The batch's
-  // random_run marks the same per-tuple freeze boundary the row path saw
-  // via child(1)->ProducesRandomStream().
+  // random_run marks the per-tuple freeze boundary.
   bool feed_pipeline = pipeline_ != nullptr && pipeline_lowest_;
   std::vector<uint64_t> keys;
   keys.reserve(batch.capacity());
@@ -104,16 +103,19 @@ void MergeJoinOp::RunIntakePhases() {
   });
 }
 
-bool MergeJoinOp::NextImpl(Row* out) {
+void MergeJoinOp::NextBatchImpl(RowBatch* out) {
   if (phase_ == Phase::kInit) {
     RunIntakePhases();
     phase_ = Phase::kMerge;
   }
-  if (phase_ == Phase::kMerge) {
-    if (AdvanceMerge(out)) return true;
-    phase_ = Phase::kDone;
+  while (phase_ == Phase::kMerge && !out->full()) {
+    if (!AdvanceMerge(out->NextSlot())) {
+      phase_ = Phase::kDone;
+      break;
+    }
+    out->CommitSlot();
   }
-  return false;
+  CountEmitted(out->size());
 }
 
 bool MergeJoinOp::AdvanceMerge(Row* out) {

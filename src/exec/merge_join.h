@@ -61,7 +61,7 @@ class MergeJoinOp : public Operator {
   }
 
  protected:
-  bool NextImpl(Row* out) override;
+  void NextBatchImpl(RowBatch* out) override;
   void CloseImpl() override;
 
  private:

@@ -97,9 +97,9 @@ void MorselScanDriver::ProcessMorsel(size_t m) {
         local = 0;
         continue;
       }
-      // Run membership uses the row-path rule: a consumer checks the
-      // stream-randomness *after* consuming, so input row v is in-run iff
-      // v + 1 < prefix; an out-of-run input ends the run for every later
+      // Run membership uses the post-emission rule (see RowBatch): input
+      // row v is in-run iff v + 1 < prefix; an out-of-run input ends the
+      // run for every later
       // output even if a predicate drops it.
       if (sampled_ && v + 1 >= prefix_rows_) run_ok = false;
       Row row = block.row(local);

@@ -19,9 +19,9 @@ enum class OpState { kNotStarted, kRunning, kFinished };
 
 /// \brief Base class of all Volcano-style physical operators.
 ///
-/// The public Next() wrapper maintains the getnext() bookkeeping the gnm
-/// progress model is built on: `tuples_emitted()` is K_i, the number of
-/// getnext() calls answered so far, and `CurrentCardinalityEstimate()` is
+/// The public NextBatch() wrapper maintains the getnext() bookkeeping the
+/// gnm progress model is built on: `tuples_emitted()` is K_i, the number of
+/// tuples emitted so far, and `CurrentCardinalityEstimate()` is
 /// the operator's live estimate of N_i, its total output cardinality —
 /// exact once the operator finishes, estimator-driven while it runs, and
 /// the optimizer's number before it starts.
@@ -46,41 +46,22 @@ class Operator {
     return OpenImpl();
   }
 
-  /// Produce the next output row; false at end of stream. Counter and state
-  /// writes are relaxed atomics: only the executing thread mutates them, but
-  /// a concurrent progress monitor may read them at any time (see DESIGN.md,
-  /// "Threading model").
-  bool Next(Row* out) {
+  /// The only way to pull rows from an operator: fill `out` with up to
+  /// out->capacity() rows; false (with an empty batch) at end of stream.
+  /// Progress accounting is amortized — `emitted_` advances by
+  /// batch.size() in one relaxed atomic add (inside NextBatchImpl, via
+  /// CountEmitted) and the context receives a single Tick(n). Counter and
+  /// state writes are relaxed atomics: only the executing thread mutates
+  /// them, but a concurrent progress monitor may read them at any time (see
+  /// DESIGN.md, "Threading model").
+  bool NextBatch(RowBatch* out) {
+    out->Clear();
     if (state_.load(std::memory_order_relaxed) == OpState::kNotStarted) {
       state_.store(OpState::kRunning, std::memory_order_relaxed);
     }
     // Cooperative cancellation: a cancelled query drains as if every
     // operator simultaneously hit end-of-stream, so Close() still runs and
     // the final counters are self-consistent.
-    if (ctx_ != nullptr && ctx_->IsCancelled()) {
-      state_.store(OpState::kFinished, std::memory_order_relaxed);
-      return false;
-    }
-    if (!NextImpl(out)) {
-      state_.store(OpState::kFinished, std::memory_order_relaxed);
-      return false;
-    }
-    emitted_.fetch_add(1, std::memory_order_relaxed);
-    if (ctx_ != nullptr) ctx_->Tick(1);
-    return true;
-  }
-
-  /// Batch-at-a-time entry point: fill `out` with up to out->capacity()
-  /// rows; false (with an empty batch) at end of stream. Progress
-  /// accounting is amortized — `emitted_` advances by batch.size() in one
-  /// relaxed atomic add (inside NextBatchImpl, via CountEmitted) and the
-  /// context receives a single Tick(n), so gnm's K_i counts the same
-  /// tuples as the row path at a fraction of the bookkeeping cost.
-  bool NextBatch(RowBatch* out) {
-    out->Clear();
-    if (state_.load(std::memory_order_relaxed) == OpState::kNotStarted) {
-      state_.store(OpState::kRunning, std::memory_order_relaxed);
-    }
     if (ctx_ != nullptr && ctx_->IsCancelled()) {
       state_.store(OpState::kFinished, std::memory_order_relaxed);
       return false;
@@ -170,34 +151,13 @@ class Operator {
 
  protected:
   virtual Status OpenImpl() { return Status::OK(); }
-  virtual bool NextImpl(Row* out) = 0;
 
   /// Fill `out` with up to out->capacity() rows and call
   /// CountEmitted(out->size()) before returning; an empty batch means end
-  /// of stream. Implementations must also set the batch's random_run to
-  /// the number of leading rows that a row-at-a-time consumer would have
-  /// observed under ProducesRandomStream() == true.
-  ///
-  /// The default adapter loops NextImpl so every operator works on the
-  /// batch path unchanged. It evaluates ProducesRandomStream() after each
-  /// row lands, but counts all rows in one add at the end — an operator
-  /// whose ProducesRandomStream() depends on its own live tuples_emitted()
-  /// (only SeqScan in this engine) needs a native override to keep the
-  /// run boundary exact.
-  virtual void NextBatchImpl(RowBatch* out) {
-    bool in_run = true;
-    while (!out->full()) {
-      Row* slot = out->NextSlot();
-      if (!NextImpl(slot)) break;
-      out->CommitSlot();
-      if (in_run && ProducesRandomStream()) {
-        out->bump_random_run();
-      } else {
-        in_run = false;
-      }
-    }
-    CountEmitted(out->size());
-  }
+  /// of stream. Implementations must also set the batch's random_run: the
+  /// leading rows emitted while ProducesRandomStream() held (see RowBatch
+  /// for the exact per-tuple rule).
+  virtual void NextBatchImpl(RowBatch* out) = 0;
 
   virtual void CloseImpl() {}
 
@@ -218,7 +178,7 @@ class Operator {
 
  private:
   /// The morsel-parallel scan driver executes fused scan/filter/project
-  /// chains outside the Next/NextBatch wrappers and therefore attributes
+  /// chains outside the NextBatch wrapper and therefore attributes
   /// counters and state transitions to the captured operators itself.
   friend class MorselScanDriver;
 

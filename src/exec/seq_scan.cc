@@ -30,20 +30,6 @@ void SeqScanOp::CloseImpl() {
   driver_.reset();
 }
 
-bool SeqScanOp::NextImpl(Row* out) {
-  while (block_pos_ < order_.block_order.size()) {
-    const Block& block = table_->block(order_.block_order[block_pos_]);
-    if (row_pos_ < block.num_rows()) {
-      *out = block.row(row_pos_);
-      ++row_pos_;
-      return true;
-    }
-    ++block_pos_;
-    row_pos_ = 0;
-  }
-  return false;
-}
-
 void SeqScanOp::NextBatchImpl(RowBatch* out) {
   if (!parallel_checked_) {
     parallel_checked_ = true;
@@ -76,9 +62,9 @@ void SeqScanOp::NextBatchImpl(RowBatch* out) {
   if (order_.sample_block_count == 0) {
     out->set_random_run(n);
   } else {
-    // Row-path consumers check ProducesRandomStream() *after* the emitting
-    // Next() (emitted is already k+1), so 0-based row k of this batch was
-    // observed as random iff start + k + 1 < sample_row_count.
+    // Post-emission rule (see RowBatch): 0-based row k of this batch is
+    // random iff the emitted count after it, start + k + 1, is still below
+    // sample_row_count.
     uint64_t src = order_.sample_row_count;
     uint64_t run = (src > start + 1) ? src - 1 - start : 0;
     out->set_random_run(run < n ? run : n);

@@ -41,7 +41,6 @@ class SeqScanOp : public Operator {
 
  protected:
   Status OpenImpl() override;
-  bool NextImpl(Row* out) override;
   void NextBatchImpl(RowBatch* out) override;
   void CloseImpl() override;
 
@@ -51,7 +50,7 @@ class SeqScanOp : public Operator {
   ScanOrder order_;
   size_t block_pos_ = 0;
   size_t row_pos_ = 0;
-  // Engaged on the batch path when ctx->exec_workers > 1 and no fused
+  // Engaged when ctx->exec_workers > 1 and no fused
   // ancestor captured this scan (their NextBatch then never reaches us).
   std::unique_ptr<MorselScanDriver> driver_;
   bool parallel_checked_ = false;

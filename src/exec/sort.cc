@@ -26,7 +26,7 @@ SortOp::SortOp(OperatorPtr child, std::vector<size_t> key_indices)
   SetSchema(this->child(0)->schema());
 }
 
-bool SortOp::NextImpl(Row* out) {
+void SortOp::NextBatchImpl(RowBatch* out) {
   if (!intake_done_) {
     RowBatch batch(ctx_ != nullptr ? ctx_->batch_size
                                    : RowBatch::kDefaultCapacity);
@@ -45,10 +45,13 @@ bool SortOp::NextImpl(Row* out) {
     intake_done_ = true;
     pos_ = 0;
   }
-  if (pos_ >= rows_.size()) return false;
-  *out = rows_[pos_];
-  ++pos_;
-  return true;
+  // Swap, not copy: each sorted row moves into the slot, and the slot's
+  // previous storage is parked in rows_ until Close.
+  while (!out->full() && pos_ < rows_.size()) {
+    out->NextSlot()->swap(rows_[pos_++]);
+    out->CommitSlot();
+  }
+  CountEmitted(out->size());
 }
 
 void SortOp::CloseImpl() { rows_.clear(); }
@@ -90,7 +93,15 @@ bool NestedLoopsJoinOp::Matches(const Value& outer, const Value& inner) const {
   return false;
 }
 
-bool NestedLoopsJoinOp::NextImpl(Row* out) {
+Status NestedLoopsJoinOp::OpenImpl() {
+  outer_ = RowBatch(ctx_ != nullptr ? ctx_->batch_size
+                                    : RowBatch::kDefaultCapacity);
+  outer_pos_ = 0;
+  have_outer_ = false;
+  return Status::OK();
+}
+
+void NestedLoopsJoinOp::NextBatchImpl(RowBatch* out) {
   if (!inner_materialized_) {
     RowBatch batch(ctx_ != nullptr ? ctx_->batch_size
                                    : RowBatch::kDefaultCapacity);
@@ -104,16 +115,21 @@ bool NestedLoopsJoinOp::NextImpl(Row* out) {
     if (theta_ != nullptr) theta_->InnerComplete();
     inner_materialized_ = true;
   }
-  while (true) {
+  while (!out->full()) {
     if (!have_outer_) {
-      if (!child(0)->Next(&current_outer_)) {
-        if (theta_ != nullptr) theta_->OuterComplete();
-        return false;
+      if (outer_pos_ >= outer_.size()) {
+        if (!child(0)->NextBatch(&outer_)) {
+          if (theta_ != nullptr) theta_->OuterComplete();
+          break;
+        }
+        outer_pos_ = 0;
       }
+      // outer_consumed_ and the observe-or-freeze decision advance per
+      // processed outer tuple, so they match batch size 1 exactly.
       ++outer_consumed_;
       if (theta_ != nullptr && !theta_->frozen()) {
-        if (child(0)->ProducesRandomStream()) {
-          theta_->ObserveOuterKey(current_outer_[outer_key_index_]);
+        if (outer_pos_ < outer_.random_run()) {
+          theta_->ObserveOuterKey(outer_.row(outer_pos_)[outer_key_index_]);
         } else {
           theta_->Freeze();
         }
@@ -121,17 +137,21 @@ bool NestedLoopsJoinOp::NextImpl(Row* out) {
       have_outer_ = true;
       inner_pos_ = 0;
     }
-    const Value& outer_key = current_outer_[outer_key_index_];
-    while (inner_pos_ < inner_rows_.size()) {
-      const Row& inner_row = inner_rows_[inner_pos_];
-      ++inner_pos_;
+    const Row& outer_row = outer_.row(outer_pos_);
+    const Value& outer_key = outer_row[outer_key_index_];
+    while (inner_pos_ < inner_rows_.size() && !out->full()) {
+      const Row& inner_row = inner_rows_[inner_pos_++];
       if (Matches(outer_key, inner_row[inner_key_index_])) {
-        *out = ConcatRows(current_outer_, inner_row);
-        return true;
+        *out->NextSlot() = ConcatRows(outer_row, inner_row);
+        out->CommitSlot();
       }
     }
-    have_outer_ = false;
+    if (inner_pos_ == inner_rows_.size()) {
+      have_outer_ = false;
+      ++outer_pos_;
+    }
   }
+  CountEmitted(out->size());
 }
 
 void NestedLoopsJoinOp::CloseImpl() { inner_rows_.clear(); }
@@ -180,7 +200,7 @@ double NestedLoopsJoinOp::CurrentCardinalityEstimate() const {
   EstimationMode mode = ctx_ != nullptr ? ctx_->mode : EstimationMode::kNone;
   switch (mode) {
     case EstimationMode::kNone:
-      break;
+      return optimizer_estimate();
     case EstimationMode::kOnce:
       return CandidateCardinalityEstimate(EstimatorCandidate::kOnce);
     case EstimationMode::kDne:
@@ -188,7 +208,7 @@ double NestedLoopsJoinOp::CurrentCardinalityEstimate() const {
     case EstimationMode::kByte:
       return ByteEstimate();
   }
-  return DneEstimate();
+  return optimizer_estimate();
 }
 
 double NestedLoopsJoinOp::CurrentCardinalityHalfWidth(

@@ -27,7 +27,7 @@ class SortOp : public Operator {
   }
 
  protected:
-  bool NextImpl(Row* out) override;
+  void NextBatchImpl(RowBatch* out) override;
   void CloseImpl() override;
 
  private:
@@ -74,7 +74,8 @@ class NestedLoopsJoinOp : public Operator {
   }
 
  protected:
-  bool NextImpl(Row* out) override;
+  Status OpenImpl() override;
+  void NextBatchImpl(RowBatch* out) override;
   void CloseImpl() override;
 
  private:
@@ -86,7 +87,10 @@ class NestedLoopsJoinOp : public Operator {
 
   std::vector<Row> inner_rows_;
   bool inner_materialized_ = false;
-  Row current_outer_;
+  // Outer input, pulled a batch at a time (sized at Open); while
+  // have_outer_, outer_.row(outer_pos_) is the row being joined.
+  RowBatch outer_{0};
+  size_t outer_pos_ = 0;
   bool have_outer_ = false;
   size_t inner_pos_ = 0;
   uint64_t outer_consumed_ = 0;

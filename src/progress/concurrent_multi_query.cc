@@ -35,8 +35,8 @@ namespace {
 
 /// Publishes a full snapshot from the executing worker whenever the tick
 /// count crosses a publish_interval boundary. Ticks arrive in batch-sized
-/// jumps, so the crossing check replaces the row path's modulo (the
-/// publication lag is bounded by one batch).
+/// jumps, so this is a crossing check, not a modulo (the publication lag
+/// is bounded by one batch).
 class SlotPublisher : public TickObserver {
  public:
   SlotPublisher(ConcurrentMultiQueryExecutor::Entry* entry, uint64_t interval)
@@ -145,8 +145,7 @@ void ConcurrentMultiQueryExecutor::MonitorLoop() {
   Sample();
 }
 
-Status ConcurrentMultiQueryExecutor::RunAll(uint64_t quantum) {
-  if (quantum > 0) options_.publish_interval = quantum;
+Status ConcurrentMultiQueryExecutor::RunAll() {
   {
     std::lock_guard<std::mutex> lock(history_mu_);
     combined_history_.clear();

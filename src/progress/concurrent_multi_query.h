@@ -17,13 +17,12 @@ namespace qpi {
 /// \brief Truly concurrent multi-query execution with live, race-free
 /// progress snapshots.
 ///
-/// The cooperative MultiQueryExecutor time-slices queries on one thread;
-/// this executor instead runs each registered query to completion on a
-/// worker of a fixed-size thread pool while a dedicated monitor thread
-/// samples per-query and combined gnm progress at a configurable period —
-/// the paper's "lightweight" premise taken to its concurrent conclusion
-/// (progress is observed while queries run, not between their time
-/// slices).
+/// The multiple-queries extension of Luo et al. [19] that the paper cites:
+/// each registered query runs to completion on a worker of a fixed-size
+/// fleet while a dedicated monitor thread samples per-query and combined
+/// gnm progress (Σ C_i / Σ T̂_i) at a configurable period — the paper's
+/// "lightweight" premise taken to its concurrent conclusion (progress is
+/// observed while queries run).
 ///
 /// Threading model (see DESIGN.md, "Threading model"):
 ///  - per-operator `tuples_emitted` counters and operator states are
@@ -37,10 +36,8 @@ namespace qpi {
 ///    atomic C(Q) and appends to a mutex-guarded history; UI threads read
 ///    the latest combined snapshot from another lock-free slot.
 ///
-/// The cooperative API (Add / RunAll / QueryProgress / CombinedProgress /
-/// combined_history) is preserved; RunAll's quantum parameter maps onto
-/// the snapshot publish interval. Cancel(i) flips an atomic flag checked
-/// in the operator tick path, so a runaway query drains promptly.
+/// Cancel(i) flips an atomic flag checked in the operator tick path, so a
+/// runaway query drains promptly.
 class ConcurrentMultiQueryExecutor {
  public:
   struct Options {
@@ -82,9 +79,7 @@ class ConcurrentMultiQueryExecutor {
   /// Run every registered query to completion on the worker pool, with the
   /// monitor thread sampling throughout. Blocks until all queries drain
   /// (or are cancelled); returns the first per-query error, if any.
-  /// `quantum` (> 0) overrides Options::publish_interval, mirroring the
-  /// cooperative executor's RunAll(quantum) signature.
-  Status RunAll(uint64_t quantum = 0);
+  Status RunAll();
 
   /// Request cancellation of query i. Safe from any thread, before or
   /// during RunAll; the query drains as if it hit end-of-stream.

@@ -1,7 +1,8 @@
 // Metamorphic/differential properties: the progress framework must be
 // purely observational. For randomly generated queries, the result
 // multiset must be identical across estimation modes, sample fractions,
-// hash-join partition counts, and join algorithms.
+// hash-join partition counts, and join algorithms. Batch size must not
+// change results, counters, estimates or estimator freeze points at all.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +12,10 @@
 #include "datagen/table_builder.h"
 #include "exec/compiler.h"
 #include "exec/executor.h"
+#include "exec/grace_hash_join.h"
+#include "exec/index_nl_join.h"
+#include "exec/merge_join.h"
+#include "exec/sort.h"
 #include "storage/catalog.h"
 
 namespace qpi {
@@ -153,6 +158,183 @@ TEST(Differential, HashAndMergeJoinAgreeOnRandomCatalogs) {
         << "seed " << seed;
   }
 }
+
+// ---- batch-size sweep -------------------------------------------------------
+//
+// For every operator shape and estimation mode, runs at batch_size 7, 256
+// and 1024 must reproduce the batch_size 1 run (tuple-granular: every
+// operator consumes one row per call) exactly:
+//   (a) the same result multiset,
+//   (b) the same final tuples_emitted() and cardinality estimate on every
+//       operator in the tree, and
+//   (c) the same freeze state and tuples observed for every ONCE/theta
+//       estimator — RowBatch::random_run must put each freeze on the same
+//       tuple whatever the batch size.
+
+struct SweepShape {
+  const char* name;
+  PlanNodePtr (*make)();
+};
+
+const SweepShape kSweepShapes[] = {
+    {"scan", [] { return ScanPlan("r1"); }},
+    {"filter",
+     [] {
+       return FilterPlan(ScanPlan("r2"), MakeCompare("v", CompareOp::kLe,
+                                                     Value(int64_t{25})));
+     }},
+    {"agg",
+     [] {
+       return HashAggregatePlan(
+           ScanPlan("r1"), {"k"},
+           {AggregateSpec{AggregateSpec::Kind::kCountStar, ""},
+            AggregateSpec{AggregateSpec::Kind::kSum, "v"}});
+     }},
+    {"hash_join",
+     [] {
+       return HashJoinPlan(ScanPlan("r1"), ScanPlan("r2"), "r1.k", "r2.k");
+     }},
+    {"merge_join",
+     [] {
+       return MergeJoinPlan(ScanPlan("r1"), ScanPlan("r2"), "r1.k", "r2.k");
+     }},
+    {"pipeline",
+     [] {
+       return HashJoinPlan(
+           ScanPlan("r1"),
+           HashJoinPlan(ScanPlan("r2"), ScanPlan("r3"), "r2.k", "r3.k"),
+           "r1.k", "r3.k");
+     }},
+    {"sort_filter",
+     [] {
+       return SortPlan(FilterPlan(ScanPlan("r3"),
+                                  MakeCompare("v", CompareOp::kGt,
+                                              Value(int64_t{10}))),
+                       {"k", "v"});
+     }},
+    {"nl_join",
+     [] {
+       return NestedLoopsJoinPlan(ScanPlan("r1"), ScanPlan("r2"), "r1.k",
+                                  "r2.k");
+     }},
+    {"theta_nl_join",
+     [] {
+       // A filtered outer keeps the inequality join's output small.
+       return ThetaNestedLoopsJoinPlan(
+           FilterPlan(ScanPlan("r1"),
+                      MakeCompare("v", CompareOp::kLe, Value(int64_t{10}))),
+           ScanPlan("r2"), "r1.k", "r2.k", CompareOp::kLe);
+     }},
+    {"index_nl_join",
+     [] {
+       return IndexNestedLoopsJoinPlan(ScanPlan("r1"), ScanPlan("r2"), "r1.k",
+                                       "r2.k");
+     }},
+};
+
+struct OpObservation {
+  std::string label;
+  uint64_t emitted;
+  double estimate;
+};
+
+struct EstimatorObservation {
+  bool frozen;
+  uint64_t seen;  // probe_tuples_seen() or outer_tuples_seen()
+};
+
+struct SweepRun {
+  std::vector<std::string> rows;
+  std::vector<OpObservation> ops;  // pre-order over the tree
+  std::vector<EstimatorObservation> estimators;
+};
+
+SweepRun RunAtBatchSize(Catalog* catalog, const SweepShape& shape,
+                        EstimationMode mode, size_t batch_size) {
+  ExecContext ctx;
+  ctx.catalog = catalog;
+  ctx.mode = mode;
+  ctx.sample_fraction = 0.1;
+  ctx.batch_size = batch_size;
+  PlanNodePtr plan = shape.make();
+  OperatorPtr root;
+  Status s = CompilePlan(plan.get(), &ctx, &root);
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  std::vector<Row> rows;
+  EXPECT_TRUE(QueryExecutor::Run(root.get(), &ctx, &rows, nullptr).ok());
+  SweepRun out;
+  out.rows = CanonicalResult(rows);
+  root->Visit([&](Operator* op) {
+    out.ops.push_back(
+        {op->label(), op->tuples_emitted(), op->CurrentCardinalityEstimate()});
+    const OnceBinaryJoinEstimator* once = nullptr;
+    if (auto* j = dynamic_cast<GraceHashJoinOp*>(op)) {
+      once = j->once_estimator();
+    }
+    if (auto* j = dynamic_cast<MergeJoinOp*>(op)) once = j->once_estimator();
+    if (auto* j = dynamic_cast<IndexNestedLoopsJoinOp*>(op)) {
+      once = j->once_estimator();
+    }
+    if (once != nullptr) {
+      out.estimators.push_back({once->frozen(), once->probe_tuples_seen()});
+    }
+    if (auto* j = dynamic_cast<NestedLoopsJoinOp*>(op)) {
+      if (const OnceInequalityJoinEstimator* theta = j->theta_estimator()) {
+        out.estimators.push_back({theta->frozen(), theta->outer_tuples_seen()});
+      }
+    }
+  });
+  return out;
+}
+
+class BatchSizeSweep : public ::testing::TestWithParam<EstimationMode> {};
+
+TEST_P(BatchSizeSweep, IdenticalResultsCountersEstimatesAndFreezePoints) {
+  EstimationMode mode = GetParam();
+  Catalog catalog;
+  BuildCatalog(&catalog, 42);
+
+  size_t frozen_estimators = 0;
+  for (const SweepShape& shape : kSweepShapes) {
+    SweepRun reference = RunAtBatchSize(&catalog, shape, mode, 1);
+    for (const EstimatorObservation& e : reference.estimators) {
+      if (e.frozen) ++frozen_estimators;
+    }
+    for (size_t batch_size : {size_t{7}, size_t{256}, size_t{1024}}) {
+      SCOPED_TRACE(std::string(shape.name) + " mode " +
+                   EstimationModeName(mode) + " batch " +
+                   std::to_string(batch_size));
+      SweepRun batched = RunAtBatchSize(&catalog, shape, mode, batch_size);
+      EXPECT_EQ(batched.rows, reference.rows);
+      ASSERT_EQ(batched.ops.size(), reference.ops.size());
+      for (size_t i = 0; i < reference.ops.size(); ++i) {
+        EXPECT_EQ(batched.ops[i].label, reference.ops[i].label);
+        EXPECT_EQ(batched.ops[i].emitted, reference.ops[i].emitted)
+            << "operator " << reference.ops[i].label;
+        EXPECT_EQ(batched.ops[i].estimate, reference.ops[i].estimate)
+            << "operator " << reference.ops[i].label;
+      }
+      ASSERT_EQ(batched.estimators.size(), reference.estimators.size());
+      for (size_t i = 0; i < reference.estimators.size(); ++i) {
+        EXPECT_EQ(batched.estimators[i].frozen, reference.estimators[i].frozen)
+            << "estimator " << i;
+        EXPECT_EQ(batched.estimators[i].seen, reference.estimators[i].seen)
+            << "estimator " << i;
+      }
+    }
+  }
+  // The 10% sample prefix must actually end inside the ONCE windows, or the
+  // freeze comparison above would be vacuous.
+  if (mode == EstimationMode::kOnce) {
+    EXPECT_GT(frozen_estimators, 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Modes, BatchSizeSweep,
+                         ::testing::Values(EstimationMode::kNone,
+                                           EstimationMode::kOnce,
+                                           EstimationMode::kDne,
+                                           EstimationMode::kByte));
 
 }  // namespace
 }  // namespace qpi

@@ -169,15 +169,16 @@ TEST(OnceBinaryEngine, MergeJoinEstimateExactBeforeMergePhase) {
   ASSERT_NE(join, nullptr);
   ASSERT_NE(join->once_estimator(), nullptr);
 
+  fx.ctx.batch_size = 1;
   ASSERT_TRUE(root->Open(&fx.ctx).ok());
   // Pull exactly one output row: intake phases (and thus estimation) have
   // completed, but the merge has barely begun.
-  Row row;
-  ASSERT_TRUE(root->Next(&row));
+  RowBatch batch(fx.ctx.batch_size);
+  ASSERT_TRUE(root->NextBatch(&batch));
   EXPECT_TRUE(join->once_estimator()->Exact());
   double claimed = join->once_estimator()->Estimate();
-  uint64_t total = 1;
-  while (root->Next(&row)) ++total;
+  uint64_t total = batch.size();
+  while (root->NextBatch(&batch)) total += batch.size();
   root->Close();
   EXPECT_DOUBLE_EQ(claimed, static_cast<double>(total));
 }

@@ -88,14 +88,16 @@ TEST(IndexNl, EstimateAvailableMidOuterScanWithinCI) {
   ASSERT_TRUE(CompilePlan(plan.get(), &fx.ctx, &root).ok());
   auto* join = dynamic_cast<IndexNestedLoopsJoinOp*>(root.get());
 
+  // Tuple-granular drive: the estimate is sampled at an exact outer index.
+  fx.ctx.batch_size = 1;
   ASSERT_TRUE(root->Open(&fx.ctx).ok());
-  Row row;
+  RowBatch batch(fx.ctx.batch_size);
   uint64_t emitted = 0;
   double mid_estimate = 0;
   double mid_ci = 0;
   // Drain; capture the estimate when 10% of the outer input is consumed.
-  while (root->Next(&row)) {
-    ++emitted;
+  while (root->NextBatch(&batch)) {
+    emitted += batch.size();
     if (join->outer_consumed() == 2000 && mid_estimate == 0) {
       mid_estimate = join->once_estimator()->Estimate();
       mid_ci = join->once_estimator()->ConfidenceHalfWidth();
@@ -162,9 +164,10 @@ TEST(IndexNl, DneEstimateCoincidesWithOnceInExpectation) {
   OperatorPtr root;
   ASSERT_TRUE(CompilePlan(plan.get(), &fx.ctx, &root).ok());
   auto* join = dynamic_cast<IndexNestedLoopsJoinOp*>(root.get());
+  fx.ctx.batch_size = 1;  // sampled at an exact outer index
   ASSERT_TRUE(root->Open(&fx.ctx).ok());
-  Row row;
-  while (root->Next(&row)) {
+  RowBatch batch(fx.ctx.batch_size);
+  while (root->NextBatch(&batch)) {
     if (join->outer_consumed() == 2500) {
       double once_est = join->once_estimator()->Estimate();
       double dne_est = join->DneEstimate();

@@ -7,10 +7,11 @@
 //       partitions, so rows are compared canonically sorted),
 //   (b) the same final tuples_emitted() on every operator in the tree,
 //   (c) the same final cardinality estimate on every operator, and
-//   (d) bit-identical ONCE estimator state (estimate, tuples seen, freeze
-//       flag) — the estimation windows are sequential phases fed by the
-//       ordered morsel merge, so the parallel layer must not move a single
-//       freeze boundary.
+//   (d) bit-identical ONCE/theta estimator state (estimate, tuples seen,
+//       freeze flag) on every join — the estimation windows are sequential
+//       phases fed by the ordered morsel merge (for the nested-loops joins,
+//       the outer input itself), so the parallel layer must not move a
+//       single freeze boundary.
 // Also covers partition-count normalization (round up to a power of two,
 // reject 0) and cooperative cancellation under parallel execution.
 
@@ -25,13 +26,16 @@
 #include "exec/compiler.h"
 #include "exec/executor.h"
 #include "exec/grace_hash_join.h"
+#include "exec/index_nl_join.h"
+#include "exec/merge_join.h"
+#include "exec/sort.h"
 #include "progress/concurrent_multi_query.h"
 #include "storage/catalog.h"
 
 namespace qpi {
 namespace {
 
-/// Same deterministic catalog recipe as row_vs_batch_test.cc: three tables
+/// Same deterministic catalog recipe as differential_test.cc: three tables
 /// with mixed skew for realistic key overlap.
 void BuildCatalog(Catalog* catalog, uint64_t seed) {
   Pcg32 rng(seed);
@@ -96,6 +100,22 @@ const Shape kShapes[] = {
            HashJoinPlan(ScanPlan("r2"), ScanPlan("r3"), "r2.k", "r3.k"),
            "r1.k", "r3.k");
      }},
+    {"merge_join",
+     [] {
+       return MergeJoinPlan(ScanPlan("r1"), ScanPlan("r2"), "r1.k", "r2.k");
+     }},
+    {"index_nl_join",
+     [] {
+       return IndexNestedLoopsJoinPlan(ScanPlan("r1"), ScanPlan("r2"), "r1.k",
+                                       "r2.k");
+     }},
+    {"theta_nl_join",
+     [] {
+       return ThetaNestedLoopsJoinPlan(
+           FilterPlan(ScanPlan("r1"),
+                      MakeCompare("v", CompareOp::kLe, Value(int64_t{10}))),
+           ScanPlan("r2"), "r1.k", "r2.k", CompareOp::kLe);
+     }},
 };
 
 struct OpObservation {
@@ -104,13 +124,36 @@ struct OpObservation {
   double estimate;
 };
 
-/// ONCE estimator internals of one join (zeros when not attached).
+/// ONCE (binary or theta) estimator internals of one join (zeros when not
+/// attached).
 struct OnceObservation {
   uint64_t probe_seen = 0;
   double estimate = 0.0;
   bool frozen = false;
   bool exact = false;
 };
+
+OnceObservation ObserveOnce(const OnceBinaryJoinEstimator* est) {
+  OnceObservation once;
+  if (est != nullptr) {
+    once.probe_seen = est->probe_tuples_seen();
+    once.estimate = est->Estimate();
+    once.frozen = est->frozen();
+    once.exact = est->Exact();
+  }
+  return once;
+}
+
+OnceObservation ObserveOnce(const OnceInequalityJoinEstimator* est) {
+  OnceObservation once;
+  if (est != nullptr) {
+    once.probe_seen = est->outer_tuples_seen();
+    once.estimate = est->Estimate();
+    once.frozen = est->frozen();
+    once.exact = est->Exact();
+  }
+  return once;
+}
 
 struct RunResult {
   std::vector<std::string> rows;   // canonical (sorted) multiset
@@ -143,15 +186,17 @@ RunResult RunQuery(const Catalog& catalog, const Shape& shape, EstimationMode mo
   root->Visit([&](Operator* op) {
     out.ops.push_back(
         {op->label(), op->tuples_emitted(), op->CurrentCardinalityEstimate()});
-    if (auto* join = dynamic_cast<GraceHashJoinOp*>(op)) {
-      OnceObservation once;
-      if (const OnceBinaryJoinEstimator* est = join->once_estimator()) {
-        once.probe_seen = est->probe_tuples_seen();
-        once.estimate = est->Estimate();
-        once.frozen = est->frozen();
-        once.exact = est->Exact();
-      }
-      out.once.push_back(once);
+    if (auto* j = dynamic_cast<GraceHashJoinOp*>(op)) {
+      out.once.push_back(ObserveOnce(j->once_estimator()));
+    }
+    if (auto* j = dynamic_cast<MergeJoinOp*>(op)) {
+      out.once.push_back(ObserveOnce(j->once_estimator()));
+    }
+    if (auto* j = dynamic_cast<IndexNestedLoopsJoinOp*>(op)) {
+      out.once.push_back(ObserveOnce(j->once_estimator()));
+    }
+    if (auto* j = dynamic_cast<NestedLoopsJoinOp*>(op)) {
+      out.once.push_back(ObserveOnce(j->theta_estimator()));
     }
   });
   return out;
@@ -178,14 +223,13 @@ TEST_P(ParallelVsSequential, IdenticalResultsCountersAndEstimates) {
         EXPECT_EQ(parallel.ops[i].label, reference.ops[i].label);
         EXPECT_EQ(parallel.ops[i].emitted, reference.ops[i].emitted)
             << "operator " << reference.ops[i].label;
-        EXPECT_DOUBLE_EQ(parallel.ops[i].estimate, reference.ops[i].estimate)
+        EXPECT_EQ(parallel.ops[i].estimate, reference.ops[i].estimate)
             << "operator " << reference.ops[i].label;
       }
       ASSERT_EQ(parallel.once.size(), reference.once.size());
       for (size_t i = 0; i < reference.once.size(); ++i) {
         EXPECT_EQ(parallel.once[i].probe_seen, reference.once[i].probe_seen);
-        EXPECT_DOUBLE_EQ(parallel.once[i].estimate,
-                         reference.once[i].estimate);
+        EXPECT_EQ(parallel.once[i].estimate, reference.once[i].estimate);
         EXPECT_EQ(parallel.once[i].frozen, reference.once[i].frozen);
         EXPECT_EQ(parallel.once[i].exact, reference.once[i].exact);
       }

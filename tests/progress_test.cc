@@ -276,7 +276,7 @@ TEST(Monitor, FinalizeDoesNotDuplicateTerminalSnapshot) {
   PlanNodePtr plan = ScanPlan("a");
   OperatorPtr root;
   ASSERT_TRUE(CompilePlan(plan.get(), &fx.ctx, &root).ok());
-  // Tuple-granular ticks: this test counts one snapshot per Next() call.
+  // Tuple-granular ticks: this test counts one snapshot per emitted tuple.
   fx.ctx.batch_size = 1;
   ProgressMonitor monitor(root.get(), /*tick_interval=*/1);
   monitor.InstallOn(&fx.ctx);

@@ -208,13 +208,14 @@ TEST(ThetaJoin, EstimateConvergesDuringOuterScan) {
   ASSERT_TRUE(CompilePlan(plan.get(), &fx.ctx, &root).ok());
   auto* join = dynamic_cast<NestedLoopsJoinOp*>(root.get());
 
+  fx.ctx.batch_size = 1;  // sampled at an exact outer index
   ASSERT_TRUE(root->Open(&fx.ctx).ok());
-  Row row;
+  RowBatch batch(fx.ctx.batch_size);
   uint64_t emitted = 0;
   double early = -1;
   double early_ci = 0;
-  while (root->Next(&row)) {
-    ++emitted;
+  while (root->NextBatch(&batch)) {
+    emitted += batch.size();
     if (early < 0 && join->theta_estimator()->outer_tuples_seen() >= 2000) {
       early = join->theta_estimator()->Estimate();
       early_ci = join->theta_estimator()->ConfidenceHalfWidth();
@@ -235,6 +236,28 @@ TEST(ThetaJoin, EquijoinStaysOnDne) {
   ASSERT_TRUE(CompilePlan(plan.get(), &fx.ctx, &root).ok());
   auto* join = dynamic_cast<NestedLoopsJoinOp*>(root.get());
   EXPECT_EQ(join->theta_estimator(), nullptr);
+}
+
+TEST(ThetaJoin, NoneModeReportsOptimizerEstimateMidRun) {
+  // EstimationMode::kNone is "optimizer only": a running NL join reports
+  // the optimizer's number, like every other join, not its dne estimate.
+  Fixture fx;
+  fx.Add(UniformTable("o", 100, 20, 5));
+  fx.Add(UniformTable("i", 100, 20, 6));
+  fx.ctx.mode = EstimationMode::kNone;
+  fx.ctx.batch_size = 1;
+  PlanNodePtr plan =
+      NestedLoopsJoinPlan(ScanPlan("o"), ScanPlan("i"), "o.k", "i.k");
+  OperatorPtr root;
+  ASSERT_TRUE(CompilePlan(plan.get(), &fx.ctx, &root).ok());
+  auto* join = dynamic_cast<NestedLoopsJoinOp*>(root.get());
+  ASSERT_NE(join, nullptr);
+  ASSERT_TRUE(root->Open(&fx.ctx).ok());
+  RowBatch batch(fx.ctx.batch_size);
+  ASSERT_TRUE(root->NextBatch(&batch));
+  ASSERT_EQ(join->state(), OpState::kRunning);
+  EXPECT_EQ(join->CurrentCardinalityEstimate(), join->optimizer_estimate());
+  root->Close();
 }
 
 }  // namespace
