@@ -7,8 +7,8 @@
 // covers exactly the phase the parallel driver accelerates.
 //
 // Output: BENCH_parallel_join.json with per-thread-count wall times and
-// speedup = t_1 / t_N (min of 3 repetitions), plus host_cpus so a flat
-// curve on a single-CPU container reads as environment, not regression.
+// speedup = t_1 / t_N (min of 3 repetitions), plus host_cpus: a speedup
+// is only meaningful next to the core count it was measured on.
 
 #include <benchmark/benchmark.h>
 

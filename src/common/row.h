@@ -1,6 +1,7 @@
 #ifndef QPI_COMMON_ROW_H_
 #define QPI_COMMON_ROW_H_
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -11,13 +12,16 @@ namespace qpi {
 /// A tuple flowing between operators: one Value per schema column.
 using Row = std::vector<Value>;
 
-/// Concatenate two rows (join output construction).
-inline Row ConcatRows(const Row& left, const Row& right) {
-  Row out;
-  out.reserve(left.size() + right.size());
-  out.insert(out.end(), left.begin(), left.end());
-  out.insert(out.end(), right.begin(), right.end());
-  return out;
+/// Overwrite `*out` with `left` followed by `right` (join output
+/// construction). Copy-assigns over the existing Values, so a slot whose
+/// storage has room for this width (and whose strings have room for these
+/// values) is refilled without touching the heap; a wider previous row is
+/// truncated, leaving no stale trailing Value.
+inline void AssignConcat(Row* out, const Row& left, const Row& right) {
+  out->reserve(left.size() + right.size());
+  out->resize(left.size() + right.size());
+  auto mid = std::copy(left.begin(), left.end(), out->begin());
+  std::copy(right.begin(), right.end(), mid);
 }
 
 /// "(v1, v2, ...)" debug rendering.

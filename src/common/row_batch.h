@@ -2,6 +2,7 @@
 #define QPI_COMMON_ROW_BATCH_H_
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/row.h"
@@ -14,6 +15,14 @@ namespace qpi {
 /// Row storage is allocated once and reused across refills: Clear() resets
 /// the logical size but keeps every Row's heap allocations alive, so a
 /// steady-state scan or filter loop performs no per-tuple allocation.
+///
+/// A row handed from one batch (or merge buffer) to another is swapped,
+/// not moved: the source slot gets the destination slot's old storage back
+/// for its next refill, so neither side reallocates.
+///
+/// Moving a batch transfers its slots and leaves the source empty with
+/// `capacity() == 0`: `full()` is true, so no slot may be taken from it
+/// until a new batch is assigned to it.
 ///
 /// `random_run()` carries the per-tuple stream-randomness property of
 /// Section 4.1.4 at batch granularity: it is the number of *leading* rows
@@ -36,6 +45,20 @@ class RowBatch {
       : rows_(capacity == 0 ? 1 : capacity),
         capacity_(capacity == 0 ? 1 : capacity) {}
 
+  RowBatch(RowBatch&& other) noexcept
+      : rows_(std::exchange(other.rows_, {})),
+        capacity_(std::exchange(other.capacity_, 0)),
+        size_(std::exchange(other.size_, 0)),
+        random_run_(std::exchange(other.random_run_, 0)) {}
+
+  RowBatch& operator=(RowBatch&& other) noexcept {
+    rows_ = std::exchange(other.rows_, {});
+    capacity_ = std::exchange(other.capacity_, 0);
+    size_ = std::exchange(other.size_, 0);
+    random_run_ = std::exchange(other.random_run_, 0);
+    return *this;
+  }
+
   size_t capacity() const { return capacity_; }
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
@@ -49,9 +72,6 @@ class RowBatch {
   /// abandons the slot (used when a producer hits end-of-stream).
   Row* NextSlot() { return &rows_[size_]; }
   void CommitSlot() { ++size_; }
-
-  /// One-step move-in append.
-  void PushRow(Row row) { rows_[size_++] = std::move(row); }
 
   /// Reset to empty; keeps row storage for reuse.
   void Clear() {

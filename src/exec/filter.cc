@@ -1,5 +1,7 @@
 #include "exec/filter.h"
 
+#include <utility>
+
 #include "exec/morsel_scan.h"
 
 namespace qpi {
@@ -57,7 +59,7 @@ void FilterOp::NextBatchImpl(RowBatch* out) {
       // whether or not it passes the predicate.
       if (i >= in_.random_run()) random_over_ = true;
       if (predicate_->Evaluate(in_.row(i))) {
-        *out->NextSlot() = std::move(in_.row(i));
+        std::swap(*out->NextSlot(), in_.row(i));
         out->CommitSlot();
         if (!random_over_) out->bump_random_run();
       }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <utility>
 
 #include "common/check.h"
 #include "common/task_scheduler.h"
@@ -146,6 +147,7 @@ Status GraceHashJoinOp::OpenImpl() {
   num_partitions_ = NextPowerOfTwo(requested);
   build_parts_.assign(num_partitions_, {});
   probe_parts_.assign(num_partitions_, {});
+  null_build_row_.assign(build_child()->schema().num_columns(), Value::Null());
   return Status::OK();
 }
 
@@ -234,6 +236,7 @@ void GraceHashJoinOp::StartParallelJoin() {
   join_emit_part_ = 0;
   join_merge_batch_ = RowBatch(0);
   join_emit_row_ = 0;
+  spare_batches_.reserve(join_window_ * kJoinReadyCap);
   join_sched_ = ctx_->scheduler();
   join_group_ = std::make_unique<TaskGroup>(join_sched_, ctx_->sched_tag());
   SubmitJoinUpTo(join_window_);
@@ -257,8 +260,28 @@ void GraceHashJoinOp::JoinPartitionTask(size_t part) {
     PartitionResult& result = part_results_[part];
     if (result.state != PartitionResult::State::kQueued) return;
     result.state = PartitionResult::State::kRunning;
+    // A first chunk starts on a recycled batch (a resumed one already has
+    // its in-progress batch).
+    if (result.partial.capacity() != ctx_->batch_size) {
+      TakeSpareLocked(&result.partial);
+    }
   }
   RunJoinChunk(part);
+}
+
+void GraceHashJoinOp::TakeSpareLocked(RowBatch* batch) {
+  if (spare_batches_.empty()) return;
+  *batch = std::move(spare_batches_.back());
+  spare_batches_.pop_back();
+}
+
+void GraceHashJoinOp::RecycleLocked(RowBatch* batch) {
+  if (batch->capacity() != ctx_->batch_size ||
+      spare_batches_.size() >= join_window_ * kJoinReadyCap) {
+    return;
+  }
+  batch->Clear();
+  spare_batches_.push_back(std::move(*batch));
 }
 
 void GraceHashJoinOp::RunJoinChunk(size_t part) {
@@ -266,11 +289,11 @@ void GraceHashJoinOp::RunJoinChunk(size_t part) {
   const std::vector<Row>& build_rows = build_parts_[part];
   const std::vector<Row>& probe_rows = probe_parts_[part];
   size_t batch_rows = ctx_->batch_size;
-  // Resume the in-progress output batch saved by the previous chunk; the
-  // initial `partial` is a capacity-1 placeholder, replaced on first use.
+  // Resume the in-progress output batch saved by the previous chunk (or
+  // the recycled one the claim took); allocate only when the pool was
+  // empty and `partial` is still the capacity-1 placeholder.
   RowBatch batch = std::move(result.partial);
   if (batch.capacity() != batch_rows) batch = RowBatch(batch_rows);
-  result.partial = RowBatch(0);
   uint64_t local_consumed = 0;
   // Set by flush when `ready` reaches the cap; checked between probe rows
   // so the chunk pauses instead of materializing an unbounded backlog.
@@ -281,9 +304,10 @@ void GraceHashJoinOp::RunJoinChunk(size_t part) {
   // Publication is a bounded-time push under join_mu_ — never a wait on
   // the consumer — which keeps the subtask-never-blocks contract the
   // fleet's helping protocol relies on, while letting the merge drain
-  // this partition concurrently with its production.
+  // this partition concurrently with its production. The same critical
+  // section takes the next batch from the pool; a new one is allocated
+  // only when the pool is empty.
   auto flush = [&] {
-    if (batch.empty()) return;
     CountEmitted(batch.size());
     join_driver_consumed_.fetch_add(local_consumed, std::memory_order_relaxed);
     local_consumed = 0;
@@ -291,13 +315,15 @@ void GraceHashJoinOp::RunJoinChunk(size_t part) {
       std::lock_guard<std::mutex> lock(join_mu_);
       result.ready.push_back(std::move(batch));
       at_cap = result.ready.size() >= kJoinReadyCap;
+      TakeSpareLocked(&batch);
     }
     // The merge driver is the only join_cv_ waiter.
     join_cv_.notify_one();
-    batch = RowBatch(batch_rows);
+    if (batch.capacity() == 0) batch = RowBatch(batch_rows);
   };
-  auto emit = [&](Row row) {
-    batch.PushRow(std::move(row));
+  // Commit the slot just filled in place; publish the batch once full.
+  auto commit = [&] {
+    batch.CommitSlot();
     if (batch.full()) flush();
   };
 
@@ -358,29 +384,40 @@ void GraceHashJoinOp::RunJoinChunk(size_t part) {
         }
       }
       if (join_type_ == JoinFlavor::kSemi || join_type_ == JoinFlavor::kAnti) {
-        if (matched == (join_type_ == JoinFlavor::kSemi)) emit(probe_row);
+        if (matched == (join_type_ == JoinFlavor::kSemi)) {
+          *batch.NextSlot() = probe_row;
+          commit();
+        }
         continue;
       }
       if (!matched) {
         if (join_type_ == JoinFlavor::kProbeOuter) {
-          Row nulls(build_child()->schema().num_columns(), Value::Null());
-          emit(ConcatRows(nulls, probe_row));
+          AssignConcat(batch.NextSlot(), null_build_row_, probe_row);
+          commit();
         }
         continue;
       }
       for (size_t idx : it->second) {
         const Row& build_row = build_rows[idx];
         if (!KeysEqual(build_row, probe_row)) continue;  // code collision
-        emit(ConcatRows(build_row, probe_row));
+        AssignConcat(batch.NextSlot(), build_row, probe_row);
+        commit();
       }
     }
   }
-  flush();
+  // Publish the tail batch without taking a successor; an unused (empty)
+  // batch goes back to the pool.
+  CountEmitted(batch.size());
   if (local_consumed != 0) {
     join_driver_consumed_.fetch_add(local_consumed, std::memory_order_relaxed);
   }
   {
     std::lock_guard<std::mutex> lock(join_mu_);
+    if (batch.empty()) {
+      RecycleLocked(&batch);
+    } else {
+      result.ready.push_back(std::move(batch));
+    }
     result.state = PartitionResult::State::kDone;
     // The hash table is dead weight once the partition is exhausted.
     std::unordered_map<uint64_t, std::vector<size_t>>().swap(result.table);
@@ -402,10 +439,13 @@ void GraceHashJoinOp::NextBatchImpl(RowBatch* out) {
     // one batch per running subtask. The subtasks already advanced
     // `emitted_` when they flushed, so the merge must not count again.
     // The wrapper's Tick(out->size()) still delivers the progress ticks
-    // for these rows on the driving thread.
+    // for these rows on the driving thread. Rows are swapped into `out`'s
+    // slots, so the consumer's old row storage goes back to the pool with
+    // the drained batch and no row is freed here.
     while (!out->full()) {
       while (join_emit_row_ < join_merge_batch_.size() && !out->full()) {
-        out->PushRow(std::move(join_merge_batch_.row(join_emit_row_++)));
+        std::swap(*out->NextSlot(), join_merge_batch_.row(join_emit_row_++));
+        out->CommitSlot();
       }
       if (out->full()) break;
       if (join_emit_part_ >= num_partitions_) {
@@ -415,8 +455,12 @@ void GraceHashJoinOp::NextBatchImpl(RowBatch* out) {
       PartitionResult& r = part_results_[join_emit_part_];
       enum class Next { kBatch, kAdvance, kWait } next;
       bool requeue = false;  // stalled runner drained below the cap
+      // The merge batch is fully drained here. It is released after the
+      // lock if the pool has no room for it.
+      RowBatch drained = std::move(join_merge_batch_);
       {
         std::lock_guard<std::mutex> lock(join_mu_);
+        RecycleLocked(&drained);
         if (!r.ready.empty()) {
           join_merge_batch_ = std::move(r.ready.front());
           r.ready.pop_front();
@@ -443,8 +487,6 @@ void GraceHashJoinOp::NextBatchImpl(RowBatch* out) {
       }
       if (next == Next::kBatch) continue;
       if (next == Next::kAdvance) {
-        join_merge_batch_ = RowBatch(0);
-        join_emit_row_ = 0;
         ++join_emit_part_;
         SubmitJoinUpTo(join_emit_part_ + join_window_);
         continue;
@@ -518,8 +560,7 @@ bool GraceHashJoinOp::AdvanceJoin(Row* out) {
           ++probe_row_idx_;
           if (join_type_ == JoinFlavor::kProbeOuter) {
             // NULL-pad the build side of the unmatched probe row.
-            Row nulls(build_child()->schema().num_columns(), Value::Null());
-            *out = ConcatRows(nulls, probe_row);
+            AssignConcat(out, null_build_row_, probe_row);
             return true;
           }
           continue;
@@ -531,7 +572,7 @@ bool GraceHashJoinOp::AdvanceJoin(Row* out) {
         const Row& build_row = build_rows[(*current_matches_)[match_idx_]];
         ++match_idx_;
         if (!KeysEqual(build_row, probe_row)) continue;  // code collision
-        *out = ConcatRows(build_row, probe_row);
+        AssignConcat(out, build_row, probe_row);
         return true;
       }
       current_matches_ = nullptr;
@@ -558,6 +599,7 @@ void GraceHashJoinOp::CloseImpl() {
   join_emit_part_ = 0;
   join_merge_batch_ = RowBatch(0);
   join_emit_row_ = 0;
+  spare_batches_.clear();
   build_parts_.clear();
   probe_parts_.clear();
   part_table_.clear();

@@ -143,6 +143,12 @@ class GraceHashJoinOp : public Operator {
   /// unmerged (-> kStalled, resume state saved). Called with the
   /// partition in state kRunning.
   void RunJoinChunk(size_t part);
+  /// Batch pool of the parallel join phase; both require join_mu_.
+  /// TakeSpareLocked moves a recycled batch into `*batch` if the pool has
+  /// one; RecycleLocked clears a drained batch and returns it to the pool
+  /// unless the pool is at its bound (the batch is then left to its owner).
+  void TakeSpareLocked(RowBatch* batch);
+  void RecycleLocked(RowBatch* batch);
 
   Operator* build_child() const { return child(0); }
   Operator* probe_child() const { return child(1); }
@@ -163,6 +169,8 @@ class GraceHashJoinOp : public Operator {
   Phase phase_ = Phase::kInit;
   std::vector<std::vector<Row>> build_parts_;
   std::vector<std::vector<Row>> probe_parts_;
+  // NULL build-side prefix of a probe-outer miss, built once at Open.
+  Row null_build_row_;
 
   // Join-phase cursor.
   size_t current_part_ = 0;
@@ -183,7 +191,11 @@ class GraceHashJoinOp : public Operator {
   // never blocks) once `ready` holds kJoinReadyCap unmerged batches, and
   // the merge driver requeues it after draining — so in-flight join
   // output is capped at ~window × cap batches no matter how skewed one
-  // partition's output is.
+  // partition's output is. Output batches circulate: the merge swaps each
+  // row into the consumer's slot (taking the consumer's old row storage
+  // in exchange) and returns the drained batch to `spare_batches_`, from
+  // which runners take their next batch — so a steady-state join fills
+  // recycled slots in place and allocates no rows.
   struct PartitionResult {
     enum class State : unsigned char {
       kQueued,   ///< a task for the next chunk is (re)submitted
@@ -203,6 +215,9 @@ class GraceHashJoinOp : public Operator {
   static constexpr size_t kJoinReadyCap = 16;
   std::vector<PartitionResult> part_results_;
   std::mutex join_mu_;
+  // Drained output batches awaiting reuse (join_mu_), at most
+  // join_window_ × kJoinReadyCap of them.
+  std::vector<RowBatch> spare_batches_;
   std::condition_variable join_cv_;
   std::atomic<bool> join_abort_{false};
   TaskScheduler* join_sched_ = nullptr;

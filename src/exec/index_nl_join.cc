@@ -89,8 +89,8 @@ void IndexNestedLoopsJoinOp::NextBatchImpl(RowBatch* out) {
     }
     const Row& outer_row = outer_.row(outer_pos_);
     while (match_idx_ < current_matches_->size() && !out->full()) {
-      *out->NextSlot() = ConcatRows(
-          outer_row, inner_rows_[(*current_matches_)[match_idx_++]]);
+      AssignConcat(out->NextSlot(), outer_row,
+                   inner_rows_[(*current_matches_)[match_idx_++]]);
       out->CommitSlot();
     }
     if (match_idx_ == current_matches_->size()) {

@@ -122,7 +122,7 @@ bool MergeJoinOp::AdvanceMerge(Row* out) {
   while (true) {
     if (in_run_) {
       if (run_right_ < right_hi_) {
-        *out = ConcatRows(left_rows_[run_left_], right_rows_[run_right_]);
+        AssignConcat(out, left_rows_[run_left_], right_rows_[run_right_]);
         ++run_right_;
         return true;
       }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <utility>
 
 #include "common/check.h"
 #include "common/task_scheduler.h"
@@ -175,7 +176,8 @@ void MorselScanDriver::Fill(RowBatch* out) {
     }
     while (cursor_ < r.rows.size() && !out->full()) {
       bool in_run = run_open_ && cursor_ < r.random_limit;
-      out->PushRow(std::move(r.rows[cursor_]));
+      std::swap(*out->NextSlot(), r.rows[cursor_]);
+      out->CommitSlot();
       if (in_run) out->bump_random_run();
       ++cursor_;
     }

@@ -142,7 +142,7 @@ void NestedLoopsJoinOp::NextBatchImpl(RowBatch* out) {
     while (inner_pos_ < inner_rows_.size() && !out->full()) {
       const Row& inner_row = inner_rows_[inner_pos_++];
       if (Matches(outer_key, inner_row[inner_key_index_])) {
-        *out->NextSlot() = ConcatRows(outer_row, inner_row);
+        AssignConcat(out->NextSlot(), outer_row, inner_row);
         out->CommitSlot();
       }
     }

@@ -12,13 +12,19 @@
 //       phases fed by the ordered morsel merge (for the nested-loops joins,
 //       the outer input itself), so the parallel layer must not move a
 //       single freeze boundary.
-// Also covers partition-count normalization (round up to a power of two,
-// reject 0) and cooperative cancellation under parallel execution.
+// A single-hot-key join additionally pins the exact *ordered* stream
+// through the join phase's ready-cap stall/resume cycle and batch
+// recycling, for every join flavor and two batch sizes. Also covers
+// partition-count normalization (round up to a power of two, reject 0)
+// and cooperative cancellation under parallel execution, including while
+// a partition is stalled.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/task_scheduler.h"
@@ -156,22 +162,25 @@ OnceObservation ObserveOnce(const OnceInequalityJoinEstimator* est) {
 }
 
 struct RunResult {
-  std::vector<std::string> rows;   // canonical (sorted) multiset
+  std::vector<std::string> rows;   // canonical (sorted) multiset, or the
+                                   // emitted sequence when run `ordered`
   std::vector<OpObservation> ops;  // pre-order over the tree
   std::vector<OnceObservation> once;
   uint64_t rows_emitted = 0;
 };
 
-RunResult RunQuery(const Catalog& catalog, const Shape& shape, EstimationMode mode,
-              size_t workers) {
+RunResult RunQuery(const Catalog& catalog, const Shape& shape,
+                   EstimationMode mode, size_t workers,
+                   size_t batch_size = 256, size_t partitions = 16,
+                   bool ordered = false) {
   ExecContext ctx;
   ctx.catalog = const_cast<Catalog*>(&catalog);
   ctx.mode = mode;
   ctx.sample_fraction = 0.1;
-  ctx.batch_size = 256;
+  ctx.batch_size = batch_size;
   ctx.exec_workers = workers;
   ctx.morsel_rows = 64;  // small morsels: exercise many merge boundaries
-  ctx.hash_join_partitions = 16;
+  ctx.hash_join_partitions = partitions;
   PlanNodePtr plan = shape.make();
   OperatorPtr root;
   Status s = CompilePlan(plan.get(), &ctx, &root);
@@ -182,7 +191,7 @@ RunResult RunQuery(const Catalog& catalog, const Shape& shape, EstimationMode mo
       QueryExecutor::Run(root.get(), &ctx, &rows, &out.rows_emitted).ok());
   out.rows.reserve(rows.size());
   for (const Row& row : rows) out.rows.push_back(RowToString(row));
-  std::sort(out.rows.begin(), out.rows.end());
+  if (!ordered) std::sort(out.rows.begin(), out.rows.end());
   root->Visit([&](Operator* op) {
     out.ops.push_back(
         {op->label(), op->tuples_emitted(), op->CurrentCardinalityEstimate()});
@@ -466,6 +475,145 @@ TEST(ParallelCancellation, DrainsCleanly) {
   // cancellation hit; the counter must never lag what was delivered.
   EXPECT_GE(root->tuples_emitted(), delivered);
   EXPECT_EQ(root->state(), OpState::kFinished);
+}
+
+/// One hot join key. hb holds 4 build rows of key 1 plus 200 distinct
+/// keys; hp holds 6000 probe rows of key 1 (matched), 5000 of key 2
+/// (absent from hb) and 400 spread keys, shuffled. Whatever partition a hot
+/// key lands in emits many times kJoinReadyCap (16) × batch_size rows for
+/// every flavor — inner/probe-outer/semi through key 1, anti/probe-outer
+/// through key 2 — so its runner stalls at the ready cap, is requeued by
+/// the merge and resumes on recycled batches over and over. The string
+/// column exercises in-place refills of string Values.
+void BuildHotKeyCatalog(Catalog* catalog) {
+  auto make = [&](const char* name, std::vector<int64_t> keys) {
+    Schema schema({Column{name, "k", ValueType::kInt64},
+                   Column{name, "s", ValueType::kString}});
+    auto t = std::make_shared<Table>(name, schema);
+    for (size_t i = 0; i < keys.size(); ++i) {
+      std::string s = std::string(name) + "-" + std::to_string(i);
+      ASSERT_TRUE(t->Append({Value(keys[i]), Value(std::move(s))}).ok());
+    }
+    ASSERT_TRUE(catalog->Register(t).ok());
+    ASSERT_TRUE(catalog->Analyze(name).ok());
+  };
+  Pcg32 rng(29);
+  std::vector<int64_t> build(4, 1);
+  for (int64_t k = 10; k < 210; ++k) build.push_back(k);
+  std::vector<int64_t> probe(6000, 1);
+  probe.insert(probe.end(), 5000, 2);
+  for (int64_t k = 0; k < 400; ++k) probe.push_back(10 + 2 * k);
+  for (size_t i = probe.size() - 1; i > 0; --i) {
+    std::swap(probe[i], probe[rng.NextBounded(static_cast<uint32_t>(i + 1))]);
+  }
+  make("hb", build);
+  make("hp", probe);
+}
+
+const Shape kHotKeyShapes[] = {
+    {"inner",
+     [] { return HashJoinPlan(ScanPlan("hb"), ScanPlan("hp"), "hb.k", "hp.k"); }},
+    {"probe_outer",
+     [] {
+       return FlavoredHashJoinPlan(ScanPlan("hb"), ScanPlan("hp"), "hb.k",
+                                   "hp.k", JoinFlavor::kProbeOuter);
+     }},
+    {"semi",
+     [] {
+       return FlavoredHashJoinPlan(ScanPlan("hb"), ScanPlan("hp"), "hb.k",
+                                   "hp.k", JoinFlavor::kSemi);
+     }},
+    {"anti",
+     [] {
+       return FlavoredHashJoinPlan(ScanPlan("hb"), ScanPlan("hp"), "hb.k",
+                                   "hp.k", JoinFlavor::kAnti);
+     }},
+};
+
+/// Stall/resume with recycled batches: the merged stream must be the
+/// sequential one row for row — same order, counters and estimates.
+TEST(ParallelJoinHotKey, StallResumeKeepsOrderedStream) {
+  Catalog catalog;
+  BuildHotKeyCatalog(&catalog);
+  for (const Shape& shape : kHotKeyShapes) {
+    for (size_t batch_size : {size_t{7}, size_t{64}}) {
+      RunResult reference =
+          RunQuery(catalog, shape, EstimationMode::kOnce, 1, batch_size,
+                   /*partitions=*/4, /*ordered=*/true);
+      ASSERT_GE(reference.rows_emitted, 4 * 16 * batch_size) << shape.name;
+      for (size_t workers : {size_t{2}, size_t{4}, size_t{8}}) {
+        SCOPED_TRACE(std::string(shape.name) + " batch " +
+                     std::to_string(batch_size) + " workers " +
+                     std::to_string(workers));
+        RunResult parallel =
+            RunQuery(catalog, shape, EstimationMode::kOnce, workers,
+                     batch_size, /*partitions=*/4, /*ordered=*/true);
+        EXPECT_EQ(parallel.rows_emitted, reference.rows_emitted);
+        EXPECT_TRUE(parallel.rows == reference.rows)
+            << "emitted row sequence differs";
+        ASSERT_EQ(parallel.ops.size(), reference.ops.size());
+        for (size_t i = 0; i < reference.ops.size(); ++i) {
+          EXPECT_EQ(parallel.ops[i].emitted, reference.ops[i].emitted)
+              << "operator " << reference.ops[i].label;
+          EXPECT_EQ(parallel.ops[i].estimate, reference.ops[i].estimate)
+              << "operator " << reference.ops[i].label;
+        }
+        ASSERT_EQ(parallel.once.size(), reference.once.size());
+        for (size_t i = 0; i < reference.once.size(); ++i) {
+          EXPECT_EQ(parallel.once[i].probe_seen, reference.once[i].probe_seen);
+          EXPECT_EQ(parallel.once[i].estimate, reference.once[i].estimate);
+          EXPECT_EQ(parallel.once[i].frozen, reference.once[i].frozen);
+          EXPECT_EQ(parallel.once[i].exact, reference.once[i].exact);
+        }
+      }
+    }
+  }
+}
+
+/// Cancel while the hot partition sits stalled at the ready cap with
+/// batches in flight: the drain must end, Close() must reclaim every
+/// queued, partial and pooled batch, and the counters stay consistent.
+TEST(ParallelJoinHotKey, CancelWhileStalledDrainsCleanly) {
+  Catalog catalog;
+  BuildHotKeyCatalog(&catalog);
+  for (const Shape& shape : kHotKeyShapes) {
+    SCOPED_TRACE(shape.name);
+    ExecContext ctx;
+    ctx.catalog = &catalog;
+    ctx.mode = EstimationMode::kOnce;
+    ctx.sample_fraction = 0.1;
+    ctx.batch_size = 7;
+    ctx.exec_workers = 4;
+    ctx.hash_join_partitions = 4;
+    PlanNodePtr plan = shape.make();
+    OperatorPtr root;
+    ASSERT_TRUE(CompilePlan(plan.get(), &ctx, &root).ok());
+    ASSERT_TRUE(root->Open(&ctx).ok());
+    ctx.BeginExecution();
+    RowBatch batch(ctx.batch_size);
+    ASSERT_TRUE(root->NextBatch(&batch));
+    uint64_t delivered = batch.size();
+    // With the consumer idle, every runner produces until it is done or
+    // stalled at the cap; wait until the emitted count stops moving.
+    uint64_t last = root->tuples_emitted();
+    for (int quiet = 0, polls = 0; quiet < 20 && polls < 5000; ++polls) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      uint64_t now = root->tuples_emitted();
+      quiet = now == last ? quiet + 1 : 0;
+      last = now;
+    }
+    ctx.RequestCancel();
+    while (root->NextBatch(&batch)) delivered += batch.size();
+    root->Close();
+    ctx.EndExecution();
+    uint64_t full = RunQuery(catalog, shape, EstimationMode::kOnce, 1, 7,
+                             /*partitions=*/4)
+                        .rows_emitted;
+    // The stalled runner stopped well short of the full output.
+    EXPECT_LT(root->tuples_emitted(), full);
+    EXPECT_GE(root->tuples_emitted(), delivered);
+    EXPECT_EQ(root->state(), OpState::kFinished);
+  }
 }
 
 }  // namespace

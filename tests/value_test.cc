@@ -77,14 +77,46 @@ TEST(Value, HashSpreadsOverDomain) {
   EXPECT_EQ(hashes.size(), 1000u);  // no collisions on a small dense domain
 }
 
-TEST(Row, ConcatPreservesOrder) {
-  Row a = {Value(int64_t{1}), Value(int64_t{2})};
-  Row b = {Value(std::string("x"))};
-  Row c = ConcatRows(a, b);
-  ASSERT_EQ(c.size(), 3u);
-  EXPECT_EQ(c[0].AsInt64(), 1);
-  EXPECT_EQ(c[1].AsInt64(), 2);
-  EXPECT_EQ(c[2].AsString(), "x");
+TEST(Row, AssignConcatPreservesOrderAndReusesStorage) {
+  Row a = {Value(int64_t{1}), Value(std::string("left"))};
+  Row b = {Value(std::string("right")), Value(2.5)};
+  Row slot;
+  AssignConcat(&slot, a, b);
+  ASSERT_EQ(slot.size(), 4u);
+  EXPECT_EQ(slot[0].AsInt64(), 1);
+  EXPECT_EQ(slot[1].AsString(), "left");
+  EXPECT_EQ(slot[2].AsString(), "right");
+  EXPECT_EQ(slot[3].AsDouble(), 2.5);
+
+  // A refill of the same width writes over the same storage.
+  const Value* storage = slot.data();
+  Row c = {Value(int64_t{7}), Value(std::string("l2"))};
+  Row d = {Value(std::string("r2")), Value(-1.0)};
+  AssignConcat(&slot, c, d);
+  EXPECT_EQ(slot.data(), storage);
+  EXPECT_EQ(RowToString(slot), RowToString({c[0], c[1], d[0], d[1]}));
+}
+
+TEST(Row, AssignConcatLeavesNoStaleTrailingValues) {
+  Row narrow_left = {Value(int64_t{1})};
+  Row narrow_right = {Value(std::string("x"))};
+  Row wide = {Value(int64_t{5}), Value(int64_t{6}), Value(int64_t{7})};
+
+  // Narrower than what the slot held: truncated, no trailing Value left.
+  Row slot = {Value(int64_t{9}), Value(int64_t{9}), Value(int64_t{9}),
+              Value(int64_t{9}), Value(int64_t{9})};
+  AssignConcat(&slot, narrow_left, narrow_right);
+  EXPECT_EQ(RowToString(slot), "(1, x)");
+
+  // Wider than what the slot held: grows to exactly the new width.
+  AssignConcat(&slot, wide, wide);
+  EXPECT_EQ(RowToString(slot), "(5, 6, 7, 5, 6, 7)");
+
+  // Empty sides.
+  AssignConcat(&slot, Row{}, narrow_right);
+  EXPECT_EQ(RowToString(slot), "(x)");
+  AssignConcat(&slot, Row{}, Row{});
+  EXPECT_TRUE(slot.empty());
 }
 
 TEST(Row, ToStringRendersTuple) {
