@@ -1,18 +1,23 @@
-// Concurrent multi-query throughput: combined rows/sec of a TPC-H-like
-// multi-query workload on the concurrent engine at 1/2/4/8 pool workers.
+// Concurrent multi-query throughput: wall time of a TPC-H-like 8-query
+// batch on the concurrent engine at 1/2/4 pool workers. Queries are
+// independent over a shared read-only catalog, so on >= 4 cores the
+// 4-worker batch should take <= 1/2 the 1-worker time. Each query publishes
+// through its QueryRun's TracePublisher while the monitor thread samples
+// combined progress at 1 ms, showing that live snapshotting does not stall
+// the workers (PF-OLA's negligible-overhead observation).
 //
-// Queries are independent (own ExecContext, own operator tree) over a
-// shared read-only catalog, so worker scaling is embarrassingly parallel:
-// on a machine with >= 4 cores the 4-worker row should be >= 2x the
-// 1-worker row. The monitor thread samples combined progress at 1 ms
-// throughout, demonstrating that live snapshotting does not stall the
-// workers (PF-OLA's negligible-overhead observation).
+// Output: BENCH_concurrent_throughput.json — wall time per worker count
+// (min of 3, with the spread (max - min) / min), rows per batch, speedup
+// t_1 / t_N, and host_cpus to compare against.
 
-#include <thread>
+#include <benchmark/benchmark.h>
+
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
 
 #include "bench/bench_util.h"
-#include "common/table_printer.h"
-#include "common/timer.h"
+#include "bench/overhead_json.h"
 #include "progress/concurrent_multi_query.h"
 
 namespace qpi {
@@ -77,60 +82,51 @@ struct Workload {
   }
 };
 
-struct RunResult {
-  double seconds = 0;
+void BM_ConcurrentBatch(benchmark::State& state) {
+  // Built once (first call, before any timed window); read-only after.
+  static Workload* workload = new Workload();
   uint64_t rows = 0;
-  size_t samples = 0;  // combined-progress history points recorded
-};
-
-RunResult RunConcurrent(Workload* workload, size_t workers) {
-  ConcurrentMultiQueryExecutor::Options options;
-  options.num_workers = workers;
-  options.publish_interval = kPublishInterval;
-  options.monitor_period = std::chrono::milliseconds(1);
-  ConcurrentMultiQueryExecutor mq(options);
-  workload->Register(&mq);
-  Timer timer;
-  Status s = mq.RunAll();
-  RunResult result;
-  result.seconds = timer.ElapsedSeconds();
-  if (!s.ok()) std::abort();
-  for (size_t i = 0; i < mq.num_queries(); ++i) {
-    result.rows += mq.entry(i).rows_emitted.load();
+  for (auto _ : state) {
+    ConcurrentMultiQueryExecutor::Options options;
+    options.num_workers = static_cast<size_t>(state.range(0));
+    options.publish_interval = kPublishInterval;
+    options.monitor_period = std::chrono::milliseconds(1);
+    ConcurrentMultiQueryExecutor mq(options);
+    workload->Register(&mq);
+    auto start = std::chrono::steady_clock::now();
+    Status s = mq.RunAll();
+    std::chrono::duration<double> elapsed =
+        std::chrono::steady_clock::now() - start;
+    state.SetIterationTime(elapsed.count());
+    if (!s.ok() || mq.combined_history().back() != 1.0) std::abort();
+    rows = 0;
+    for (size_t i = 0; i < mq.num_queries(); ++i) {
+      rows += mq.entry(i).rows_emitted.load();
+    }
   }
-  result.samples = mq.combined_history().size();
-  if (mq.combined_history().back() != 1.0) std::abort();
-  return result;
+  state.counters["rows"] = static_cast<double>(rows);
 }
+
+BENCHMARK(BM_ConcurrentBatch)
+    ->ArgName("workers")
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->UseManualTime()
+    ->MeasureProcessCPUTime()
+    ->Unit(benchmark::kMillisecond)
+    ->Iterations(1)
+    ->Repetitions(3)
+    ->ReportAggregatesOnly(false);
 
 }  // namespace
 }  // namespace qpi
 
-int main() {
-  using namespace qpi;
-  std::printf(
-      "Concurrent multi-query throughput: 8-query TPC-H-like batch "
-      "(SF %.2f),\nworker pool + monitor thread.\nHardware threads "
-      "available: %u\n\n",
-      kScaleFactor, std::thread::hardware_concurrency());
-
-  Workload workload;
-  TablePrinter table({"workers", "seconds", "rows/sec", "speedup", "samples"});
-  double one_worker_seconds = 0;
-  // The catalog is read-only during execution; each run registers freshly
-  // compiled operator trees over the same shared tables.
-  for (size_t workers : {1, 2, 4, 8}) {
-    RunResult r = RunConcurrent(&workload, workers);
-    if (workers == 1) one_worker_seconds = r.seconds;
-    table.AddRow({std::to_string(workers), FormatDouble(r.seconds, 3),
-                  FormatDouble(static_cast<double>(r.rows) / r.seconds, 0),
-                  FormatDouble(one_worker_seconds / r.seconds, 2),
-                  std::to_string(r.samples)});
-  }
-  table.Print();
-  std::printf(
-      "\nExpected shape: rows/sec grows with workers until the batch's 8 "
-      "queries or\nthe machine's cores are exhausted (>= 2x at 4 workers "
-      "on >= 4 cores);\nspeedup is relative to the 1-worker row.\n");
-  return 0;
+int main(int argc, char** argv) {
+  qpi::bench::OverheadRecorder::PairingSpec spec;
+  spec.key = "workers";
+  spec.baseline = "1";
+  spec.speedup_on_real_time = true;
+  return qpi::bench::RunOverheadBenchmarks(
+      argc, argv, "BENCH_concurrent_throughput.json", spec);
 }

@@ -33,6 +33,9 @@ namespace bench {
 /// "threads:N" run is paired with the "threads:1" run sharing its other
 /// args, emitting speedup = t_1 / t_N on wall time (parallel speedup is a
 /// wall-clock property; CPU time grows with the thread count).
+///
+/// Every recorded run also carries real_time_spread = (max - min) / min of
+/// its repetitions' wall times, the run-to-run noise next to the minimum.
 class OverheadRecorder : public benchmark::ConsoleReporter {
  public:
   /// How runs are paired and what the paired metric means.
@@ -70,9 +73,11 @@ class OverheadRecorder : public benchmark::ConsoleReporter {
       // Repetitions of the same configuration are folded by taking the
       // minimum — the standard noise-robust location estimate for
       // benchmark timings (scheduler interference only ever adds time).
+      rec.real_time_max = rec.real_time;
       for (RecordedRun& prev : runs_) {
         if (prev.name == rec.name && prev.args == rec.args) {
           prev.real_time = std::min(prev.real_time, rec.real_time);
+          prev.real_time_max = std::max(prev.real_time_max, rec.real_time);
           prev.cpu_time = std::min(prev.cpu_time, rec.cpu_time);
           for (size_t c = 0;
                c < std::min(prev.counters.size(), rec.counters.size()); ++c) {
@@ -113,8 +118,11 @@ class OverheadRecorder : public benchmark::ConsoleReporter {
       }
       std::fprintf(f,
                    "}, \"real_time\": %.6f, \"cpu_time\": %.6f, "
-                   "\"time_unit\": \"%s\"",
-                   r.real_time, r.cpu_time, r.time_unit.c_str());
+                   "\"time_unit\": \"%s\", \"real_time_spread\": %.4f",
+                   r.real_time, r.cpu_time, r.time_unit.c_str(),
+                   r.real_time > 0
+                       ? (r.real_time_max - r.real_time) / r.real_time
+                       : 0.0);
       if (!r.counters.empty()) {
         std::fprintf(f, ", \"counters\": {");
         for (size_t c = 0; c < r.counters.size(); ++c) {
@@ -143,6 +151,7 @@ class OverheadRecorder : public benchmark::ConsoleReporter {
     std::string name;
     std::vector<std::pair<std::string, std::string>> args;
     double real_time = 0.0;
+    double real_time_max = 0.0;  ///< slowest repetition, for the spread
     double cpu_time = 0.0;
     std::string time_unit;
     std::vector<std::pair<std::string, double>> counters;

@@ -237,7 +237,7 @@ struct ExecContext {
   }
 
   /// Marks the execution window during which the observer list is frozen.
-  /// Called by QueryExecutor::Run and the concurrent executor's worker;
+  /// Called by QueryExecutor::Run and QueryRun::Execute;
   /// manual NextBatch drivers may skip it (they lose the lifecycle
   /// check, nothing else). BeginExecution also clears tick shards left by
   /// a cancelled previous run.

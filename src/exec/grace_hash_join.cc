@@ -31,6 +31,24 @@ inline size_t NextPowerOfTwo(size_t n) {
   return p;
 }
 
+/// The ONCE output contribution of each join flavor. No default case, so
+/// -Wswitch flags a JoinFlavor added without one; an out-of-range value
+/// aborts instead of reaching the estimator uninitialized.
+OnceBinaryJoinEstimator::Contribution OnceContribution(JoinFlavor flavor) {
+  using Contribution = OnceBinaryJoinEstimator::Contribution;
+  switch (flavor) {
+    case JoinFlavor::kInner:
+      return Contribution::kInner;
+    case JoinFlavor::kSemi:
+      return Contribution::kSemi;
+    case JoinFlavor::kAnti:
+      return Contribution::kAnti;
+    case JoinFlavor::kProbeOuter:
+      return Contribution::kProbeOuter;
+  }
+  std::abort();
+}
+
 }  // namespace
 
 GraceHashJoinOp::GraceHashJoinOp(OperatorPtr build, OperatorPtr probe,
@@ -98,23 +116,9 @@ bool GraceHashJoinOp::KeysEqual(const Row& build_row,
 void GraceHashJoinOp::EnableBinaryOnceEstimation() {
   QPI_CHECK(pipeline_ == nullptr);
   Operator* probe = probe_child();
-  OnceBinaryJoinEstimator::Contribution contribution;
-  switch (join_type_) {
-    case JoinFlavor::kInner:
-      contribution = OnceBinaryJoinEstimator::Contribution::kInner;
-      break;
-    case JoinFlavor::kSemi:
-      contribution = OnceBinaryJoinEstimator::Contribution::kSemi;
-      break;
-    case JoinFlavor::kAnti:
-      contribution = OnceBinaryJoinEstimator::Contribution::kAnti;
-      break;
-    case JoinFlavor::kProbeOuter:
-      contribution = OnceBinaryJoinEstimator::Contribution::kProbeOuter;
-      break;
-  }
   once_ = std::make_unique<OnceBinaryJoinEstimator>(
-      [probe] { return probe->CurrentCardinalityEstimate(); }, contribution);
+      [probe] { return probe->CurrentCardinalityEstimate(); },
+      OnceContribution(join_type_));
 }
 
 void GraceHashJoinOp::EnlistInPipeline(

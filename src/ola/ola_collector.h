@@ -59,17 +59,17 @@ class OlaCollector : public OlaFeed, public OlaIntakeObserver {
   /// estimator internals of the aggregate's input).
   OlaSnapshot Snapshot(uint64_t tick) const;
 
-  /// Publish the query's final OLA observation. RunOne calls this before
-  /// the terminal state is released, so a watcher that sees the terminal
-  /// is guaranteed to read this snapshot or a later one from the slot.
-  void PublishFinal(uint64_t tick);
-
   // OlaIntakeObserver:
   void OnIntakeBatch(const RowBatch& batch) override;
   void OnIntakeComplete() override;
 
   // OlaFeed:
   void OnPublish(uint64_t tick) override;
+  /// Publish the query's final OLA observation. QueryRun::Execute calls
+  /// this before the terminal state is released, so a watcher that sees
+  /// the terminal is guaranteed to read this snapshot or a later one from
+  /// the slot.
+  void PublishFinal(uint64_t tick) override;
   void FillTraceSample(TraceSample* sample) override;
 
  private:

@@ -107,11 +107,13 @@ class EstimatorEnsemble;
 /// OlaCollector in src/ola/): the publisher calls OnPublish on every publish
 /// so the running approximate answer refreshes on the same cadence as the
 /// progress snapshot, and FillTraceSample to stamp the OLA columns onto the
-/// sample recorded in the ring.
+/// sample recorded in the ring. QueryRun::Execute calls PublishFinal once
+/// the query has drained, before the terminal is released.
 class OlaFeed {
  public:
   virtual ~OlaFeed() = default;
   virtual void OnPublish(uint64_t tick) = 0;
+  virtual void PublishFinal(uint64_t tick) = 0;
   virtual void FillTraceSample(TraceSample* sample) = 0;
 };
 

@@ -10,6 +10,7 @@
 #include "exec/exec_context.h"
 #include "progress/gnm.h"
 #include "progress/snapshot_json.h"
+#include "progress/trace_ring.h"
 
 namespace qpi {
 
@@ -108,30 +109,13 @@ struct WireSnapshot {
   WireOla ola;
 };
 
-/// One point of a query's traced progress curve on the wire. Field names
-/// mirror TraceSample; per-operator arrays are parallel to the plan's
-/// pre-order operator labels carried alongside in TraceDump.
-struct WireTraceSample {
-  uint64_t tick = 0;
-  double calls = 0;
-  double total_estimate = 0;
-  double ci_half_width = 0;
-  bool terminal = false;
-  uint64_t offer = 0;
-  std::vector<uint64_t> op_emitted;
-  std::vector<double> op_estimate;
-  /// Ensemble columns (present only when the query ran with the candidate
-  /// estimators on — absent members decode to empty, keeping old clients
-  /// and old servers mutually compatible). Layout matches TraceSample.
-  std::vector<double> total_candidate;
-  std::vector<double> op_candidate;
-  std::vector<uint8_t> op_selected;
-  /// OLA columns, present only for queries run with online aggregation
-  /// (same absent-decodes-to-empty compatibility rule as above).
-  std::vector<double> ola_estimate;
-  std::vector<double> ola_half_width;
-  uint64_t ola_draws = 0;
-};
+/// One point of a query's traced progress curve on the wire: the trace
+/// ring's own sample type (its `phase` is not serialized). Per-operator
+/// arrays are parallel to the plan's pre-order operator labels carried
+/// alongside in TraceDump. The ensemble and OLA columns are present only
+/// when the query ran with them; absent members decode to empty, keeping
+/// old clients and old servers mutually compatible.
+using WireTraceSample = TraceSample;
 
 /// A full TRACE reply: the retained curve plus the estimator-accuracy
 /// audit (null until the query finishes).

@@ -8,10 +8,10 @@
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
+#include <functional>
 #include <utility>
 
 #include "exec/compiler.h"
-#include "progress/accuracy_audit.h"
 #include "progress/snapshot_json.h"
 #include "service/metrics_text.h"
 #include "service/net.h"
@@ -134,46 +134,6 @@ ServerMetrics::ServerMetrics() {
       "unreadable); the server starts cold instead of aborting.");
 }
 
-const char* QueryHandle::WireState() const {
-  switch (terminal.load(std::memory_order_acquire)) {
-    case Terminal::kFinished:
-      return "finished";
-    case Terminal::kFailed:
-      return "failed";
-    case Terminal::kCancelled:
-      return "cancelled";
-    case Terminal::kOlaStopped:
-      return "ola_stopped";
-    case Terminal::kNone:
-      break;
-  }
-  return ctx->phase() == QueryPhase::kQueued ? "queued" : "running";
-}
-
-double QueryHandle::Progress() {
-  Terminal t = terminal.load(std::memory_order_acquire);
-  if (t == Terminal::kFinished) return 1.0;
-  GnmSnapshot snap = slot.Load();
-  if (t == Terminal::kNone) {
-    // Refresh C(Q) from the relaxed atomic counters so progress advances
-    // between the worker's publications (same scheme as the concurrent
-    // executor's QueryProgress).
-    double live = static_cast<double>(accountant->CurrentCalls());
-    if (live > snap.current_calls) snap.current_calls = live;
-  }
-  if (snap.total_estimate < snap.current_calls) {
-    snap.total_estimate = snap.current_calls;
-  }
-  double p = snap.EstimatedProgress();
-  if (p < 0.0) p = 0.0;
-  if (p > 1.0) p = 1.0;
-  double floor = progress_floor.load(std::memory_order_relaxed);
-  while (p > floor && !progress_floor.compare_exchange_weak(
-                          floor, p, std::memory_order_relaxed)) {
-  }
-  return p > floor ? p : floor;
-}
-
 QpiServer::QpiServer(Catalog* catalog, Options options)
     : catalog_(catalog),
       options_(options),
@@ -277,22 +237,25 @@ Status QpiServer::Submit(const std::string& sql, const OlaOptions* ola,
   SqlPlanner planner(catalog_);
   PlanNodePtr plan;
   QPI_RETURN_NOT_OK(planner.PlanQuery(sql, &plan));
-  auto handle = std::make_unique<QueryHandle>();
-  handle->tenant = tenant;
-  handle->sql = sql;
-  handle->ctx = std::make_unique<ExecContext>();
-  handle->ctx->catalog = catalog_;
-  handle->ctx->mode = options_.mode;
+  auto ctx = std::make_unique<ExecContext>();
+  ctx->catalog = catalog_;
+  ctx->mode = options_.mode;
   // Served queries fan intra-query subtasks (morsel scans, grace-join
   // partitions) out on the shared fleet; the per-query tag keeps the
   // sharing fair when several queries are inflight.
-  handle->ctx->exec_workers = options_.exec_workers;
+  ctx->exec_workers = options_.exec_workers;
   if (ola != nullptr) {
-    handle->ctx->ola = *ola;
-    handle->ctx->ola.enabled = true;
+    ctx->ola = *ola;
+    ctx->ola.enabled = true;
   }
-  QPI_RETURN_NOT_OK(handle->ctx->Validate());
-  QPI_RETURN_NOT_OK(CompilePlan(plan.get(), handle->ctx.get(), &handle->root));
+  QPI_RETURN_NOT_OK(ctx->Validate());
+  OperatorPtr root;
+  QPI_RETURN_NOT_OK(CompilePlan(plan.get(), ctx.get(), &root));
+  auto handle = std::make_unique<QueryHandle>(
+      std::move(root), std::move(ctx), options_.trace_capacity,
+      options_.ensemble, &feedback_cache_);
+  handle->tenant = tenant;
+  handle->sql = sql;
   if (ola != nullptr) {
     QPI_RETURN_NOT_OK(AttachOla(handle->root.get(), handle->ctx.get(),
                               &handle->ola_slot, &handle->ola));
@@ -310,29 +273,8 @@ Status QpiServer::Submit(const std::string& sql, const OlaOptions* ola,
     // already see the aggregate labels and an infinite half-width instead
     // of a zero-length snapshot.
     handle->ola_slot.Store(handle->ola->Snapshot(0));
+    handle->ola_feed = handle->ola.get();
   }
-  handle->accountant = std::make_unique<GnmAccountant>(handle->root.get());
-  if (options_.ensemble) {
-    handle->ensemble = std::make_unique<EstimatorEnsemble>(
-        handle->accountant.get(), handle->ctx.get(), &feedback_cache_);
-    handle->accountant->AttachEnsemble(handle->ensemble.get());
-  }
-  handle->ctx->set_phase(QueryPhase::kQueued);
-  handle->trace = std::make_unique<TraceRing>(options_.trace_capacity);
-  handle->op_labels.reserve(handle->accountant->operators().size());
-  for (const Operator* op : handle->accountant->operators()) {
-    handle->op_labels.push_back(op->label());
-  }
-  // Seed the slot so a watcher attached before execution sees the
-  // optimizer-based T̂ (progress 0 in the "queued" state), not an empty
-  // snapshot. Safe: nothing executes yet. The same observation opens the
-  // trace: every curve starts at the optimizer's guess.
-  GnmSnapshot seed = handle->accountant->SnapshotWithConfidence(
-      0, handle->ctx->confidence, handle->ctx->ci_combine);
-  handle->slot.Store(seed);
-  handle->trace->Record(
-      MakeTraceSample(*handle->accountant, seed, QueryPhase::kQueued));
-  metrics_.trace_samples->Increment();
   handle->id = next_id_.fetch_add(1, std::memory_order_relaxed);
   QueryHandle* raw = handle.get();
   {
@@ -346,7 +288,6 @@ Status QpiServer::Submit(const std::string& sql, const OlaOptions* ola,
     TerminalizeQueued(raw);
     return Status::Internal("server is draining; submissions are closed");
   }
-  submitted_.fetch_add(1, std::memory_order_relaxed);
   metrics_.submits->Increment();
   *id = raw->id;
   return Status::OK();
@@ -402,15 +343,15 @@ QueryHandle* QpiServer::FindQuery(uint64_t id) {
 
 ServerStats QpiServer::GetStats() const {
   ServerStats stats;
-  stats.submitted = submitted_.load(std::memory_order_relaxed);
+  stats.submitted = metrics_.submits->Value();
   stats.queued = admission_.pending();
   stats.running = admission_.inflight();
-  stats.finished = finished_.load(std::memory_order_relaxed);
-  stats.failed = failed_.load(std::memory_order_relaxed);
-  stats.cancelled = cancelled_.load(std::memory_order_relaxed);
+  stats.finished = metrics_.finished->Value();
+  stats.failed = metrics_.failed->Value();
+  stats.cancelled = metrics_.cancelled->Value();
   stats.max_inflight = admission_.max_inflight();
   stats.draining = draining();
-  stats.ola_stopped = ola_stopped_.load(std::memory_order_relaxed);
+  stats.ola_stopped = metrics_.ola_early_stops->Value();
   SyncSchedulerStats();
   stats.tasks_query = sched_tasks_[0].load(std::memory_order_relaxed);
   stats.tasks_morsel = sched_tasks_[1].load(std::memory_order_relaxed);
@@ -471,28 +412,9 @@ Status QpiServer::BuildTrace(uint64_t id, TraceDump* out) {
   // finished curve — harmless, but reading state last keeps the pair
   // consistent whenever the audit is present.
   out->op_labels = handle->op_labels;
-  std::vector<TraceSample> samples = handle->trace->Samples();
+  out->samples = handle->trace->Samples();
   out->stride = handle->trace->stride();
   out->offered = handle->trace->offered();
-  out->samples.reserve(samples.size());
-  for (const TraceSample& s : samples) {
-    WireTraceSample w;
-    w.tick = s.tick;
-    w.calls = s.calls;
-    w.total_estimate = s.total_estimate;
-    w.ci_half_width = s.ci_half_width;
-    w.terminal = s.terminal;
-    w.offer = s.offer;
-    w.op_emitted = s.op_emitted;
-    w.op_estimate = s.op_estimate;
-    w.total_candidate = s.total_candidate;
-    w.op_candidate = s.op_candidate;
-    w.op_selected = s.op_selected;
-    w.ola_estimate = s.ola_estimate;
-    w.ola_half_width = s.ola_half_width;
-    w.ola_draws = s.ola_draws;
-    out->samples.push_back(std::move(w));
-  }
   out->state = handle->WireState();
   // audit_json is written by the worker before the terminal release-store,
   // so observing a terminal state (acquire) makes this read race-free.
@@ -544,123 +466,59 @@ void QpiServer::DispatchLoop() {
 }
 
 void QpiServer::RunOne(QueryHandle* handle) {
-  // Any intra-query fan-out this query performs (exec_workers > 1 in its
-  // context) rides the same fleet, tagged by query id for fair sharing.
-  handle->ctx->AttachScheduler(fleet_.get(), handle->id);
-  TracePublisher publisher(handle->accountant.get(), handle->ctx.get(),
-                           &handle->slot, handle->trace.get(),
-                           options_.publish_interval,
-                           handle->ensemble.get());
-  if (handle->ola != nullptr) publisher.set_ola_feed(handle->ola.get());
-  handle->ctx->AddTickObserver(&publisher);
-  Status s = handle->root->Open(handle->ctx.get());
-  if (s.ok()) {
-    handle->ctx->BeginExecution();
-    RowBatch batch(handle->ctx->batch_size);
-    while (handle->root->NextBatch(&batch)) {
-      handle->rows_emitted.fetch_add(batch.size(), std::memory_order_relaxed);
-    }
-    handle->root->Close();
-    handle->ctx->EndExecution();
-  }
-  handle->ctx->RemoveTickObserver(&publisher);
-  handle->ticks = publisher.ticks();
-  metrics_.trace_samples->Increment(publisher.samples_offered() + 1);
-  // Terminal snapshot first, terminal state second (release): a watcher
-  // observing the terminal state is guaranteed the exact final snapshot
-  // (every operator finished, so T̂ = C and the half-width is 0). The
-  // trace's terminal sample and the audit land in the same window, so a
-  // TRACE after the terminal state sees both.
-  if (handle->ensemble != nullptr) {
-    // One last observation with every operator finished: each candidate's
-    // total collapses to C, so the terminal sample's candidate columns end
-    // on the exact point the audit expects (T̂ = C for every curve).
-    handle->ensemble->Observe(handle->ticks);
-  }
-  GnmSnapshot final_snap = handle->accountant->SnapshotWithConfidence(
-      handle->ticks, handle->ctx->confidence, handle->ctx->ci_combine);
-  handle->slot.Store(final_snap);
-  // The final OLA answer lands in its slot inside the same window (before
-  // the terminal release-store), so a watcher observing the terminal reads
-  // the final approximate answer, exact or early-stopped alike.
-  if (handle->ola != nullptr) handle->ola->PublishFinal(handle->ticks);
-  TraceSample terminal_sample =
-      MakeTraceSample(*handle->accountant, final_snap, handle->ctx->phase());
-  if (handle->ensemble != nullptr) {
-    handle->ensemble->FillTraceSample(&terminal_sample);
-  }
-  if (handle->ola != nullptr) {
-    handle->ola->FillTraceSample(&terminal_sample);
-  }
-  handle->trace->RecordTerminal(std::move(terminal_sample));
-  QueryHandle::Terminal terminal;
-  if (!s.ok()) {
-    handle->error = s.ToString();
-    terminal = QueryHandle::Terminal::kFailed;
-    failed_.fetch_add(1, std::memory_order_relaxed);
-    metrics_.failed->Increment();
-  } else if (handle->ctx->IsCancelled()) {
-    if (handle->ctx->OlaStopped()) {
-      // An accepted approximate answer, not an abandoned query.
-      terminal = QueryHandle::Terminal::kOlaStopped;
-      ola_stopped_.fetch_add(1, std::memory_order_relaxed);
-      metrics_.ola_early_stops->Increment();
-    } else {
-      terminal = QueryHandle::Terminal::kCancelled;
-      cancelled_.fetch_add(1, std::memory_order_relaxed);
-      metrics_.cancelled->Increment();
-    }
-  } else {
-    terminal = QueryHandle::Terminal::kFinished;
-    finished_.fetch_add(1, std::memory_order_relaxed);
-    metrics_.finished->Increment();
-    // Audit only truly-finished queries: R against a partial T would be
-    // meaningless for failures and cancellations.
-    AccuracyReport report =
-        ComputeAccuracyReport(handle->trace->Samples(), handle->op_labels);
-    handle->audit_json = AccuracyReportJson(report);
-    if (handle->ensemble != nullptr) {
-      // Deposit this query's audited per-candidate accuracy into the
-      // cross-query cache before any metric reads it back out.
-      handle->ensemble->Finalize(report);
-    }
-    for (const CheckpointAccuracy& cp : report.checkpoints) {
-      if (!ScorableRatio(cp.r, cp.degenerate)) {
-        metrics_.audit_skipped->Increment();
-      } else {
-        metrics_.relative_error->Observe(RelativeErrorFromRatio(cp.r));
-      }
-      for (size_t c = 0;
-           c < cp.candidate_r.size() && c < kNumEstimatorCandidates; ++c) {
-        if (ScorableRatio(cp.candidate_r[c], cp.degenerate)) {
-          metrics_.candidate_error[c]->Observe(
-              RelativeErrorFromRatio(cp.candidate_r[c]));
-        }
-      }
-    }
-    if (handle->ensemble != nullptr) {
-      std::vector<uint64_t> counts = handle->ensemble->SelectedCounts();
-      for (size_t c = 0;
-           c < counts.size() && c < kNumEstimatorCandidates; ++c) {
-        if (counts[c] > 0) metrics_.selected[c]->Increment(counts[c]);
-      }
-    }
-  }
-  handle->terminal.store(terminal, std::memory_order_release);
-  handle->ctx->AttachScheduler(nullptr, 0);
+  handle->Execute(fleet_.get(), handle->id, options_.publish_interval,
+                  std::bind_front(&QpiServer::CountOutcome, this, handle));
   admission_.OnComplete(handle->tenant);
 }
 
+void QpiServer::CountOutcome(const QueryHandle* handle,
+                             QueryRun::Terminal terminal,
+                             const AccuracyReport& report) {
+  // The ring counts every sample it was offered, seed and terminal
+  // included, whether or not the query ever ran.
+  metrics_.trace_samples->Increment(handle->trace->offered());
+  switch (terminal) {
+    case QueryRun::Terminal::kFailed:
+      metrics_.failed->Increment();
+      return;
+    case QueryRun::Terminal::kCancelled:
+      metrics_.cancelled->Increment();
+      return;
+    case QueryRun::Terminal::kOlaStopped:
+      metrics_.ola_early_stops->Increment();
+      return;
+    case QueryRun::Terminal::kFinished:
+      break;
+    case QueryRun::Terminal::kNone:
+      return;
+  }
+  metrics_.finished->Increment();
+  for (const CheckpointAccuracy& cp : report.checkpoints) {
+    if (!ScorableRatio(cp.r, cp.degenerate)) {
+      metrics_.audit_skipped->Increment();
+    } else {
+      metrics_.relative_error->Observe(RelativeErrorFromRatio(cp.r));
+    }
+    for (size_t c = 0;
+         c < cp.candidate_r.size() && c < kNumEstimatorCandidates; ++c) {
+      if (ScorableRatio(cp.candidate_r[c], cp.degenerate)) {
+        metrics_.candidate_error[c]->Observe(
+            RelativeErrorFromRatio(cp.candidate_r[c]));
+      }
+    }
+  }
+  if (handle->ensemble != nullptr) {
+    std::vector<uint64_t> counts = handle->ensemble->SelectedCounts();
+    for (size_t c = 0; c < counts.size() && c < kNumEstimatorCandidates;
+         ++c) {
+      if (counts[c] > 0) metrics_.selected[c]->Increment(counts[c]);
+    }
+  }
+}
+
 void QpiServer::TerminalizeQueued(QueryHandle* handle) {
-  handle->error = "cancelled before execution";
-  // Close the trace with the seeded snapshot — the query never ran, so no
-  // worker is publishing and reading the accountant here is safe.
-  handle->trace->RecordTerminal(MakeTraceSample(
-      *handle->accountant, handle->slot.Load(), QueryPhase::kQueued));
-  handle->terminal.store(QueryHandle::Terminal::kCancelled,
-                         std::memory_order_release);
-  cancelled_.fetch_add(1, std::memory_order_relaxed);
-  metrics_.cancelled->Increment();
+  handle->TerminalizeQueued(
+      std::bind_front(&QpiServer::CountOutcome, this, handle));
 }
 
 void QpiServer::AcceptLoop() {

@@ -21,8 +21,7 @@
 #include "ola/ola_collector.h"
 #include "ola/ola_snapshot.h"
 #include "progress/ensemble.h"
-#include "progress/gnm.h"
-#include "progress/snapshot_slot.h"
+#include "progress/query_run.h"
 #include "progress/trace_ring.h"
 #include "service/admission_queue.h"
 #include "service/event_loop.h"
@@ -31,74 +30,25 @@
 
 namespace qpi {
 
-/// \brief One submitted query, from SUBMIT to its terminal snapshot.
+/// \brief One submitted query, from SUBMIT to its terminal snapshot: the
+/// QueryRun lifecycle plus what the server adds to it.
 ///
 /// Lives in the server registry for the server's lifetime (watch sessions
 /// hold raw pointers across their own threads). Cross-thread reads follow
-/// the engine's threading model: the executing worker owns the estimator
-/// internals and publishes full snapshots through `slot`; every other
-/// field a watcher touches is an atomic or a seqlock read.
-struct QueryHandle {
+/// QueryRun's threading model; the OLA slot is a seqlock like `slot`.
+struct QueryHandle : QueryRun {
+  using QueryRun::QueryRun;
+
   uint64_t id = 0;
   /// Admission fair-share lane (the submitting session's id; 0 for
   /// programmatic Submit calls). Immutable after Submit.
   uint64_t tenant = 0;
   std::string sql;
-  OperatorPtr root;
-  std::unique_ptr<ExecContext> ctx;
-  std::unique_ptr<GnmAccountant> accountant;
-  /// Concurrent candidate estimators + online selector (null when the
-  /// server's ensemble option is off). Attached to the accountant at
-  /// Submit; observed and finalized by the executing worker only.
-  std::unique_ptr<EstimatorEnsemble> ensemble;
-  SnapshotSlot slot;                      ///< latest published GnmSnapshot
   /// Online-aggregation state (null unless submitted with OLA): the
-  /// collector is fed by the executing worker; the slot is its seqlock
-  /// publication cell, read by watchers alongside `slot`.
+  /// collector is the run's OLA feed; the slot is its seqlock publication
+  /// cell, read by watchers alongside `slot`.
   std::unique_ptr<OlaCollector> ola;
   OlaSnapshotSlot ola_slot;
-  std::atomic<uint64_t> rows_emitted{0};  ///< root rows, readable live
-  std::atomic<double> progress_floor{0.0};
-  uint64_t ticks = 0;  ///< executing worker only
-
-  /// Terminal state, stored with release ordering *after* the terminal
-  /// snapshot lands in `slot` — an acquire reader that observes a terminal
-  /// value is guaranteed the slot already holds the final T̂ = C snapshot
-  /// (and, for OLA queries, `ola_slot` the final approximate answer).
-  /// kOlaStopped is the distinct terminal of an OLA early termination: the
-  /// query stopped on purpose with a published approximate answer, which
-  /// is a success, not a cancellation.
-  enum class Terminal : int {
-    kNone = 0,
-    kFinished,
-    kFailed,
-    kCancelled,
-    kOlaStopped,
-  };
-  std::atomic<Terminal> terminal{Terminal::kNone};
-  std::string error;  ///< worker-written before the terminal store
-
-  /// Progress-curve history for TRACE (internally locked, safe anytime).
-  std::unique_ptr<TraceRing> trace;
-  /// Plan pre-order operator labels (immutable after Submit); names the
-  /// per-operator arrays in trace samples.
-  std::vector<std::string> op_labels;
-  /// Estimator-accuracy report (AccuracyReportJson), worker-written before
-  /// the terminal store — readable once IsTerminal(), "null" before.
-  std::string audit_json = "null";
-
-  bool IsTerminal() const {
-    return terminal.load(std::memory_order_acquire) != Terminal::kNone;
-  }
-
-  /// Wire state: terminal name if set, else queued/running off the
-  /// context's phase hook (the admission queue parks submissions in
-  /// QueryPhase::kQueued until a worker claims them).
-  const char* WireState() const;
-
-  /// Estimated progress in [0,1], monotone per query (CAS-max floor, same
-  /// scheme as the concurrent executor). Safe from any thread.
-  double Progress();
 };
 
 /// \brief The server's /metrics instruments (rendered by metrics_text.h).
@@ -298,6 +248,10 @@ class QpiServer {
   void AcceptLoop();
   void DispatchLoop();
   void RunOne(QueryHandle* handle);
+  /// The run's on_outcome: terminal counters, trace-sample count, audit
+  /// error histograms and selector counts, all before the terminal store.
+  void CountOutcome(const QueryHandle* handle, QueryRun::Terminal terminal,
+                    const AccuracyReport& report);
   /// Refresh the cached scheduler counters from the fleet (no-op when the
   /// fleet is gone, keeping the last values — so stats rendered after
   /// drain step 5 still see the totals). Safe from any thread.
@@ -335,12 +289,6 @@ class QpiServer {
   SnapshotBroadcast broadcast_{this};
   std::vector<std::unique_ptr<EventLoop>> loops_;
   size_t next_loop_ = 0;  ///< accept-thread round-robin cursor
-
-  std::atomic<uint64_t> submitted_{0};
-  std::atomic<uint64_t> finished_{0};
-  std::atomic<uint64_t> failed_{0};
-  std::atomic<uint64_t> cancelled_{0};
-  std::atomic<uint64_t> ola_stopped_{0};
 
   ServerMetrics metrics_;
   FeedbackCache feedback_cache_;

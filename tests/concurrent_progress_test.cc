@@ -131,17 +131,23 @@ TEST_F(ConcurrentProgressTest, MonitorHistoryBoundedAndTerminal) {
   }
   EXPECT_DOUBLE_EQ(history.back(), 1.0);
 
+  // Each query's own curve is its run's trace ring: bounded by the ring's
+  // decimation, and ending on the terminal sample.
   for (size_t i = 0; i < mq.num_queries(); ++i) {
-    std::vector<GnmSnapshot> snaps = mq.query_history(i);
-    ASSERT_GE(snaps.size(), 1u);
+    std::vector<TraceSample> samples = mq.entry(i).trace->Samples();
+    ASSERT_GE(samples.size(), 1u);
+    EXPECT_LE(samples.size(), mq.entry(i).trace->capacity());
     double prev_calls = -1.0;
-    for (const GnmSnapshot& snap : snaps) {
-      EXPECT_GE(snap.current_calls, prev_calls);  // C(Q) never runs backward
-      prev_calls = snap.current_calls;
-      EXPECT_GE(snap.EstimatedProgress(), 0.0);
-      EXPECT_LE(snap.EstimatedProgress(), 1.0);
+    for (const TraceSample& s : samples) {
+      EXPECT_GE(s.calls, prev_calls);  // C(Q) never runs backward
+      prev_calls = s.calls;
+      double p = s.total_estimate > 0 ? s.calls / s.total_estimate : 0.0;
+      EXPECT_GE(p, 0.0);
+      EXPECT_LE(p, 1.0);
     }
-    EXPECT_DOUBLE_EQ(snaps.back().EstimatedProgress(), 1.0);
+    EXPECT_TRUE(samples.back().terminal);
+    EXPECT_DOUBLE_EQ(samples.back().calls / samples.back().total_estimate,
+                     1.0);
   }
 }
 
@@ -153,10 +159,11 @@ TEST_F(ConcurrentProgressTest, PerQueryProgressMonotoneForScans) {
   AddQuery(&mq, "q1", ScanPlan("c"));
   ASSERT_TRUE(mq.RunAll().ok());
   for (size_t i = 0; i < mq.num_queries(); ++i) {
-    std::vector<GnmSnapshot> snaps = mq.query_history(i);
+    std::vector<TraceSample> samples = mq.entry(i).trace->Samples();
+    ASSERT_GE(samples.size(), 2u);  // seed + terminal at least
     double prev = 0.0;
-    for (const GnmSnapshot& snap : snaps) {
-      double p = snap.EstimatedProgress();
+    for (const TraceSample& s : samples) {
+      double p = s.total_estimate > 0 ? s.calls / s.total_estimate : 0.0;
       EXPECT_GE(p, prev - 1e-12);
       prev = p;
     }
@@ -208,7 +215,7 @@ TEST_F(ConcurrentProgressTest, CancelTerminatesLongQuery) {
   std::thread runner([&] { run_status = mq.RunAll(); });
   // Wait until the runaway join is demonstrably mid-flight, then cancel.
   while (mq.entry(0).rows_emitted.load(std::memory_order_relaxed) < 1000 &&
-         !mq.entry(0).done.load(std::memory_order_acquire)) {
+         !mq.entry(0).IsTerminal()) {
     std::this_thread::sleep_for(std::chrono::microseconds(50));
   }
   mq.Cancel(0);

@@ -19,12 +19,11 @@
 #include "estimators/baselines.h"
 #include "estimators/feedback_cache.h"
 #include "exec/compiler.h"
-#include "exec/executor.h"
 #include "exec/grace_hash_join.h"
 #include "progress/accuracy_audit.h"
 #include "progress/ensemble.h"
 #include "progress/gnm.h"
-#include "progress/snapshot_slot.h"
+#include "progress/query_run.h"
 #include "progress/trace_ring.h"
 #include "storage/catalog.h"
 
@@ -41,53 +40,47 @@ TablePtr MakeSkewed(const std::string& name, uint64_t rows, double z,
   return b.Build(rows, seed);
 }
 
-/// Everything one ensemble-instrumented execution produces. Member order
-/// matters: the ensemble and accountant reference the operator tree, so
-/// they are declared after it (destroyed first).
+/// Everything one ensemble-instrumented execution produces. `query` owns
+/// the tree, accountant and ensemble; the raw pointers view into it.
 struct RunResult {
-  OperatorPtr root;
-  std::unique_ptr<GnmAccountant> accountant;
-  std::unique_ptr<EstimatorEnsemble> ensemble;
+  std::unique_ptr<QueryRun> query;
+  Operator* root = nullptr;
+  EstimatorEnsemble* ensemble = nullptr;
   std::vector<std::string> labels;
   std::vector<TraceSample> samples;
   AccuracyReport report;
   uint64_t rows = 0;
 };
 
-/// Compile and run `plan` the way qpi-serve does: TracePublisher on the
-/// tick path with the ensemble attached, published T̂ routed through the
-/// selector, terminal sample carrying the candidate columns, audit computed
-/// from the retained curve. `tweak` (optional) edits the compiled tree
-/// before execution (e.g. to fake a wrong optimizer estimate).
-void RunWithEnsemble(ExecContext* ctx, PlanNodePtr plan, FeedbackCache* cache,
-                     uint64_t publish_interval, RunResult* out,
-                     void (*tweak)(Operator*) = nullptr) {
-  ASSERT_TRUE(CompilePlan(plan.get(), ctx, &out->root).ok());
-  if (tweak != nullptr) tweak(out->root.get());
-  out->accountant = std::make_unique<GnmAccountant>(out->root.get());
-  out->ensemble = std::make_unique<EstimatorEnsemble>(out->accountant.get(),
-                                                      ctx, cache);
-  out->accountant->AttachEnsemble(out->ensemble.get());
-  for (const Operator* op : out->accountant->operators()) {
-    out->labels.push_back(op->label());
-  }
-  SnapshotSlot slot;
-  TraceRing ring(256);
-  TracePublisher publisher(out->accountant.get(), ctx, &slot, &ring,
-                           publish_interval, out->ensemble.get());
-  ctx->AddTickObserver(&publisher);
-  Status s = QueryExecutor::Run(out->root.get(), ctx, nullptr, &out->rows);
-  ctx->RemoveTickObserver(&publisher);
-  ASSERT_TRUE(s.ok()) << s.ToString();
-  out->ensemble->Observe(publisher.ticks());
-  GnmSnapshot final_snap = out->accountant->SnapshotWithConfidence(
-      publisher.ticks(), ctx->confidence, ctx->ci_combine);
-  TraceSample terminal =
-      MakeTraceSample(*out->accountant, final_snap, ctx->phase());
-  out->ensemble->FillTraceSample(&terminal);
-  ring.RecordTerminal(std::move(terminal));
-  out->samples = ring.Samples();
-  out->report = ComputeAccuracyReport(out->samples, out->labels);
+/// Compile `plan` and run it through the production lifecycle
+/// (QueryRun::Execute): TracePublisher on the tick path with the ensemble
+/// attached, published T̂ routed through the selector, terminal sample
+/// carrying the candidate columns, audit computed from the retained curve.
+/// `tweak` (optional) edits the compiled tree before the run is wired
+/// (e.g. to fake a wrong optimizer estimate).
+void RunWithEnsemble(std::unique_ptr<ExecContext> ctx, PlanNodePtr plan,
+                     FeedbackCache* cache, uint64_t publish_interval,
+                     RunResult* out, void (*tweak)(Operator*) = nullptr) {
+  ASSERT_TRUE(ctx->Validate().ok());
+  OperatorPtr root;
+  ASSERT_TRUE(CompilePlan(plan.get(), ctx.get(), &root).ok());
+  if (tweak != nullptr) tweak(root.get());
+  out->query = std::make_unique<QueryRun>(std::move(root), std::move(ctx),
+                                          /*trace_capacity=*/256,
+                                          /*with_ensemble=*/true, cache);
+  QueryRun& query = *out->query;
+  query.Execute(nullptr, 0, publish_interval,
+                [out](QueryRun::Terminal terminal,
+                      const AccuracyReport& report) {
+                  EXPECT_EQ(terminal, QueryRun::Terminal::kFinished);
+                  out->report = report;
+                });
+  ASSERT_TRUE(query.status.ok()) << query.status.ToString();
+  out->root = query.root.get();
+  out->ensemble = query.ensemble.get();
+  out->labels = query.op_labels;
+  out->samples = query.trace->Samples();
+  out->rows = query.rows_emitted.load();
 }
 
 /// |log R| — distance of an accuracy ratio from perfect; +inf when the
@@ -110,28 +103,28 @@ class EnsembleFixture : public ::testing::Test {
     ASSERT_TRUE(catalog.Analyze("b").ok());
     ASSERT_TRUE(catalog.Register(p).ok());
     ASSERT_TRUE(catalog.Analyze("p").ok());
-    ctx.catalog = &catalog;
+    ctx->catalog = &catalog;
   }
 
   Catalog catalog;
-  ExecContext ctx;
+  std::unique_ptr<ExecContext> ctx = std::make_unique<ExecContext>();
 };
 
 // --- the acceptance scenario -----------------------------------------------
 
 TEST_F(EnsembleFixture, SkewedGraceJoinSelectorConvergesToOnce) {
   AddSkewedPair(2000, 3000, 1.2, 40);
-  ctx.mode = EstimationMode::kOnce;
+  ctx->mode = EstimationMode::kOnce;
   RunResult run;
-  RunWithEnsemble(&ctx, HashJoinPlan(ScanPlan("b"), ScanPlan("p"), "b.k",
-                                     "p.k"),
+  RunWithEnsemble(std::move(ctx),
+                  HashJoinPlan(ScanPlan("b"), ScanPlan("p"), "b.k", "p.k"),
                   nullptr, 64, &run);
   ASSERT_TRUE(run.report.valid);
   ASSERT_GT(run.rows, 0u);
 
   // The selector converged to ONCE at the join (pre-order op 0 is the
   // root join), despite dne/byte running concurrently the whole time.
-  auto* join = dynamic_cast<GraceHashJoinOp*>(run.root.get());
+  auto* join = dynamic_cast<GraceHashJoinOp*>(run.root);
   ASSERT_NE(join, nullptr);
   EXPECT_EQ(run.ensemble->SelectedFor(join), EstimatorCandidate::kOnce);
 
@@ -165,19 +158,20 @@ TEST_F(EnsembleFixture, SkewedGraceJoinSelectorConvergesToOnce) {
 
 TEST_F(EnsembleFixture, WrongLowOptimizerMakesByteLose) {
   AddSkewedPair(1500, 2000, 1.5, 30);
-  ctx.mode = EstimationMode::kOnce;
+  ctx->mode = EstimationMode::kOnce;
   RunResult run;
   // The wrong-optimizer case from Figure 4: the join's cost-model estimate
   // is ~100x low, so byte's (1−f)·opt term drags its estimate below the
   // output the join has already produced — a violation the selector's loss
   // punishes — while ONCE stays exact off the live hash tables.
   RunWithEnsemble(
-      &ctx, HashJoinPlan(ScanPlan("b"), ScanPlan("p"), "b.k", "p.k"), nullptr,
-      64, &run, +[](Operator* root) { root->set_optimizer_estimate(50.0); });
+      std::move(ctx), HashJoinPlan(ScanPlan("b"), ScanPlan("p"), "b.k", "p.k"),
+      nullptr, 64, &run,
+      +[](Operator* root) { root->set_optimizer_estimate(50.0); });
   ASSERT_TRUE(run.report.valid);
   ASSERT_GT(run.rows, 5000u) << "join output must dwarf the faked estimate";
 
-  auto* join = dynamic_cast<GraceHashJoinOp*>(run.root.get());
+  auto* join = dynamic_cast<GraceHashJoinOp*>(run.root);
   ASSERT_NE(join, nullptr);
   EXPECT_NE(run.ensemble->SelectedFor(join), EstimatorCandidate::kByte);
   double once_score = run.ensemble->Score(join, EstimatorCandidate::kOnce);
@@ -203,11 +197,11 @@ class EnsembleSweep
 TEST_P(EnsembleSweep, CandidateColumnsWellFormedInEveryConfig) {
   auto [workers, batch_size] = GetParam();
   Catalog catalog;
-  ExecContext ctx;
-  ctx.catalog = &catalog;
-  ctx.exec_workers = workers;
-  ctx.batch_size = batch_size;
-  ctx.mode = EstimationMode::kOnce;
+  auto ctx = std::make_unique<ExecContext>();
+  ctx->catalog = &catalog;
+  ctx->exec_workers = workers;
+  ctx->batch_size = batch_size;
+  ctx->mode = EstimationMode::kOnce;
   TablePtr b = MakeSkewed("b", 600, 1.0, 30, 1, 11);
   TablePtr p = MakeSkewed("p", 800, 1.0, 30, 1, 12);
   ASSERT_TRUE(catalog.Register(b).ok());
@@ -216,7 +210,7 @@ TEST_P(EnsembleSweep, CandidateColumnsWellFormedInEveryConfig) {
   ASSERT_TRUE(catalog.Analyze("p").ok());
 
   RunResult run;
-  RunWithEnsemble(&ctx,
+  RunWithEnsemble(std::move(ctx),
                   HashJoinPlan(ScanPlan("b"), ScanPlan("p"), "b.k", "p.k"),
                   nullptr, 32, &run);
   ASSERT_TRUE(run.report.valid);
@@ -296,14 +290,14 @@ TEST(DegenerateCheckpoints, LiveSamplesStayUnflagged) {
 
 TEST_F(EnsembleFixture, FinalizeIgnoresDegenerateOnlyAudits) {
   AddSkewedPair(200, 200, 0.0, 50);
-  ctx.mode = EstimationMode::kOnce;
+  ctx->mode = EstimationMode::kOnce;
   FeedbackCache cache;
   RunResult run;
   // A publish interval far past the query's length: the only retained
   // sample is the terminal one, every checkpoint is degenerate, and the
   // feedback deposit must be empty — R = 1 there would otherwise flatter
   // every candidate equally and poison the prior.
-  RunWithEnsemble(&ctx,
+  RunWithEnsemble(std::move(ctx),
                   HashJoinPlan(ScanPlan("b"), ScanPlan("p"), "b.k", "p.k"),
                   &cache, 1u << 30, &run);
   ASSERT_TRUE(run.report.valid);
@@ -315,10 +309,10 @@ TEST_F(EnsembleFixture, FinalizeIgnoresDegenerateOnlyAudits) {
 
 TEST_F(EnsembleFixture, FeedbackCacheSeedsSelectorPrior) {
   AddSkewedPair(300, 400, 1.0, 30);
-  ctx.mode = EstimationMode::kOnce;
+  ctx->mode = EstimationMode::kOnce;
   PlanNodePtr plan = HashJoinPlan(ScanPlan("b"), ScanPlan("p"), "b.k", "p.k");
   OperatorPtr root;
-  ASSERT_TRUE(CompilePlan(plan.get(), &ctx, &root).ok());
+  ASSERT_TRUE(CompilePlan(plan.get(), ctx.get(), &root).ok());
   GnmAccountant accountant(root.get());
   uint64_t fp = PlanFingerprint(accountant);
   ASSERT_NE(fp, 0u);
@@ -332,7 +326,7 @@ TEST_F(EnsembleFixture, FeedbackCacheSeedsSelectorPrior) {
   cache.Update(fp, kind, 1, 4.0);   // dne: burned us before
   cache.Update(fp, kind, 2, 3.0);   // byte
 
-  EstimatorEnsemble ensemble(&accountant, &ctx, &cache);
+  EstimatorEnsemble ensemble(&accountant, ctx.get(), &cache);
   // Priors arrive scaled by prior_scale (default 0.5).
   double scale = ensemble.options().prior_scale;
   EXPECT_DOUBLE_EQ(ensemble.Score(join, EstimatorCandidate::kOnce),

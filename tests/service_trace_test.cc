@@ -184,6 +184,42 @@ TEST_F(ServiceTraceTest, TraceErrorsOnUnknownIdAndMetricsReflectWork) {
   EXPECT_NE(text.find("qpi_sessions 1"), std::string::npos);
 }
 
+TEST_F(ServiceTraceTest, TraceSampleMetricCountsQueuedCancellations) {
+  QpiServer::Options options;
+  options.max_inflight = 1;  // everything behind the first query queues
+  options.exec_workers = 1;
+  auto server = StartServer(options);
+
+  QpiClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server->port()).ok());
+  std::vector<uint64_t> ids;
+  for (int i = 0; i < 3; ++i) {
+    uint64_t id = 0;
+    ASSERT_TRUE(client.Submit(kJoinSql, &id).ok());
+    ids.push_back(id);
+  }
+  // Cancel the last submission while it waits behind the first: its ring
+  // holds the seeded sample plus the terminal one.
+  ASSERT_TRUE(client.Cancel(ids.back()).ok());
+  uint64_t offered = 0;
+  for (uint64_t id : ids) {
+    WireSnapshot final_snap;
+    ASSERT_TRUE(client.Watch(id, 2, nullptr, &final_snap).ok());
+    if (id == ids.back()) {
+      ASSERT_EQ(final_snap.state, "cancelled");
+      ASSERT_EQ(final_snap.progress, 0.0) << "cancelled while queued";
+    }
+    TraceDump dump;
+    ASSERT_TRUE(client.Trace(id, &dump).ok());
+    offered += dump.offered;
+  }
+  // Every sample offered to any ring is counted, queued cancellations
+  // included.
+  EXPECT_EQ(server->metrics().trace_samples->Value(), offered);
+  client.Quit();
+  server->Shutdown();
+}
+
 TEST_F(ServiceTraceTest, HostileClientsSpamTraceThroughDrain) {
   QpiServer::Options options;
   options.max_inflight = 2;
