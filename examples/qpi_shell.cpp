@@ -442,7 +442,7 @@ int ConnectRepl(const std::string& host, uint16_t port,
                     (unsigned long long)sample.tick, sample.calls,
                     sample.total_estimate, sample.ci_half_width);
         if (has_candidates) {
-          for (size_t c = 0; c < 3; ++c) {
+          for (size_t c = 0; c < kNumEstimatorCandidates; ++c) {
             if (c < sample.total_candidate.size()) {
               std::printf(" %14.1f", sample.total_candidate[c]);
             } else {
@@ -454,15 +454,17 @@ int ConnectRepl(const std::string& host, uint16_t port,
       }
       if (has_candidates && !dump.samples.empty() &&
           !dump.samples.back().op_selected.empty()) {
-        static const char* kCandidateNames[] = {"once", "dne", "byte"};
         const WireTraceSample& last = dump.samples.back();
         std::printf("  selector:");
         for (size_t i = 0; i < last.op_selected.size(); ++i) {
           const char* label =
               i < dump.op_labels.size() ? dump.op_labels[i].c_str() : "?";
           uint8_t pick = last.op_selected[i];
-          std::printf(" %s=%s", label,
-                      pick < 3 ? kCandidateNames[pick] : "?");
+          const char* name =
+              pick < kNumEstimatorCandidates
+                  ? EstimationModeName(static_cast<EstimationMode>(pick))
+                  : "?";
+          std::printf(" %s=%s", label, name);
         }
         std::printf("\n");
       }

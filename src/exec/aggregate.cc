@@ -73,7 +73,11 @@ void AggregateBaseOp::IntakeComplete(uint64_t exact_groups) {
   }
 }
 
-double AggregateBaseOp::CurrentCardinalityEstimate() const {
+// Aggregates have no per-candidate machinery: every candidate gets the
+// number the context's mode yields. Handing dne/byte the constant
+// optimizer guess instead would give them zero instability, and the
+// selector's loss would then prefer them over a moving ONCE estimate.
+double AggregateBaseOp::CardinalityEstimate(EstimationMode /*mode*/) const {
   if (state() == OpState::kFinished) {
     return static_cast<double>(tuples_emitted());
   }
@@ -81,8 +85,7 @@ double AggregateBaseOp::CurrentCardinalityEstimate() const {
     // The hashing/sorting phase has seen every input tuple: exact count.
     return static_cast<double>(exact_groups_);
   }
-  EstimationMode mode = ctx_ != nullptr ? ctx_->mode : EstimationMode::kNone;
-  if (mode == EstimationMode::kOnce) {
+  if (OnceMode()) {
     if (pushdown_ != nullptr && pushdown_->output_stats().num_observed() > 0) {
       return pushdown_->GroupCountEstimate();
     }
@@ -98,8 +101,7 @@ bool AggregateBaseOp::CardinalityExact() const {
   if (state() == OpState::kFinished || intake_done_) return true;
   // Push-down delivers the exact group count once the driver pass over the
   // feeding pipeline finished un-frozen.
-  return ctx_ != nullptr && ctx_->mode == EstimationMode::kOnce &&
-         pushdown_ != nullptr && pushdown_->Exact();
+  return OnceMode() && pushdown_ != nullptr && pushdown_->Exact();
 }
 
 // ---- hash aggregation -------------------------------------------------------

@@ -65,7 +65,7 @@ class AggregateBaseOp : public Operator {
   /// Not owned; must outlive the operator. Null detaches.
   void SetOlaObserver(OlaIntakeObserver* observer) { ola_observer_ = observer; }
 
-  double CurrentCardinalityEstimate() const override;
+  double CardinalityEstimate(EstimationMode mode) const override;
   bool CardinalityExact() const override;
 
   const AdaptiveGroupEstimator* group_estimator() const {

@@ -35,28 +35,16 @@ const char* QueryPhaseName(QueryPhase phase) {
   return "?";
 }
 
-const char* EstimatorCandidateName(EstimatorCandidate candidate) {
-  switch (candidate) {
-    case EstimatorCandidate::kOnce:
-      return "once";
-    case EstimatorCandidate::kDne:
-      return "dne";
-    case EstimatorCandidate::kByte:
-      return "byte";
-  }
-  return "?";
-}
-
 const char* EstimationModeName(EstimationMode mode) {
   switch (mode) {
-    case EstimationMode::kNone:
-      return "none";
     case EstimationMode::kOnce:
       return "once";
     case EstimationMode::kDne:
       return "dne";
     case EstimationMode::kByte:
       return "byte";
+    case EstimationMode::kNone:
+      return "none";
   }
   return "?";
 }

@@ -18,31 +18,28 @@
 
 namespace qpi {
 
-/// Which cardinality-refinement framework the engine runs with.
-enum class EstimationMode {
-  kNone,  ///< no online estimation (overhead baseline; optimizer only)
-  kOnce,  ///< the paper's online framework (push-down estimation)
-  kDne,   ///< driver-node estimator baseline (Chaudhuri et al. [9])
-  kByte,  ///< Luo et al. [18] baseline (optimizer-weighted blend)
-};
-
-const char* EstimationModeName(EstimationMode mode);
-
-/// A concrete candidate estimator the ensemble runs concurrently. Unlike
-/// EstimationMode (which selects the *one* framework the engine acts on),
-/// every candidate produces an estimate off the same live counters on each
-/// publish, and the selector picks per operator which one the published
-/// snapshot uses. Values are dense and start at 0 so they index plain
-/// arrays of size kNumEstimatorCandidates.
-enum class EstimatorCandidate : unsigned char {
-  kOnce = 0,  ///< the paper's online framework
-  kDne = 1,   ///< driver-node extrapolation (Chaudhuri et al. [9])
-  kByte = 2,  ///< optimizer-weighted blend (Luo et al. [18])
+/// A cardinality estimator. ExecContext::mode picks the one the engine
+/// acts on; the ensemble runs the first kNumEstimatorCandidates values
+/// concurrently off the same live counters and selects per operator. Those
+/// values are dense from 0 so they index plain arrays (feedback cache,
+/// trace op_selected, the wire) — do not renumber them.
+enum class EstimationMode : unsigned char {
+  kOnce = 0,  ///< the paper's online framework (push-down estimation)
+  kDne = 1,   ///< driver-node estimator baseline (Chaudhuri et al. [9])
+  kByte = 2,  ///< Luo et al. [18] baseline (optimizer-weighted blend)
+  kNone = 3,  ///< no online estimation (overhead baseline; optimizer only)
 };
 
 inline constexpr size_t kNumEstimatorCandidates = 3;
+static_assert(static_cast<size_t>(EstimationMode::kNone) ==
+                  kNumEstimatorCandidates,
+              "the ensemble's candidates are the modes before kNone");
 
-const char* EstimatorCandidateName(EstimatorCandidate candidate);
+/// Former name of EstimationMode, still spelled by perfbench/cpp; remove
+/// with the next change to the benchmark harness.
+using EstimatorCandidate = EstimationMode;
+
+const char* EstimationModeName(EstimationMode mode);
 
 /// How per-operator CLT half-widths combine into one query-level interval
 /// (GnmAccountant::TotalHalfWidth). The per-operator estimators are

@@ -68,7 +68,7 @@ void FilterOp::NextBatchImpl(RowBatch* out) {
   CountEmitted(out->size());
 }
 
-double FilterOp::CurrentCardinalityEstimate() const {
+double FilterOp::CardinalityEstimate(EstimationMode mode) const {
   if (state() == OpState::kFinished) {
     return static_cast<double>(tuples_emitted());
   }
@@ -76,19 +76,7 @@ double FilterOp::CurrentCardinalityEstimate() const {
   if (consumed == 0) return optimizer_estimate();
   double pass_rate = static_cast<double>(tuples_emitted()) /
                      static_cast<double>(consumed);
-  return pass_rate * child(0)->CurrentCardinalityEstimate();
-}
-
-double FilterOp::CandidateCardinalityEstimate(
-    EstimatorCandidate candidate) const {
-  if (state() == OpState::kFinished) {
-    return static_cast<double>(tuples_emitted());
-  }
-  uint64_t consumed = child(0)->tuples_emitted();
-  if (consumed == 0) return optimizer_estimate();
-  double pass_rate = static_cast<double>(tuples_emitted()) /
-                     static_cast<double>(consumed);
-  return pass_rate * child(0)->CandidateCardinalityEstimate(candidate);
+  return pass_rate * child(0)->CardinalityEstimate(mode);
 }
 
 ProjectOp::ProjectOp(OperatorPtr child, std::vector<size_t> indices,

@@ -20,9 +20,7 @@ class FilterOp : public Operator {
            std::string predicate_text);
   ~FilterOp() override;
 
-  double CurrentCardinalityEstimate() const override;
-  double CandidateCardinalityEstimate(
-      EstimatorCandidate candidate) const override;
+  double CardinalityEstimate(EstimationMode mode) const override;
   bool ProducesRandomStream() const override {
     return child(0)->ProducesRandomStream();
   }
@@ -54,12 +52,8 @@ class ProjectOp : public Operator {
             Schema output_schema);
   ~ProjectOp() override;
 
-  double CurrentCardinalityEstimate() const override {
-    return child(0)->CurrentCardinalityEstimate();
-  }
-  double CandidateCardinalityEstimate(
-      EstimatorCandidate candidate) const override {
-    return child(0)->CandidateCardinalityEstimate(candidate);
+  double CardinalityEstimate(EstimationMode mode) const override {
+    return child(0)->CardinalityEstimate(mode);
   }
   bool CardinalityExact() const override {
     return child(0)->CardinalityExact();

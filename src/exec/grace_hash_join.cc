@@ -644,40 +644,24 @@ double GraceHashJoinOp::OnceEstimate() const {
   return DneEstimate();
 }
 
-double GraceHashJoinOp::CandidateCardinalityEstimate(
-    EstimatorCandidate candidate) const {
-  switch (candidate) {
-    case EstimatorCandidate::kOnce:
-      return OnceEstimate();
-    case EstimatorCandidate::kDne:
-      return DneEstimate();
-    case EstimatorCandidate::kByte:
-      return ByteEstimate();
-  }
-  return optimizer_estimate();
-}
-
-double GraceHashJoinOp::CurrentCardinalityEstimate() const {
-  if (state() == OpState::kFinished) {
-    return static_cast<double>(tuples_emitted());
-  }
-  EstimationMode mode = ctx_ != nullptr ? ctx_->mode : EstimationMode::kNone;
+double GraceHashJoinOp::CardinalityEstimate(EstimationMode mode) const {
   switch (mode) {
-    case EstimationMode::kNone:
-      return optimizer_estimate();
     case EstimationMode::kOnce:
       return OnceEstimate();
     case EstimationMode::kDne:
       return DneEstimate();
     case EstimationMode::kByte:
       return ByteEstimate();
+    case EstimationMode::kNone:
+      break;
   }
-  return optimizer_estimate();
+  return state() == OpState::kFinished ? static_cast<double>(tuples_emitted())
+                                       : optimizer_estimate();
 }
 
 double GraceHashJoinOp::CurrentCardinalityHalfWidth(double confidence) const {
   if (state() == OpState::kFinished) return 0.0;
-  if (ctx_ == nullptr || ctx_->mode != EstimationMode::kOnce) return 0.0;
+  if (!OnceMode()) return 0.0;
   if (pipeline_ != nullptr && pipeline_->Resolved(pipeline_index_) &&
       pipeline_->driver_rows_seen() > 0) {
     return pipeline_->ConfidenceHalfWidth(pipeline_index_, confidence);
@@ -690,7 +674,7 @@ double GraceHashJoinOp::CurrentCardinalityHalfWidth(double confidence) const {
 
 bool GraceHashJoinOp::CardinalityExact() const {
   if (state() == OpState::kFinished) return true;
-  if (ctx_ == nullptr || ctx_->mode != EstimationMode::kOnce) return false;
+  if (!OnceMode()) return false;
   if (pipeline_ != nullptr && pipeline_->Resolved(pipeline_index_)) {
     return pipeline_->Exact();
   }

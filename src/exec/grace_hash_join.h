@@ -62,9 +62,7 @@ class GraceHashJoinOp : public Operator {
   void EnlistInPipeline(std::shared_ptr<PipelineJoinEstimator> pipeline,
                         size_t index, bool is_lowest);
 
-  double CurrentCardinalityEstimate() const override;
-  double CandidateCardinalityEstimate(
-      EstimatorCandidate candidate) const override;
+  double CardinalityEstimate(EstimationMode mode) const override;
   double CurrentCardinalityHalfWidth(double confidence) const override;
   bool CardinalityExact() const override;
 

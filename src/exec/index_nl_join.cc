@@ -136,41 +136,25 @@ double IndexNestedLoopsJoinOp::OnceEstimate() const {
   return DneEstimate();
 }
 
-double IndexNestedLoopsJoinOp::CandidateCardinalityEstimate(
-    EstimatorCandidate candidate) const {
-  switch (candidate) {
-    case EstimatorCandidate::kOnce:
-      return OnceEstimate();
-    case EstimatorCandidate::kDne:
-      return DneEstimate();
-    case EstimatorCandidate::kByte:
-      return ByteEstimate();
-  }
-  return optimizer_estimate();
-}
-
-double IndexNestedLoopsJoinOp::CurrentCardinalityEstimate() const {
-  if (state() == OpState::kFinished) {
-    return static_cast<double>(tuples_emitted());
-  }
-  EstimationMode mode = ctx_ != nullptr ? ctx_->mode : EstimationMode::kNone;
+double IndexNestedLoopsJoinOp::CardinalityEstimate(EstimationMode mode) const {
   switch (mode) {
-    case EstimationMode::kNone:
-      return optimizer_estimate();
     case EstimationMode::kOnce:
       return OnceEstimate();
     case EstimationMode::kDne:
       return DneEstimate();
     case EstimationMode::kByte:
       return ByteEstimate();
+    case EstimationMode::kNone:
+      break;
   }
-  return optimizer_estimate();
+  return state() == OpState::kFinished ? static_cast<double>(tuples_emitted())
+                                       : optimizer_estimate();
 }
 
 double IndexNestedLoopsJoinOp::CurrentCardinalityHalfWidth(
     double confidence) const {
   if (state() == OpState::kFinished) return 0.0;
-  if (ctx_ == nullptr || ctx_->mode != EstimationMode::kOnce) return 0.0;
+  if (!OnceMode()) return 0.0;
   if (once_ != nullptr && once_->probe_tuples_seen() > 0) {
     return once_->ConfidenceHalfWidth(confidence);
   }
@@ -179,7 +163,7 @@ double IndexNestedLoopsJoinOp::CurrentCardinalityHalfWidth(
 
 bool IndexNestedLoopsJoinOp::CardinalityExact() const {
   if (state() == OpState::kFinished) return true;
-  if (ctx_ == nullptr || ctx_->mode != EstimationMode::kOnce) return false;
+  if (!OnceMode()) return false;
   return once_ != nullptr && once_->Exact();
 }
 

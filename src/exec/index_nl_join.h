@@ -33,9 +33,7 @@ class IndexNestedLoopsJoinOp : public Operator {
   /// random stream).
   void EnableOnceEstimation();
 
-  double CurrentCardinalityEstimate() const override;
-  double CandidateCardinalityEstimate(
-      EstimatorCandidate candidate) const override;
+  double CardinalityEstimate(EstimationMode mode) const override;
   double CurrentCardinalityHalfWidth(double confidence) const override;
   bool CardinalityExact() const override;
 

@@ -208,40 +208,24 @@ double MergeJoinOp::OnceEstimate() const {
   return DneEstimate();
 }
 
-double MergeJoinOp::CandidateCardinalityEstimate(
-    EstimatorCandidate candidate) const {
-  switch (candidate) {
-    case EstimatorCandidate::kOnce:
-      return OnceEstimate();
-    case EstimatorCandidate::kDne:
-      return DneEstimate();
-    case EstimatorCandidate::kByte:
-      return ByteEstimate();
-  }
-  return optimizer_estimate();
-}
-
-double MergeJoinOp::CurrentCardinalityEstimate() const {
-  if (state() == OpState::kFinished) {
-    return static_cast<double>(tuples_emitted());
-  }
-  EstimationMode mode = ctx_ != nullptr ? ctx_->mode : EstimationMode::kNone;
+double MergeJoinOp::CardinalityEstimate(EstimationMode mode) const {
   switch (mode) {
-    case EstimationMode::kNone:
-      return optimizer_estimate();
     case EstimationMode::kOnce:
       return OnceEstimate();
     case EstimationMode::kDne:
       return DneEstimate();
     case EstimationMode::kByte:
       return ByteEstimate();
+    case EstimationMode::kNone:
+      break;
   }
-  return optimizer_estimate();
+  return state() == OpState::kFinished ? static_cast<double>(tuples_emitted())
+                                       : optimizer_estimate();
 }
 
 bool MergeJoinOp::CardinalityExact() const {
   if (state() == OpState::kFinished) return true;
-  if (ctx_ == nullptr || ctx_->mode != EstimationMode::kOnce) return false;
+  if (!OnceMode()) return false;
   if (pipeline_ != nullptr && pipeline_->Resolved(pipeline_index_)) {
     return pipeline_->Exact();
   }

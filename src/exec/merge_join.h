@@ -43,9 +43,7 @@ class MergeJoinOp : public Operator {
     return pipeline_.get();
   }
 
-  double CurrentCardinalityEstimate() const override;
-  double CandidateCardinalityEstimate(
-      EstimatorCandidate candidate) const override;
+  double CardinalityEstimate(EstimationMode mode) const override;
   bool CardinalityExact() const override;
 
   double DneEstimate() const;

@@ -99,21 +99,20 @@ class Operator {
   double optimizer_estimate() const { return optimizer_estimate_; }
   void set_optimizer_estimate(double est) { optimizer_estimate_ = est; }
 
-  /// Live estimate of N_i, the total output cardinality.
-  virtual double CurrentCardinalityEstimate() const = 0;
+  /// Live estimate of N_i, the total output cardinality, under `mode` —
+  /// the one estimate hook. CurrentCardinalityEstimate() asks it for the
+  /// context's mode; the ensemble selector asks it for every candidate
+  /// off the same counters on each publish. Joins dispatch on `mode`
+  /// (kNone: the optimizer's number until the join finishes); filters,
+  /// projections and sorts forward it to their child; scans and
+  /// aggregates answer one number for every mode. Reads live estimator
+  /// internals: call only from the thread executing the query.
+  virtual double CardinalityEstimate(EstimationMode mode) const = 0;
 
-  /// Live N_i estimate under one *specific* candidate estimator, regardless
-  /// of the context's EstimationMode — the ensemble selector samples all
-  /// candidates off the same counters on every publish and compares them
-  /// against realized progress. Operators without per-candidate machinery
-  /// (scans, aggregates) answer the same number for every candidate; joins
-  /// and filters override. Like CurrentCardinalityEstimate(), this reads
-  /// live estimator internals and must only be called from the thread
-  /// executing the query.
-  virtual double CandidateCardinalityEstimate(
-      EstimatorCandidate candidate) const {
-    (void)candidate;
-    return CurrentCardinalityEstimate();
+  /// N_i under the context's estimator (kNone before Open).
+  double CurrentCardinalityEstimate() const {
+    return CardinalityEstimate(ctx_ != nullptr ? ctx_->mode
+                                               : EstimationMode::kNone);
   }
 
   /// Half-width of the `confidence` CLT interval around
@@ -173,6 +172,12 @@ class Operator {
   }
 
   void SetSchema(Schema schema) { schema_ = std::move(schema); }
+
+  /// Whether the context runs the paper's framework — the only mode whose
+  /// estimators carry a confidence interval or can be exact mid-run.
+  bool OnceMode() const {
+    return ctx_ != nullptr && ctx_->mode == EstimationMode::kOnce;
+  }
 
   ExecContext* ctx_ = nullptr;
 

@@ -25,7 +25,7 @@ class SeqScanOp : public Operator {
   SeqScanOp(TablePtr table, double sample_fraction);
   ~SeqScanOp() override;
 
-  double CurrentCardinalityEstimate() const override {
+  double CardinalityEstimate(EstimationMode /*mode*/) const override {
     return static_cast<double>(table_->num_rows());
   }
   bool CardinalityExact() const override { return true; }

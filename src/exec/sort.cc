@@ -174,10 +174,9 @@ double NestedLoopsJoinOp::ByteEstimate() const {
   return byte.Estimate(child(0)->CurrentCardinalityEstimate());
 }
 
-double NestedLoopsJoinOp::CandidateCardinalityEstimate(
-    EstimatorCandidate candidate) const {
-  switch (candidate) {
-    case EstimatorCandidate::kOnce:
+double NestedLoopsJoinOp::CardinalityEstimate(EstimationMode mode) const {
+  switch (mode) {
+    case EstimationMode::kOnce:
       if (state() != OpState::kFinished && theta_ != nullptr &&
           theta_->outer_tuples_seen() > 0) {
         return theta_->Estimate();
@@ -185,36 +184,21 @@ double NestedLoopsJoinOp::CandidateCardinalityEstimate(
       // Equijoin NL (no preprocessing): ONCE degenerates to dne
       // (Section 4.1.3).
       return DneEstimate();
-    case EstimatorCandidate::kDne:
-      return DneEstimate();
-    case EstimatorCandidate::kByte:
-      return ByteEstimate();
-  }
-  return optimizer_estimate();
-}
-
-double NestedLoopsJoinOp::CurrentCardinalityEstimate() const {
-  if (state() == OpState::kFinished) {
-    return static_cast<double>(tuples_emitted());
-  }
-  EstimationMode mode = ctx_ != nullptr ? ctx_->mode : EstimationMode::kNone;
-  switch (mode) {
-    case EstimationMode::kNone:
-      return optimizer_estimate();
-    case EstimationMode::kOnce:
-      return CandidateCardinalityEstimate(EstimatorCandidate::kOnce);
     case EstimationMode::kDne:
       return DneEstimate();
     case EstimationMode::kByte:
       return ByteEstimate();
+    case EstimationMode::kNone:
+      break;
   }
-  return optimizer_estimate();
+  return state() == OpState::kFinished ? static_cast<double>(tuples_emitted())
+                                       : optimizer_estimate();
 }
 
 double NestedLoopsJoinOp::CurrentCardinalityHalfWidth(
     double confidence) const {
   if (state() == OpState::kFinished) return 0.0;
-  if (ctx_ == nullptr || ctx_->mode != EstimationMode::kOnce) return 0.0;
+  if (!OnceMode()) return 0.0;
   if (theta_ != nullptr && theta_->outer_tuples_seen() > 0) {
     return theta_->ConfidenceHalfWidth(confidence);
   }
@@ -223,7 +207,7 @@ double NestedLoopsJoinOp::CurrentCardinalityHalfWidth(
 
 bool NestedLoopsJoinOp::CardinalityExact() const {
   if (state() == OpState::kFinished) return true;
-  if (ctx_ == nullptr || ctx_->mode != EstimationMode::kOnce) return false;
+  if (!OnceMode()) return false;
   return theta_ != nullptr && theta_->Exact();
 }
 

@@ -16,11 +16,11 @@ class SortOp : public Operator {
  public:
   SortOp(OperatorPtr child, std::vector<size_t> key_indices);
 
-  double CurrentCardinalityEstimate() const override {
+  double CardinalityEstimate(EstimationMode mode) const override {
     // A sort emits exactly its input; before/while consuming, that is the
-    // child's live estimate.
+    // child's live estimate under the same estimator.
     if (intake_done_) return static_cast<double>(rows_.size());
-    return child(0)->CurrentCardinalityEstimate();
+    return child(0)->CardinalityEstimate(mode);
   }
   bool CardinalityExact() const override {
     return intake_done_ || child(0)->CardinalityExact();
@@ -58,9 +58,7 @@ class NestedLoopsJoinOp : public Operator {
   /// random-capable outer input).
   void EnableThetaOnceEstimation();
 
-  double CurrentCardinalityEstimate() const override;
-  double CandidateCardinalityEstimate(
-      EstimatorCandidate candidate) const override;
+  double CardinalityEstimate(EstimationMode mode) const override;
   double CurrentCardinalityHalfWidth(double confidence) const override;
   bool CardinalityExact() const override;
 

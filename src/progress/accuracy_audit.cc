@@ -153,8 +153,7 @@ std::string AccuracyReportJson(const AccuracyReport& report) {
         op.selected < static_cast<int>(kNumEstimatorCandidates)) {
       JsonAppendKey("selected", &out);
       JsonAppendQuoted(
-          EstimatorCandidateName(static_cast<EstimatorCandidate>(op.selected)),
-          &out);
+          EstimationModeName(static_cast<EstimationMode>(op.selected)), &out);
     }
     out.push_back('}');
   }

@@ -32,7 +32,7 @@ struct CheckpointAccuracy {
   /// must exclude degenerate checkpoints.
   bool degenerate = false;
   /// R under each concurrent candidate's own T̂ curve, indexed by
-  /// EstimatorCandidate — empty when the trace carries no ensemble columns.
+  /// EstimationMode — empty when the trace carries no ensemble columns.
   std::vector<double> candidate_r;
 };
 
@@ -45,9 +45,9 @@ struct OperatorAccuracy {
   /// the enclosing report.
   std::vector<double> r;
   /// Per-checkpoint, per-candidate R_i (inner vectors indexed by
-  /// EstimatorCandidate; empty without ensemble columns). Parallel to `r`.
+  /// EstimationMode; empty without ensemble columns). Parallel to `r`.
   std::vector<std::vector<double>> candidate_r;
-  /// Terminal selector choice for this operator (EstimatorCandidate value;
+  /// Terminal selector choice for this operator (EstimationMode value;
   /// -1 when the trace carries no selection history).
   int selected = -1;
 };

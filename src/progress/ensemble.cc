@@ -115,8 +115,8 @@ void EstimatorEnsemble::Observe(uint64_t tick) {
     if (state.op->state() != OpState::kRunning) continue;
     double emitted = static_cast<double>(state.op->tuples_emitted());
     for (size_t c = 0; c < kNumEstimatorCandidates; ++c) {
-      double estimate = state.op->CandidateCardinalityEstimate(
-          static_cast<EstimatorCandidate>(c));
+      double estimate =
+          state.op->CardinalityEstimate(static_cast<EstimationMode>(c));
       double loss = LossFor(state, c, estimate, emitted);
       state.score[c] = std::isfinite(state.score[c])
                            ? (1.0 - options_.ewma_alpha) * state.score[c] +
@@ -143,43 +143,17 @@ void EstimatorEnsemble::Observe(uint64_t tick) {
 
   // Pass 2: per-candidate query totals — each candidate's own T̂ curve,
   // with not-yet-started operators refined through that same candidate's
-  // view of their inputs (mirrors GnmAccountant::RefinedEstimate).
-  struct Refine {
-    const EstimatorEnsemble* self;
-    size_t candidate;
-    double operator()(const Operator* op) const {
-      switch (op->state()) {
-        case OpState::kFinished:
-          return static_cast<double>(op->tuples_emitted());
-        case OpState::kRunning: {
-          auto it = self->index_.find(op);
-          double estimate =
-              it != self->index_.end()
-                  ? self->ops_[it->second].estimate[candidate]
-                  : op->CandidateCardinalityEstimate(
-                        static_cast<EstimatorCandidate>(candidate));
-          if (!std::isfinite(estimate) || estimate < 0) {
-            estimate = static_cast<double>(op->tuples_emitted());
-          }
-          return estimate;
-        }
-        case OpState::kNotStarted: {
-          double est = op->optimizer_estimate();
-          for (size_t i = 0; i < op->num_children(); ++i) {
-            const Operator* child = op->child(i);
-            double opt = child->optimizer_estimate();
-            if (opt > 0) est *= (*this)(child) / opt;
-          }
-          return est;
-        }
-      }
-      return op->optimizer_estimate();
-    }
-  };
+  // view of their inputs.
   for (size_t c = 0; c < kNumEstimatorCandidates; ++c) {
-    Refine refine{this, c};
+    auto running = [this, c](const Operator* op) {
+      double estimate = ops_[index_.at(op)].estimate[c];
+      if (!std::isfinite(estimate) || estimate < 0) {
+        estimate = static_cast<double>(op->tuples_emitted());
+      }
+      return estimate;
+    };
     double total = 0;
-    for (const PerOp& state : ops_) total += refine(state.op);
+    for (const PerOp& state : ops_) total += RefineEstimate(state.op, running);
     totals_[c] = total;
   }
   ++observations_;
@@ -205,14 +179,14 @@ double EstimatorEnsemble::PublishedEstimate(const Operator* op) const {
   return blended / weight_sum;
 }
 
-EstimatorCandidate EstimatorEnsemble::SelectedFor(const Operator* op) const {
+EstimationMode EstimatorEnsemble::SelectedFor(const Operator* op) const {
   auto it = index_.find(op);
-  if (it == index_.end()) return EstimatorCandidate::kOnce;
-  return static_cast<EstimatorCandidate>(ops_[it->second].selected);
+  if (it == index_.end()) return EstimationMode::kOnce;
+  return static_cast<EstimationMode>(ops_[it->second].selected);
 }
 
 double EstimatorEnsemble::Score(const Operator* op,
-                                EstimatorCandidate candidate) const {
+                                EstimationMode candidate) const {
   auto it = index_.find(op);
   if (it == index_.end()) return kNaN;
   return ops_[it->second].score[static_cast<size_t>(candidate)];

@@ -102,12 +102,12 @@ class EstimatorEnsemble {
 
   /// The selector's current choice for `op` (kOnce before any observation
   /// or for unknown operators).
-  EstimatorCandidate SelectedFor(const Operator* op) const;
+  EstimationMode SelectedFor(const Operator* op) const;
 
   /// Current EWMA score of one candidate at one operator (NaN before any
   /// observation and when no prior seeded it). Exposed for tests and the
   /// trace surface.
-  double Score(const Operator* op, EstimatorCandidate candidate) const;
+  double Score(const Operator* op, EstimationMode candidate) const;
 
   /// Copy the last Observe's candidate columns into a trace sample
   /// (total_candidate / op_candidate / op_selected). No-op before the
@@ -121,7 +121,7 @@ class EstimatorEnsemble {
   void Finalize(const AccuracyReport& report);
 
   /// How many operators currently select each candidate, indexed by
-  /// EstimatorCandidate — only operators the selector actually scored
+  /// EstimationMode — only operators the selector actually scored
   /// (running at some observation) are counted. Feeds
   /// qpi_estimator_selected_total at query end.
   std::vector<uint64_t> SelectedCounts() const;
@@ -137,7 +137,7 @@ class EstimatorEnsemble {
     double score[kNumEstimatorCandidates];
     double estimate[kNumEstimatorCandidates];
     double prev_estimate[kNumEstimatorCandidates];
-    size_t selected = 0;  // EstimatorCandidate value
+    size_t selected = 0;  // EstimationMode value
     uint64_t scored_observations = 0;
   };
 

@@ -17,32 +17,13 @@ uint64_t GnmAccountant::CurrentCalls() const {
 }
 
 double GnmAccountant::RefinedEstimate(const Operator* op) const {
-  switch (op->state()) {
-    case OpState::kFinished:
-      return static_cast<double>(op->tuples_emitted());
-    case OpState::kRunning: {
-      if (ensemble_ != nullptr) {
-        double selected = ensemble_->PublishedEstimate(op);
-        if (std::isfinite(selected) && selected >= 0) return selected;
-      }
-      return op->CurrentCardinalityEstimate();
+  return RefineEstimate(op, [this](const Operator* running) {
+    if (ensemble_ != nullptr) {
+      double selected = ensemble_->PublishedEstimate(running);
+      if (std::isfinite(selected) && selected >= 0) return selected;
     }
-    case OpState::kNotStarted: {
-      // Future operator: scale the optimizer estimate by how much the live
-      // estimates of its inputs have moved relative to their own optimizer
-      // estimates.
-      double est = op->optimizer_estimate();
-      for (size_t i = 0; i < op->num_children(); ++i) {
-        const Operator* c = op->child(i);
-        double opt = c->optimizer_estimate();
-        if (opt > 0) {
-          est *= RefinedEstimate(c) / opt;
-        }
-      }
-      return est;
-    }
-  }
-  return op->optimizer_estimate();
+    return running->CurrentCardinalityEstimate();
+  });
 }
 
 double GnmAccountant::TotalEstimate() const {

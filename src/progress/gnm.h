@@ -37,6 +37,8 @@ struct GnmSnapshot {
 ///    ratio between its inputs' live estimates and their optimizer
 ///    estimates — the simplified form of the future-pipeline bound
 ///    refinement of Chaudhuri et al. [9] (see DESIGN.md).
+/// RefineEstimate below is that classification; the accountant and the
+/// ensemble's per-candidate totals differ only in the running estimate.
 /// Thread-safety: CurrentCalls() only reads the per-operator atomic
 /// counters (relaxed loads) and is safe from any thread while the query
 /// executes — this is the monitor thread's "relaxed-read path".
@@ -46,6 +48,32 @@ struct GnmSnapshot {
 /// path through a SnapshotSlot (see DESIGN.md, "Threading model").
 class EstimatorEnsemble;
 
+/// N_i for `op` under the classification above, with `running(op)`
+/// supplying a running operator's live estimate. Recurses into the
+/// inputs of a not-yet-started operator. Executing thread only.
+template <typename RunningEstimate>
+double RefineEstimate(const Operator* op, const RunningEstimate& running) {
+  switch (op->state()) {
+    case OpState::kFinished:
+      return static_cast<double>(op->tuples_emitted());
+    case OpState::kRunning:
+      return running(op);
+    case OpState::kNotStarted: {
+      // Future operator: scale the optimizer estimate by how much the live
+      // estimates of its inputs have moved relative to their own optimizer
+      // estimates.
+      double est = op->optimizer_estimate();
+      for (size_t i = 0; i < op->num_children(); ++i) {
+        const Operator* c = op->child(i);
+        double opt = c->optimizer_estimate();
+        if (opt > 0) est *= RefineEstimate(c, running) / opt;
+      }
+      return est;
+    }
+  }
+  return op->optimizer_estimate();
+}
+
 class GnmAccountant {
  public:
   explicit GnmAccountant(Operator* root);
@@ -53,8 +81,9 @@ class GnmAccountant {
   /// Route running-operator N_i estimates through an ensemble selector:
   /// once attached, RefinedEstimate answers the selector's published
   /// per-operator choice (refreshed by EstimatorEnsemble::Observe on the
-  /// publish path) instead of the mode's single estimator, falling back to
-  /// CurrentCardinalityEstimate() until the ensemble has observed once.
+  /// publish path) instead of CurrentCardinalityEstimate() — the context
+  /// mode's estimator — which stays the fallback until the ensemble has
+  /// observed once.
   /// The ensemble must outlive this accountant or be detached (nullptr).
   void AttachEnsemble(const EstimatorEnsemble* ensemble) {
     ensemble_ = ensemble;

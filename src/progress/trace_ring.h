@@ -29,14 +29,14 @@ struct TraceSample {
 
   // --- ensemble columns (empty when no ensemble is attached) ---------------
   /// Query-level T̂ under each candidate estimator, indexed by
-  /// EstimatorCandidate (size kNumEstimatorCandidates when present).
+  /// EstimationMode (size kNumEstimatorCandidates when present).
   std::vector<double> total_candidate;
   /// Per-operator candidate estimates, flattened pre-order:
   /// op_candidate[i * kNumEstimatorCandidates + c] is operator i's N̂ under
   /// candidate c.
   std::vector<double> op_candidate;
   /// The selector's per-operator choice at this sample (values index
-  /// EstimatorCandidate; parallel to op_emitted).
+  /// EstimationMode; parallel to op_emitted).
   std::vector<uint8_t> op_selected;
 
   // --- OLA columns (empty when no online aggregation is attached) ----------

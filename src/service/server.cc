@@ -85,7 +85,7 @@ ServerMetrics::ServerMetrics() {
       error_bounds);
   for (size_t c = 0; c < kNumEstimatorCandidates; ++c) {
     std::string label = "estimator=\"";
-    label += EstimatorCandidateName(static_cast<EstimatorCandidate>(c));
+    label += EstimationModeName(static_cast<EstimationMode>(c));
     label += '"';
     candidate_error[c] = registry.AddHistogram(
         "qpi_estimator_relative_error",
@@ -99,7 +99,7 @@ ServerMetrics::ServerMetrics() {
       "terminal-sample checkpoints, or R non-finite / not positive).");
   for (size_t c = 0; c < kNumEstimatorCandidates; ++c) {
     std::string label = "estimator=\"";
-    label += EstimatorCandidateName(static_cast<EstimatorCandidate>(c));
+    label += EstimationModeName(static_cast<EstimationMode>(c));
     label += '"';
     selected[c] = registry.AddCounter(
         "qpi_estimator_selected_total",
@@ -239,7 +239,6 @@ Status QpiServer::Submit(const std::string& sql, const OlaOptions* ola,
   QPI_RETURN_NOT_OK(planner.PlanQuery(sql, &plan));
   auto ctx = std::make_unique<ExecContext>();
   ctx->catalog = catalog_;
-  ctx->mode = options_.mode;
   // Served queries fan intra-query subtasks (morsel scans, grace-join
   // partitions) out on the shared fleet; the per-query tag keeps the
   // sharing fair when several queries are inflight.

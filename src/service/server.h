@@ -75,7 +75,7 @@ struct ServerMetrics {
   MetricHistogram* delivery_ms;     ///< qpi_snapshot_delivery_ms
   MetricHistogram* relative_error;  ///< qpi_estimator_relative_error
   /// qpi_estimator_relative_error{estimator="once|dne|byte"} — the same
-  /// error, per concurrent candidate curve, indexed by EstimatorCandidate.
+  /// error, per concurrent candidate curve, indexed by EstimationMode.
   MetricHistogram* candidate_error[kNumEstimatorCandidates];
   /// qpi_audit_checkpoints_skipped_total — audit checkpoints excluded from
   /// the error histograms (degenerate, or R non-finite / not positive).
@@ -155,7 +155,6 @@ class QpiServer {
     std::chrono::milliseconds drain_deadline{2000};
     /// How long a session writer may take to flush final snapshots.
     std::chrono::milliseconds session_drain_deadline{1000};
-    EstimationMode mode = EstimationMode::kOnce;
     /// Run the concurrent candidate estimators + selector per query and
     /// route the published T̂ through the selection (the ensemble). Off,
     /// queries publish exactly the paper's single-estimator curve.

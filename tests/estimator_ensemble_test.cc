@@ -126,7 +126,7 @@ TEST_F(EnsembleFixture, SkewedGraceJoinSelectorConvergesToOnce) {
   // root join), despite dne/byte running concurrently the whole time.
   auto* join = dynamic_cast<GraceHashJoinOp*>(run.root);
   ASSERT_NE(join, nullptr);
-  EXPECT_EQ(run.ensemble->SelectedFor(join), EstimatorCandidate::kOnce);
+  EXPECT_EQ(run.ensemble->SelectedFor(join), EstimationMode::kOnce);
 
   // Acceptance: at the 50% checkpoint the published T̂'s accuracy ratio is
   // strictly closer to 1 than the worst standalone candidate's.
@@ -173,9 +173,9 @@ TEST_F(EnsembleFixture, WrongLowOptimizerMakesByteLose) {
 
   auto* join = dynamic_cast<GraceHashJoinOp*>(run.root);
   ASSERT_NE(join, nullptr);
-  EXPECT_NE(run.ensemble->SelectedFor(join), EstimatorCandidate::kByte);
-  double once_score = run.ensemble->Score(join, EstimatorCandidate::kOnce);
-  double byte_score = run.ensemble->Score(join, EstimatorCandidate::kByte);
+  EXPECT_NE(run.ensemble->SelectedFor(join), EstimationMode::kByte);
+  double once_score = run.ensemble->Score(join, EstimationMode::kOnce);
+  double byte_score = run.ensemble->Score(join, EstimationMode::kByte);
   ASSERT_TRUE(std::isfinite(once_score));
   ASSERT_TRUE(std::isfinite(byte_score));
   EXPECT_GT(byte_score, once_score);
@@ -187,6 +187,56 @@ TEST_F(EnsembleFixture, WrongLowOptimizerMakesByteLose) {
     ASSERT_EQ(cp.candidate_r.size(), kNumEstimatorCandidates);
     EXPECT_GT(LogDistance(cp.candidate_r[2]), LogDistance(cp.r));
   }
+}
+
+// An ORDER BY emits exactly its input, so while it and the join below it
+// run, the sort's estimate under each candidate must be the join's under
+// that same candidate — not the context mode's estimate for all three.
+TEST_F(EnsembleFixture, SortForwardsEveryCandidateToItsInput) {
+  AddSkewedPair(600, 800, 1.0, 30);
+  ctx->mode = EstimationMode::kOnce;
+  ctx->batch_size = 16;
+  PlanNodePtr plan = SortPlan(
+      HashJoinPlan(ScanPlan("b"), ScanPlan("p"), "b.k", "p.k"), {"b.id"});
+  OperatorPtr root;
+  ASSERT_TRUE(CompilePlan(plan.get(), ctx.get(), &root).ok());
+  auto* join = dynamic_cast<GraceHashJoinOp*>(root->child(0));
+  ASSERT_NE(join, nullptr);
+
+  size_t ticks_checked = 0;
+  size_t mismatches = 0;
+  bool dne_differs = false;
+  FunctionTickObserver observer([&](uint64_t) {
+    if (root->state() != OpState::kRunning ||
+        join->state() != OpState::kRunning) {
+      return;
+    }
+    ++ticks_checked;
+    for (size_t c = 0; c < kNumEstimatorCandidates; ++c) {
+      auto mode = static_cast<EstimationMode>(c);
+      if (root->CardinalityEstimate(mode) != join->CardinalityEstimate(mode)) {
+        ++mismatches;
+      }
+    }
+    if (join->CardinalityEstimate(EstimationMode::kDne) !=
+        join->CardinalityEstimate(EstimationMode::kOnce)) {
+      dne_differs = true;
+    }
+  });
+  ASSERT_TRUE(root->Open(ctx.get()).ok());
+  ctx->AddTickObserver(&observer);
+  ctx->BeginExecution();
+  RowBatch batch(ctx->batch_size);
+  uint64_t rows = 0;
+  while (root->NextBatch(&batch)) rows += batch.size();
+  root->Close();
+  ctx->EndExecution();
+  ctx->RemoveTickObserver(&observer);
+
+  ASSERT_GT(rows, 0u);
+  EXPECT_GT(ticks_checked, 0u);
+  EXPECT_EQ(mismatches, 0u) << "of " << ticks_checked << " ticks";
+  EXPECT_TRUE(dne_differs) << "the join's candidates never diverged";
 }
 
 // --- candidate curves across execution configurations ----------------------
@@ -329,13 +379,13 @@ TEST_F(EnsembleFixture, FeedbackCacheSeedsSelectorPrior) {
   EstimatorEnsemble ensemble(&accountant, ctx.get(), &cache);
   // Priors arrive scaled by prior_scale (default 0.5).
   double scale = ensemble.options().prior_scale;
-  EXPECT_DOUBLE_EQ(ensemble.Score(join, EstimatorCandidate::kOnce),
+  EXPECT_DOUBLE_EQ(ensemble.Score(join, EstimationMode::kOnce),
                    scale * 0.01);
-  EXPECT_DOUBLE_EQ(ensemble.Score(join, EstimatorCandidate::kDne),
+  EXPECT_DOUBLE_EQ(ensemble.Score(join, EstimationMode::kDne),
                    scale * 4.0);
-  EXPECT_DOUBLE_EQ(ensemble.Score(join, EstimatorCandidate::kByte),
+  EXPECT_DOUBLE_EQ(ensemble.Score(join, EstimationMode::kByte),
                    scale * 3.0);
-  EXPECT_EQ(ensemble.SelectedFor(join), EstimatorCandidate::kOnce);
+  EXPECT_EQ(ensemble.SelectedFor(join), EstimationMode::kOnce);
 
   // Kind-level fallback: a plan with a different fingerprint still finds
   // the HashJoin prior through the fingerprint-0 namespace.
@@ -358,7 +408,9 @@ TEST(FeedbackCache, JsonAndFileRoundTrip) {
   ASSERT_TRUE(decoded.Lookup(0xdeadbeefULL, "HashJoin", &b));
   for (size_t c = 0; c < kFeedbackCandidates; ++c) {
     EXPECT_EQ(a.count[c], b.count[c]);
-    if (a.count[c] > 0) EXPECT_DOUBLE_EQ(a.score[c], b.score[c]);
+    if (a.count[c] > 0) {
+      EXPECT_DOUBLE_EQ(a.score[c], b.score[c]);
+    }
   }
 
   std::string path = ::testing::TempDir() + "qpi_feedback_cache_test.json";

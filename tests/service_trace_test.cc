@@ -176,9 +176,17 @@ TEST_F(ServiceTraceTest, TraceErrorsOnUnknownIdAndMetricsReflectWork) {
             std::string::npos);
   EXPECT_NE(text.find("qpi_audit_checkpoints_skipped_total 3"),
             std::string::npos);
-  // The candidate-error families exist (labeled series of the same name).
-  EXPECT_NE(text.find("qpi_estimator_relative_error_count{estimator=\"once\"}"),
-            std::string::npos);
+  // The candidate-error and selection families exist, one labeled series
+  // per candidate estimator, under the names the wire has always used.
+  for (const char* name : {"once", "dne", "byte"}) {
+    std::string label = std::string("{estimator=\"") + name + "\"}";
+    EXPECT_NE(text.find("qpi_estimator_relative_error_count" + label),
+              std::string::npos)
+        << name;
+    EXPECT_NE(text.find("qpi_estimator_selected_total" + label),
+              std::string::npos)
+        << name;
+  }
   EXPECT_NE(text.find("# TYPE qpi_estimator_selected_total counter"),
             std::string::npos);
   EXPECT_NE(text.find("qpi_sessions 1"), std::string::npos);
