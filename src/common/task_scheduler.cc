@@ -268,19 +268,10 @@ void TaskGroup::Submit(TaskLane lane, uint64_t tag,
 }
 
 void TaskGroup::Wait() {
-  while (true) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (outstanding_ == 0) return;
-    }
-    // Helping keeps a fleet worker productive while its own fan-out
-    // drains — and is what makes waiting on the shared fleet deadlock-
-    // free (subtask bodies never block).
-    if (sched_->HelpOneSubtask()) continue;
-    std::unique_lock<std::mutex> lock(mu_);
-    if (outstanding_ == 0) return;
-    done_cv_.wait_for(lock, std::chrono::milliseconds(2));
-  }
+  // Helping keeps a fleet worker productive while its own fan-out drains —
+  // and is what makes waiting on the shared fleet deadlock-free (subtask
+  // bodies never block).
+  sched_->HelpUntil(mu_, done_cv_, [this] { return outstanding_ == 0; });
 }
 
 size_t TaskGroup::outstanding() const {

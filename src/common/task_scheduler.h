@@ -2,6 +2,7 @@
 #define QPI_COMMON_TASK_SCHEDULER_H_
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -56,10 +57,10 @@ const char* TaskLaneName(TaskLane lane);
 /// waiting for morsel k, a join merge waiting for partition p, a
 /// TaskGroup::Wait) must not park a fleet worker while runnable subtasks
 /// exist, or a fleet saturated with blocked query tasks deadlocks
-/// against its own fan-out. Waiters therefore loop on HelpOneSubtask()
-/// — legal from any thread precisely because subtask bodies never block
-/// (the grace join's partition results are buffered, not pushed through
-/// a blocking queue).
+/// against its own fan-out. Every such waiter therefore waits through
+/// HelpUntil, which loops on HelpOneSubtask() — legal from any thread
+/// precisely because subtask bodies never block (the grace join's
+/// partition results are buffered, not pushed through a blocking queue).
 ///
 /// The destructor keeps the old pool's drain contract: every queued task
 /// (both lanes) executes before the workers join — the service drain
@@ -95,6 +96,25 @@ class TaskScheduler {
   /// thread; blocked waiters call this in a loop instead of parking.
   /// Returns false when no subtask was runnable at the scan instant.
   bool HelpOneSubtask();
+
+  /// The helping protocol's one blocked wait: return once `done()` holds
+  /// (evaluated under `mu`), running pending subtasks meanwhile. Parks on
+  /// `cv` only when no subtask is runnable, and then for at most 2 ms —
+  /// the safety net for the instant where the awaited work is
+  /// mid-execution on another thread. Whoever makes `done()` true does so
+  /// under `mu` and then notifies `cv`.
+  template <typename Pred>
+  void HelpUntil(std::mutex& mu, std::condition_variable& cv, Pred done) {
+    while (true) {
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        if (done()) return;
+      }
+      if (HelpOneSubtask()) continue;
+      std::unique_lock<std::mutex> lock(mu);
+      if (cv.wait_for(lock, std::chrono::milliseconds(2), done)) return;
+    }
+  }
 
   size_t num_workers() const { return workers_.size(); }
 

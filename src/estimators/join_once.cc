@@ -7,35 +7,10 @@
 namespace qpi {
 
 OnceBinaryJoinEstimator::OnceBinaryJoinEstimator(
-    std::function<double()> probe_total_provider, Contribution contribution)
+    std::function<double()> probe_total_provider, JoinFlavor flavor)
     : probe_total_provider_(std::move(probe_total_provider)),
-      contribution_(contribution) {
+      flavor_(flavor) {
   QPI_CHECK(probe_total_provider_ != nullptr);
-}
-
-void OnceBinaryJoinEstimator::ObserveProbeKey(uint64_t key) {
-  if (frozen_) return;
-  guard_.Check();
-  QPI_DCHECK(build_complete_);
-  double matches = static_cast<double>(build_hist_.Count(key));
-  double n = 0.0;
-  switch (contribution_) {
-    case Contribution::kInner:
-      n = matches;
-      break;
-    case Contribution::kSemi:
-      n = matches > 0 ? 1.0 : 0.0;
-      break;
-    case Contribution::kAnti:
-      n = matches > 0 ? 0.0 : 1.0;
-      break;
-    case Contribution::kProbeOuter:
-      n = matches > 0 ? matches : 1.0;
-      break;
-  }
-  contribution_sum_ += n;
-  contribution_moments_.Observe(n);
-  ++probe_seen_;
 }
 
 void OnceBinaryJoinEstimator::ObserveProbeKeys(const uint64_t* keys,
@@ -47,17 +22,17 @@ void OnceBinaryJoinEstimator::ObserveProbeKeys(const uint64_t* keys,
   for (size_t i = 0; i < n; ++i) {
     double matches = static_cast<double>(build_hist_.Count(keys[i]));
     double c = 0.0;
-    switch (contribution_) {
-      case Contribution::kInner:
+    switch (flavor_) {
+      case JoinFlavor::kInner:
         c = matches;
         break;
-      case Contribution::kSemi:
+      case JoinFlavor::kSemi:
         c = matches > 0 ? 1.0 : 0.0;
         break;
-      case Contribution::kAnti:
+      case JoinFlavor::kAnti:
         c = matches > 0 ? 0.0 : 1.0;
         break;
-      case Contribution::kProbeOuter:
+      case JoinFlavor::kProbeOuter:
         c = matches > 0 ? matches : 1.0;
         break;
     }

@@ -5,6 +5,7 @@
 #include <functional>
 
 #include "common/thread_guard.h"
+#include "plan/plan_node.h"
 #include "stats/hash_histogram.h"
 #include "stats/normal.h"
 #include "stats/running_moments.h"
@@ -29,20 +30,18 @@ namespace qpi {
 /// 1/sqrt(t) exactly as the paper's β-bound does.
 class OnceBinaryJoinEstimator {
  public:
-  /// How each probe key contributes to the estimated output, by join
-  /// flavour (Section 4.1.1 notes the construction extends to semijoins
-  /// and outer joins):
-  ///   inner:       N^R_i          (matches emitted)
-  ///   semi:        1 if N^R_i > 0 (probe row emitted at most once)
-  ///   anti:        1 if N^R_i == 0
-  ///   probe-outer: max(N^R_i, 1)  (unmatched probe rows NULL-padded)
-  enum class Contribution { kInner, kSemi, kAnti, kProbeOuter };
-
   /// \param probe_total_provider returns |S|, the (possibly estimated)
   ///        total size of the probe input.
+  /// \param flavor how each probe key contributes to the estimated output
+  ///        (Section 4.1.1 notes the construction extends to semijoins and
+  ///        outer joins):
+  ///          inner:       N^R_i          (matches emitted)
+  ///          semi:        1 if N^R_i > 0 (probe row emitted at most once)
+  ///          anti:        1 if N^R_i == 0
+  ///          probe-outer: max(N^R_i, 1)  (unmatched probe rows NULL-padded)
   explicit OnceBinaryJoinEstimator(
       std::function<double()> probe_total_provider,
-      Contribution contribution = Contribution::kInner);
+      JoinFlavor flavor = JoinFlavor::kInner);
 
   /// One build-input tuple's join key.
   void ObserveBuildKey(uint64_t key) { build_hist_.Increment(key); }
@@ -54,7 +53,7 @@ class OnceBinaryJoinEstimator {
   }
 
   /// One probe-input tuple's join key, seen in the partitioning/sort pass.
-  void ObserveProbeKey(uint64_t key);
+  void ObserveProbeKey(uint64_t key) { ObserveProbeKeys(&key, 1); }
 
   /// Batched form: observe `n` probe keys in one call. Equivalent to n
   /// ObserveProbeKey calls but amortizes the frozen check and member
@@ -96,7 +95,7 @@ class OnceBinaryJoinEstimator {
   ThreadAffinityGuard guard_;
 
   std::function<double()> probe_total_provider_;
-  Contribution contribution_;
+  JoinFlavor flavor_;
   HashHistogram build_hist_;
   RunningMoments contribution_moments_;
   double contribution_sum_ = 0.0;

@@ -40,17 +40,6 @@ void AggregateBaseOp::EnableJoinPushDownEstimation(
   pushdown_ = std::move(pipeline);
 }
 
-uint64_t AggregateBaseOp::GroupKeyCode(const Row& row) const {
-  if (group_indices_.size() == 1) {
-    return HistogramKeyCode(row[group_indices_[0]]);
-  }
-  uint64_t h = kCompositeKeySeed;
-  for (size_t idx : group_indices_) {
-    h = CombineKeyCodes(h, HistogramKeyCode(row[idx]));
-  }
-  return h;
-}
-
 void AggregateBaseOp::ObserveIntakeBatch(const RowBatch& batch) {
   input_consumed_ += batch.size();
   if (ola_observer_ != nullptr) ola_observer_->OnIntakeBatch(batch);
@@ -58,7 +47,7 @@ void AggregateBaseOp::ObserveIntakeBatch(const RowBatch& batch) {
   size_t run = static_cast<size_t>(batch.random_run());
   if (run > batch.size()) run = batch.size();
   for (size_t i = 0; i < run; ++i) {
-    estimator_->Observe(GroupKeyCode(batch.row(i)));
+    estimator_->Observe(RowKeyCode(batch.row(i), group_indices_));
   }
   if (run < batch.size()) estimation_frozen_ = true;
 }
@@ -68,7 +57,7 @@ void AggregateBaseOp::IntakeComplete(uint64_t exact_groups) {
   exact_groups_ = exact_groups;
   // A cancelled drain reaches here with only part of the input consumed;
   // never present that as a complete (exact) pass to the OLA side.
-  if (ola_observer_ != nullptr && (ctx_ == nullptr || !ctx_->IsCancelled())) {
+  if (ola_observer_ != nullptr && !ctx_->IsCancelled()) {
     ola_observer_->OnIntakeComplete();
   }
 }
@@ -115,14 +104,13 @@ HashAggregateOp::HashAggregateOp(OperatorPtr child,
                       "HashAggregate") {}
 
 void HashAggregateOp::DoIntake() {
-  RowBatch batch(ctx_ != nullptr ? ctx_->batch_size
-                                 : RowBatch::kDefaultCapacity);
+  RowBatch batch(ctx_->batch_size);
   uint64_t num_groups = 0;
   while (child(0)->NextBatch(&batch)) {
     ObserveIntakeBatch(batch);
     for (size_t i = 0; i < batch.size(); ++i) {
       const Row& row = batch.row(i);
-      uint64_t code = GroupKeyCode(row);
+      uint64_t code = RowKeyCode(row, group_indices_);
       std::vector<Accumulator>& bucket = groups_[code];
       Accumulator* acc = nullptr;
       for (Accumulator& cand : bucket) {
@@ -211,8 +199,7 @@ SortAggregateOp::SortAggregateOp(OperatorPtr child,
                       "SortAggregate") {}
 
 void SortAggregateOp::DoIntake() {
-  RowBatch batch(ctx_ != nullptr ? ctx_->batch_size
-                                 : RowBatch::kDefaultCapacity);
+  RowBatch batch(ctx_->batch_size);
   while (child(0)->NextBatch(&batch)) {
     ObserveIntakeBatch(batch);
     for (size_t i = 0; i < batch.size(); ++i) {

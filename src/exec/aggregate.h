@@ -81,9 +81,6 @@ class AggregateBaseOp : public Operator {
   }
 
  protected:
-  /// Combined 64-bit key code of the grouping columns of `row`.
-  uint64_t GroupKeyCode(const Row& row) const;
-
   /// Called by subclasses for every intake batch (estimator bookkeeping):
   /// advances input_consumed by batch.size() and feeds the group estimator
   /// the batch's leading random run, freezing estimation at the first row

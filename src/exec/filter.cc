@@ -24,7 +24,7 @@ FilterOp::FilterOp(OperatorPtr child, std::unique_ptr<BoundPredicate> predicate,
 FilterOp::~FilterOp() = default;
 
 Status FilterOp::OpenImpl() {
-  in_ = RowBatch(ctx_ != nullptr ? ctx_->batch_size : RowBatch::kDefaultCapacity);
+  in_ = RowBatch(ctx_->batch_size);
   in_pos_ = 0;
   in_valid_ = false;
   random_over_ = false;
@@ -38,7 +38,7 @@ void FilterOp::CloseImpl() { driver_.reset(); }
 void FilterOp::NextBatchImpl(RowBatch* out) {
   if (!fusion_checked_) {
     fusion_checked_ = true;
-    if (ctx_ != nullptr && ctx_->exec_workers > 1) {
+    if (ctx_->exec_workers > 1) {
       driver_ = TryBuildFusedScanDriver(this, ctx_);
     }
   }
@@ -89,7 +89,7 @@ ProjectOp::ProjectOp(OperatorPtr child, std::vector<size_t> indices,
 ProjectOp::~ProjectOp() = default;
 
 Status ProjectOp::OpenImpl() {
-  in_ = RowBatch(ctx_ != nullptr ? ctx_->batch_size : RowBatch::kDefaultCapacity);
+  in_ = RowBatch(ctx_->batch_size);
   in_pos_ = 0;
   in_valid_ = false;
   random_over_ = false;
@@ -103,7 +103,7 @@ void ProjectOp::CloseImpl() { driver_.reset(); }
 void ProjectOp::NextBatchImpl(RowBatch* out) {
   if (!fusion_checked_) {
     fusion_checked_ = true;
-    if (ctx_ != nullptr && ctx_->exec_workers > 1) {
+    if (ctx_->exec_workers > 1) {
       driver_ = TryBuildFusedScanDriver(this, ctx_);
     }
   }

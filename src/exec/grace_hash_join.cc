@@ -1,7 +1,6 @@
 #include "exec/grace_hash_join.h"
 
 #include <algorithm>
-#include <chrono>
 #include <utility>
 
 #include "common/check.h"
@@ -29,24 +28,6 @@ inline size_t NextPowerOfTwo(size_t n) {
   size_t p = 1;
   while (p < n) p <<= 1;
   return p;
-}
-
-/// The ONCE output contribution of each join flavor. No default case, so
-/// -Wswitch flags a JoinFlavor added without one; an out-of-range value
-/// aborts instead of reaching the estimator uninitialized.
-OnceBinaryJoinEstimator::Contribution OnceContribution(JoinFlavor flavor) {
-  using Contribution = OnceBinaryJoinEstimator::Contribution;
-  switch (flavor) {
-    case JoinFlavor::kInner:
-      return Contribution::kInner;
-    case JoinFlavor::kSemi:
-      return Contribution::kSemi;
-    case JoinFlavor::kAnti:
-      return Contribution::kAnti;
-    case JoinFlavor::kProbeOuter:
-      return Contribution::kProbeOuter;
-  }
-  std::abort();
 }
 
 }  // namespace
@@ -80,28 +61,6 @@ GraceHashJoinOp::GraceHashJoinOp(OperatorPtr build, OperatorPtr probe,
   }
 }
 
-uint64_t GraceHashJoinOp::BuildKeyCode(const Row& row) const {
-  if (build_key_indices_.size() == 1) {
-    return HistogramKeyCode(row[build_key_indices_[0]]);
-  }
-  uint64_t h = kCompositeKeySeed;
-  for (size_t idx : build_key_indices_) {
-    h = CombineKeyCodes(h, HistogramKeyCode(row[idx]));
-  }
-  return h;
-}
-
-uint64_t GraceHashJoinOp::ProbeKeyCode(const Row& row) const {
-  if (probe_key_indices_.size() == 1) {
-    return HistogramKeyCode(row[probe_key_indices_[0]]);
-  }
-  uint64_t h = kCompositeKeySeed;
-  for (size_t idx : probe_key_indices_) {
-    h = CombineKeyCodes(h, HistogramKeyCode(row[idx]));
-  }
-  return h;
-}
-
 bool GraceHashJoinOp::KeysEqual(const Row& build_row,
                                 const Row& probe_row) const {
   for (size_t i = 0; i < build_key_indices_.size(); ++i) {
@@ -117,8 +76,7 @@ void GraceHashJoinOp::EnableBinaryOnceEstimation() {
   QPI_CHECK(pipeline_ == nullptr);
   Operator* probe = probe_child();
   once_ = std::make_unique<OnceBinaryJoinEstimator>(
-      [probe] { return probe->CurrentCardinalityEstimate(); },
-      OnceContribution(join_type_));
+      [probe] { return probe->CurrentCardinalityEstimate(); }, join_type_);
 }
 
 void GraceHashJoinOp::EnlistInPipeline(
@@ -156,14 +114,15 @@ Status GraceHashJoinOp::OpenImpl() {
 }
 
 void GraceHashJoinOp::RunBuildPhase() {
-  RowBatch batch(ctx_ != nullptr ? ctx_->batch_size
-                                 : RowBatch::kDefaultCapacity);
+  RowBatch batch(ctx_->batch_size);
   std::vector<uint64_t> keys;
   keys.reserve(batch.capacity());
   while (build_child()->NextBatch(&batch)) {
     size_t n = batch.size();
     keys.clear();
-    for (size_t i = 0; i < n; ++i) keys.push_back(BuildKeyCode(batch.row(i)));
+    for (size_t i = 0; i < n; ++i) {
+      keys.push_back(RowKeyCode(batch.row(i), build_key_indices_));
+    }
     if (once_ != nullptr) {
       for (size_t i = 0; i < n; ++i) once_->ObserveBuildKey(keys[i]);
     }
@@ -183,15 +142,16 @@ void GraceHashJoinOp::RunBuildPhase() {
 }
 
 void GraceHashJoinOp::RunProbePartitionPhase() {
-  RowBatch batch(ctx_ != nullptr ? ctx_->batch_size
-                                 : RowBatch::kDefaultCapacity);
+  RowBatch batch(ctx_->batch_size);
   std::vector<uint64_t> keys;
   keys.reserve(batch.capacity());
   bool feed_pipeline = pipeline_ != nullptr && pipeline_lowest_;
   while (probe_child()->NextBatch(&batch)) {
     size_t n = batch.size();
     keys.clear();
-    for (size_t i = 0; i < n; ++i) keys.push_back(ProbeKeyCode(batch.row(i)));
+    for (size_t i = 0; i < n; ++i) {
+      keys.push_back(RowKeyCode(batch.row(i), probe_key_indices_));
+    }
     probe_partition_consumed_ += n;
 
     // The estimation window: refine while the probe stream is still a
@@ -228,8 +188,7 @@ void GraceHashJoinOp::PreparePartitions() {
 void GraceHashJoinOp::StartParallelJoin() {
   parallel_join_ = true;
   join_abort_.store(false, std::memory_order_relaxed);
-  part_results_.clear();
-  part_results_.resize(num_partitions_);
+  part_results_ = std::vector<PartitionResult>(num_partitions_);
   // In-flight memory is bounded by the submission window, like the morsel
   // driver's: at most ~2·workers+2 partitions run ahead of the merge
   // cursor, and the merge drains each partition's batches while it is
@@ -258,19 +217,17 @@ void GraceHashJoinOp::JoinPartitionTask(size_t part) {
   // Claimed-bail entry: every submission (initial window fill, driver
   // requeue after a stall, helping thread racing a worker) funnels through
   // here, and only one claims the partition — duplicates see a state other
-  // than kQueued and return immediately.
+  // than kQueued and return immediately. The claim takes the chunk's first
+  // batch from the pool.
+  RowBatch batch(0);
   {
     std::lock_guard<std::mutex> lock(join_mu_);
     PartitionResult& result = part_results_[part];
     if (result.state != PartitionResult::State::kQueued) return;
     result.state = PartitionResult::State::kRunning;
-    // A first chunk starts on a recycled batch (a resumed one already has
-    // its in-progress batch).
-    if (result.partial.capacity() != ctx_->batch_size) {
-      TakeSpareLocked(&result.partial);
-    }
+    TakeSpareLocked(&batch);
   }
-  RunJoinChunk(part);
+  RunJoinChunk(part, std::move(batch));
 }
 
 void GraceHashJoinOp::TakeSpareLocked(RowBatch* batch) {
@@ -288,96 +245,89 @@ void GraceHashJoinOp::RecycleLocked(RowBatch* batch) {
   spare_batches_.push_back(std::move(*batch));
 }
 
-void GraceHashJoinOp::RunJoinChunk(size_t part) {
+void GraceHashJoinOp::RunJoinChunk(size_t part, RowBatch batch) {
   PartitionResult& result = part_results_[part];
-  const std::vector<Row>& build_rows = build_parts_[part];
-  const std::vector<Row>& probe_rows = probe_parts_[part];
-  size_t batch_rows = ctx_->batch_size;
-  // Resume the in-progress output batch saved by the previous chunk (or
-  // the recycled one the claim took); allocate only when the pool was
-  // empty and `partial` is still the capacity-1 placeholder.
-  RowBatch batch = std::move(result.partial);
-  if (batch.capacity() != batch_rows) batch = RowBatch(batch_rows);
-  uint64_t local_consumed = 0;
-  // Set by flush when `ready` reaches the cap; checked between probe rows
-  // so the chunk pauses instead of materializing an unbounded backlog.
-  bool at_cap = false;
-
-  // Flush emitted-count and driver-consumption *before* publishing the
-  // batch, so a monitor never sees more output than accounted input.
-  // Publication is a bounded-time push under join_mu_ — never a wait on
-  // the consumer — which keeps the subtask-never-blocks contract the
-  // fleet's helping protocol relies on, while letting the merge drain
-  // this partition concurrently with its production. The same critical
-  // section takes the next batch from the pool; a new one is allocated
-  // only when the pool is empty.
-  auto flush = [&] {
+  while (true) {
+    // Allocate only when the pool had no batch to give.
+    if (batch.capacity() != ctx_->batch_size) {
+      batch = RowBatch(ctx_->batch_size);
+    }
+    uint64_t consumed = JoinPartitionInto(part, &result.cursor, &batch);
+    bool done = result.cursor.done;
+    // The hash table is dead weight once the partition is done.
+    if (done) result.cursor = PartitionCursor();
+    // Count emitted rows and driver consumption *before* publishing the
+    // batch, so a monitor never sees more output than accounted input.
+    // Publication is a bounded-time push under join_mu_ — never a wait on
+    // the consumer — which keeps the subtask-never-blocks contract the
+    // fleet's helping protocol relies on, while letting the merge drain
+    // this partition concurrently with its production. The same critical
+    // section decides whether to stall and, if not, takes the next batch
+    // from the pool. A kernel call ends on a full batch unless the
+    // partition is done, so only a done partition publishes a partial
+    // one (or recycles an empty one).
     CountEmitted(batch.size());
-    join_driver_consumed_.fetch_add(local_consumed, std::memory_order_relaxed);
-    local_consumed = 0;
+    join_driver_consumed_.fetch_add(consumed, std::memory_order_relaxed);
+    bool stalled = false;
     {
       std::lock_guard<std::mutex> lock(join_mu_);
-      result.ready.push_back(std::move(batch));
-      at_cap = result.ready.size() >= kJoinReadyCap;
-      TakeSpareLocked(&batch);
+      if (batch.empty()) {
+        RecycleLocked(&batch);
+      } else {
+        result.ready.push_back(std::move(batch));
+      }
+      if (done) {
+        result.state = PartitionResult::State::kDone;
+      } else if (result.ready.size() >= kJoinReadyCap) {
+        result.state = PartitionResult::State::kStalled;
+        stalled = true;
+      } else {
+        TakeSpareLocked(&batch);
+      }
     }
     // The merge driver is the only join_cv_ waiter.
     join_cv_.notify_one();
-    if (batch.capacity() == 0) batch = RowBatch(batch_rows);
-  };
-  // Commit the slot just filled in place; publish the batch once full.
-  auto commit = [&] {
-    batch.CommitSlot();
-    if (batch.full()) flush();
-  };
+    if (done || stalled) return;
+  }
+}
 
-  bool aborted =
-      join_abort_.load(std::memory_order_relaxed) || ctx_->IsCancelled();
-  if (!aborted) {
-    if (!result.table_built) {
-      result.table.reserve(build_rows.size());
-      for (size_t i = 0; i < build_rows.size(); ++i) {
-        result.table[BuildKeyCode(build_rows[i])].push_back(i);
-      }
-      result.table_built = true;
+uint64_t GraceHashJoinOp::JoinPartitionInto(size_t part,
+                                            PartitionCursor* cursor,
+                                            RowBatch* out) {
+  const std::vector<Row>& build_rows = build_parts_[part];
+  const std::vector<Row>& probe_rows = probe_parts_[part];
+  auto& table = cursor->table;
+  const bool probe_only =
+      join_type_ == JoinFlavor::kSemi || join_type_ == JoinFlavor::kAnti;
+  uint64_t consumed = 0;
+  while (!out->full()) {
+    size_t pi = cursor->probe_row;
+    if (pi == probe_rows.size()) {
+      cursor->done = true;
+      break;
     }
-    const auto& table = result.table;
-    for (size_t pi = result.resume_pi; pi < probe_rows.size(); ++pi) {
-      if (at_cap) {
-        // Re-check under the lock — the merge driver may have drained the
-        // queue since the flush that tripped the cap, in which case the
-        // chunk keeps producing instead of paying a stall round-trip.
-        {
-          std::lock_guard<std::mutex> lock(join_mu_);
-          if (result.ready.size() < kJoinReadyCap) at_cap = false;
-        }
-        if (at_cap) {
-          // Pause: hand the resume point and the partial batch back to
-          // the partition slot, *then* publish kStalled — the next runner
-          // only reads the resume state after observing kQueued under
-          // join_mu_, so the mutex chain orders the handoff.
-          if (local_consumed != 0) {
-            join_driver_consumed_.fetch_add(local_consumed,
-                                            std::memory_order_relaxed);
-          }
-          result.resume_pi = pi;
-          result.partial = std::move(batch);
-          {
-            std::lock_guard<std::mutex> lock(join_mu_);
-            result.state = PartitionResult::State::kStalled;
-          }
-          join_cv_.notify_one();
-          return;
-        }
-      }
+    const Row& probe_row = probe_rows[pi];
+    uint64_t code = RowKeyCode(probe_row, probe_key_indices_);
+    const std::vector<size_t>* bucket = nullptr;
+    if (cursor->match == 0) {
+      // A fresh probe row: consume it.
       if ((pi & 1023u) == 0 &&
           (join_abort_.load(std::memory_order_relaxed) ||
            ctx_->IsCancelled())) {
+        cursor->done = true;
         break;
       }
-      const Row& probe_row = probe_rows[pi];
-      ++local_consumed;
-      auto it = table.find(ProbeKeyCode(probe_row));
+      if (!cursor->table_built) {
+        table.reserve(build_rows.size());
+        for (size_t i = 0; i < build_rows.size(); ++i) {
+          table[RowKeyCode(build_rows[i], build_key_indices_)].push_back(i);
+        }
+        cursor->table_built = true;
+      }
+      ++consumed;
+      auto it = table.find(code);
+      // Verify actual key equality on the candidate bucket: composite and
+      // string keys are matched by 64-bit code first, values second.
       bool matched = false;
       if (it != table.end()) {
         for (size_t idx : it->second) {
@@ -387,46 +337,38 @@ void GraceHashJoinOp::RunJoinChunk(size_t part) {
           }
         }
       }
-      if (join_type_ == JoinFlavor::kSemi || join_type_ == JoinFlavor::kAnti) {
-        if (matched == (join_type_ == JoinFlavor::kSemi)) {
-          *batch.NextSlot() = probe_row;
-          commit();
+      if (probe_only || !matched) {
+        ++cursor->probe_row;
+        if (probe_only) {
+          if (matched == (join_type_ == JoinFlavor::kSemi)) {
+            *out->NextSlot() = probe_row;
+            out->CommitSlot();
+          }
+        } else if (join_type_ == JoinFlavor::kProbeOuter) {
+          // NULL-pad the build side of the unmatched probe row.
+          AssignConcat(out->NextSlot(), null_build_row_, probe_row);
+          out->CommitSlot();
         }
         continue;
       }
-      if (!matched) {
-        if (join_type_ == JoinFlavor::kProbeOuter) {
-          AssignConcat(batch.NextSlot(), null_build_row_, probe_row);
-          commit();
-        }
-        continue;
-      }
-      for (size_t idx : it->second) {
-        const Row& build_row = build_rows[idx];
-        if (!KeysEqual(build_row, probe_row)) continue;  // code collision
-        AssignConcat(batch.NextSlot(), build_row, probe_row);
-        commit();
-      }
-    }
-  }
-  // Publish the tail batch without taking a successor; an unused (empty)
-  // batch goes back to the pool.
-  CountEmitted(batch.size());
-  if (local_consumed != 0) {
-    join_driver_consumed_.fetch_add(local_consumed, std::memory_order_relaxed);
-  }
-  {
-    std::lock_guard<std::mutex> lock(join_mu_);
-    if (batch.empty()) {
-      RecycleLocked(&batch);
+      bucket = &it->second;
     } else {
-      result.ready.push_back(std::move(batch));
+      // Resuming inside the row's bucket: it was consumed by an earlier
+      // call that stopped on a full batch.
+      bucket = &table.find(code)->second;
     }
-    result.state = PartitionResult::State::kDone;
-    // The hash table is dead weight once the partition is exhausted.
-    std::unordered_map<uint64_t, std::vector<size_t>>().swap(result.table);
+    while (cursor->match < bucket->size() && !out->full()) {
+      const Row& build_row = build_rows[(*bucket)[cursor->match++]];
+      if (!KeysEqual(build_row, probe_row)) continue;  // code collision
+      AssignConcat(out->NextSlot(), build_row, probe_row);
+      out->CommitSlot();
+    }
+    if (cursor->match == bucket->size()) {
+      cursor->match = 0;
+      ++cursor->probe_row;
+    }
   }
-  join_cv_.notify_one();
+  return consumed;
 }
 
 void GraceHashJoinOp::NextBatchImpl(RowBatch* out) {
@@ -434,9 +376,7 @@ void GraceHashJoinOp::NextBatchImpl(RowBatch* out) {
   if (phase_ != Phase::kJoin) return;
   // Launch the parallel join on the first batch request (also after an
   // explicit PreparePartitions).
-  if (!parallel_join_ && ctx_ != nullptr && ctx_->exec_workers > 1) {
-    StartParallelJoin();
-  }
+  if (!parallel_join_ && ctx_->exec_workers > 1) StartParallelJoin();
   if (parallel_join_) {
     // Merge published batches in partition-index order — each drained as
     // soon as its producer publishes it, so in-flight output stays near
@@ -495,97 +435,28 @@ void GraceHashJoinOp::NextBatchImpl(RowBatch* out) {
         SubmitJoinUpTo(join_emit_part_ + join_window_);
         continue;
       }
-      // Wait for the next batch by helping the fleet (same protocol as
-      // the morsel merge): run pending subtasks instead of parking, with
-      // a timed wait only for the instant where the needed partition is
-      // mid-production elsewhere and nothing else is runnable.
-      if (join_sched_->HelpOneSubtask()) continue;
-      {
-        std::unique_lock<std::mutex> lock(join_mu_);
-        if (r.ready.empty() && r.state != PartitionResult::State::kDone) {
-          join_cv_.wait_for(lock, std::chrono::milliseconds(2));
-        }
-      }
+      // Wait for the partition's next batch by helping the fleet, like
+      // the morsel merge. A runner only stalls with batches ready, so
+      // "ready or done" covers every way the partition can move on.
+      join_sched_->HelpUntil(join_mu_, join_cv_, [&r] {
+        return !r.ready.empty() || r.state == PartitionResult::State::kDone;
+      });
     }
     return;
   }
-  while (!out->full()) {
-    Row* slot = out->NextSlot();
-    if (!AdvanceJoin(slot)) {
-      phase_ = Phase::kDone;
-      break;
+  // Sequential join: the kernel fills `out` straight from the cursor, in
+  // partition order, and the batch's probe consumption is published once.
+  uint64_t consumed = 0;
+  while (!out->full() && join_emit_part_ < num_partitions_) {
+    consumed += JoinPartitionInto(join_emit_part_, &join_cursor_, out);
+    if (join_cursor_.done) {
+      ++join_emit_part_;
+      join_cursor_ = PartitionCursor();
     }
-    out->CommitSlot();
   }
+  if (join_emit_part_ == num_partitions_) phase_ = Phase::kDone;
+  join_driver_consumed_.fetch_add(consumed, std::memory_order_relaxed);
   CountEmitted(out->size());
-}
-
-bool GraceHashJoinOp::AdvanceJoin(Row* out) {
-  while (current_part_ < num_partitions_) {
-    const std::vector<Row>& build_rows = build_parts_[current_part_];
-    const std::vector<Row>& probe_rows = probe_parts_[current_part_];
-    if (!part_table_built_) {
-      part_table_.clear();
-      for (size_t i = 0; i < build_rows.size(); ++i) {
-        part_table_[BuildKeyCode(build_rows[i])].push_back(i);
-      }
-      probe_row_idx_ = 0;
-      current_matches_ = nullptr;
-      part_table_built_ = true;
-    }
-    while (probe_row_idx_ < probe_rows.size()) {
-      const Row& probe_row = probe_rows[probe_row_idx_];
-      if (current_matches_ == nullptr) {
-        join_driver_consumed_.fetch_add(1, std::memory_order_relaxed);
-        uint64_t key = ProbeKeyCode(probe_row);
-        auto it = part_table_.find(key);
-        // Verify actual key equality on the candidate bucket: composite and
-        // string keys are matched by 64-bit code first, values second.
-        bool matched = false;
-        if (it != part_table_.end()) {
-          for (size_t idx : it->second) {
-            if (KeysEqual(build_rows[idx], probe_row)) {
-              matched = true;
-              break;
-            }
-          }
-        }
-        if (join_type_ == JoinFlavor::kSemi ||
-            join_type_ == JoinFlavor::kAnti) {
-          bool emit = matched == (join_type_ == JoinFlavor::kSemi);
-          ++probe_row_idx_;
-          if (emit) {
-            *out = probe_row;
-            return true;
-          }
-          continue;
-        }
-        if (!matched) {
-          ++probe_row_idx_;
-          if (join_type_ == JoinFlavor::kProbeOuter) {
-            // NULL-pad the build side of the unmatched probe row.
-            AssignConcat(out, null_build_row_, probe_row);
-            return true;
-          }
-          continue;
-        }
-        current_matches_ = &it->second;
-        match_idx_ = 0;
-      }
-      while (match_idx_ < current_matches_->size()) {
-        const Row& build_row = build_rows[(*current_matches_)[match_idx_]];
-        ++match_idx_;
-        if (!KeysEqual(build_row, probe_row)) continue;  // code collision
-        AssignConcat(out, build_row, probe_row);
-        return true;
-      }
-      current_matches_ = nullptr;
-      ++probe_row_idx_;
-    }
-    ++current_part_;
-    part_table_built_ = false;
-  }
-  return false;
 }
 
 void GraceHashJoinOp::CloseImpl() {
@@ -606,7 +477,7 @@ void GraceHashJoinOp::CloseImpl() {
   spare_batches_.clear();
   build_parts_.clear();
   probe_parts_.clear();
-  part_table_.clear();
+  join_cursor_ = PartitionCursor();
 }
 
 double GraceHashJoinOp::DneEstimate() const {

@@ -115,9 +115,31 @@ class GraceHashJoinOp : public Operator {
 
   void RunBuildPhase();
   void RunProbePartitionPhase();
-  /// Sequential join cursor (ctx->exec_workers == 1): the next output row
-  /// of the partition-wise join phase; false once every partition is done.
-  bool AdvanceJoin(Row* out);
+
+  /// Resume point of one partition's join. The sequential join cursor
+  /// (`join_cursor_`) is one of these; each parallel partition keeps its
+  /// own in its PartitionResult, owned by whichever runner holds the
+  /// partition.
+  struct PartitionCursor {
+    /// Build-row indices by key code, built on the partition's first
+    /// probe row.
+    std::unordered_map<uint64_t, std::vector<size_t>> table;
+    bool table_built = false;
+    bool done = false;     ///< exhausted, or abandoned on abort/cancel
+    size_t probe_row = 0;  ///< next probe row index
+    /// Next index into the current probe row's bucket; 0 while that row
+    /// has not been looked up yet.
+    size_t match = 0;
+  };
+
+  /// The join phase's one loop, shared by the sequential and parallel
+  /// paths: continue partition `part` from `*cursor`, filling `out` in
+  /// place until it is full, the partition is exhausted or the join is
+  /// aborted or cancelled (either of the last two sets cursor->done).
+  /// Returns the probe rows this call consumed; counting them, and the
+  /// emitted rows, is the caller's job.
+  uint64_t JoinPartitionInto(size_t part, PartitionCursor* cursor,
+                             RowBatch* out);
 
   /// Fan the partition pairs out as subtasks on the query's TaskScheduler
   /// (ctx->exec_workers > 1), at most `join_window_`
@@ -136,11 +158,12 @@ class GraceHashJoinOp : public Operator {
   void StartParallelJoin();
   void SubmitJoinUpTo(size_t limit);
   void JoinPartitionTask(size_t part);
-  /// One bounded chunk of partition `part`'s join: probes until the
-  /// partition is exhausted (-> kDone) or kJoinReadyCap batches wait
-  /// unmerged (-> kStalled, resume state saved). Called with the
+  /// One bounded chunk of partition `part`'s join: runs the kernel into
+  /// `batch` and publishes each filled batch, until the partition is done
+  /// (-> kDone) or a publish leaves kJoinReadyCap batches unmerged
+  /// (-> kStalled; the cursor keeps the resume point). Called with the
   /// partition in state kRunning.
-  void RunJoinChunk(size_t part);
+  void RunJoinChunk(size_t part, RowBatch batch);
   /// Batch pool of the parallel join phase; both require join_mu_.
   /// TakeSpareLocked moves a recycled batch into `*batch` if the pool has
   /// one; RecycleLocked clears a drained batch and returns it to the pool
@@ -155,8 +178,6 @@ class GraceHashJoinOp : public Operator {
   /// independent of ctx->mode.
   double OnceEstimate() const;
 
-  uint64_t BuildKeyCode(const Row& row) const;
-  uint64_t ProbeKeyCode(const Row& row) const;
   bool KeysEqual(const Row& build_row, const Row& probe_row) const;
 
   std::vector<size_t> build_key_indices_;
@@ -170,30 +191,26 @@ class GraceHashJoinOp : public Operator {
   // NULL build-side prefix of a probe-outer miss, built once at Open.
   Row null_build_row_;
 
-  // Join-phase cursor.
-  size_t current_part_ = 0;
-  bool part_table_built_ = false;
-  std::unordered_map<uint64_t, std::vector<size_t>> part_table_;
-  size_t probe_row_idx_ = 0;
-  const std::vector<size_t>* current_matches_ = nullptr;
-  size_t match_idx_ = 0;
+  // Sequential join cursor (exec_workers == 1), at partition
+  // join_emit_part_.
+  PartitionCursor join_cursor_;
 
   uint64_t build_rows_ = 0;
   uint64_t probe_partition_consumed_ = 0;
-  // Advanced by parallel join workers (batched flushes) as well as the
-  // sequential join cursor; read by monitor-thread estimates.
+  // Advanced once per output batch, by the sequential join cursor or by
+  // a parallel runner's publish; read by monitor-thread estimates.
   std::atomic<uint64_t> join_driver_consumed_{0};
 
   // Parallel join phase (see StartParallelJoin). A partition's output is
   // produced in bounded chunks: its runner pauses (returns to the fleet,
-  // never blocks) once `ready` holds kJoinReadyCap unmerged batches, and
-  // the merge driver requeues it after draining — so in-flight join
-  // output is capped at ~window × cap batches no matter how skewed one
-  // partition's output is. Output batches circulate: the merge swaps each
-  // row into the consumer's slot (taking the consumer's old row storage
-  // in exchange) and returns the drained batch to `spare_batches_`, from
-  // which runners take their next batch — so a steady-state join fills
-  // recycled slots in place and allocates no rows.
+  // never blocks) when its publish leaves kJoinReadyCap unmerged batches
+  // in `ready`, and the merge driver requeues it after draining — so
+  // in-flight join output is capped at ~window × cap batches no matter
+  // how skewed one partition's output is. Output batches circulate: the
+  // merge swaps each row into the consumer's slot (taking the consumer's
+  // old row storage in exchange) and returns the drained batch to
+  // `spare_batches_`, from which runners take their next batch — so a
+  // steady-state join fills recycled slots in place and allocates no rows.
   struct PartitionResult {
     enum class State : unsigned char {
       kQueued,   ///< a task for the next chunk is (re)submitted
@@ -203,12 +220,9 @@ class GraceHashJoinOp : public Operator {
     };
     std::deque<RowBatch> ready;     ///< produced, not yet merged (join_mu_)
     State state = State::kQueued;   ///< guarded by join_mu_
-    // Chunk-resume state, owned by the current runner (handed off through
-    // the join_mu_ state transitions above).
-    std::unordered_map<uint64_t, std::vector<size_t>> table;
-    bool table_built = false;
-    size_t resume_pi = 0;    ///< next probe row index
-    RowBatch partial{0};     ///< in-progress output batch across chunks
+    /// Chunk-resume state, owned by the current runner (handed off through
+    /// the join_mu_ state transitions above).
+    PartitionCursor cursor;
   };
   static constexpr size_t kJoinReadyCap = 16;
   std::vector<PartitionResult> part_results_;
@@ -222,7 +236,7 @@ class GraceHashJoinOp : public Operator {
   bool parallel_join_ = false;
   size_t join_window_ = 0;     // partitions in flight past the merge cursor
   size_t join_submitted_ = 0;  // partitions handed to the scheduler
-  size_t join_emit_part_ = 0;  // merge cursor (driving thread only)
+  size_t join_emit_part_ = 0;  // partition being emitted (driving thread)
   RowBatch join_merge_batch_{0};  // batch being merged (driving thread only)
   size_t join_emit_row_ = 0;
   // Declared after the members its tasks touch: the group's destructor

@@ -33,10 +33,9 @@ void IndexNestedLoopsJoinOp::EnableOnceEstimation() {
 }
 
 Status IndexNestedLoopsJoinOp::OpenImpl() {
-  outer_ = RowBatch(ctx_ != nullptr ? ctx_->batch_size
-                                    : RowBatch::kDefaultCapacity);
+  outer_ = RowBatch(ctx_->batch_size);
   outer_pos_ = 0;
-  current_matches_ = nullptr;
+  outer_matches_ = nullptr;
   return Status::OK();
 }
 
@@ -44,8 +43,7 @@ void IndexNestedLoopsJoinOp::NextBatchImpl(RowBatch* out) {
   if (!index_built_) {
     // Preprocessing: materialize the inner input and build the temporary
     // index; the estimation histogram rides along, as in a hash join build.
-    RowBatch batch(ctx_ != nullptr ? ctx_->batch_size
-                                   : RowBatch::kDefaultCapacity);
+    RowBatch batch(ctx_->batch_size);
     while (child(1)->NextBatch(&batch)) {
       for (size_t i = 0; i < batch.size(); ++i) {
         Row& row = batch.row(i);
@@ -59,7 +57,7 @@ void IndexNestedLoopsJoinOp::NextBatchImpl(RowBatch* out) {
     index_built_ = true;
   }
   while (!out->full()) {
-    if (current_matches_ == nullptr) {
+    if (outer_matches_ == nullptr) {
       if (outer_pos_ >= outer_.size()) {
         if (!child(0)->NextBatch(&outer_)) {
           if (once_ != nullptr) once_->ProbeComplete();
@@ -84,17 +82,17 @@ void IndexNestedLoopsJoinOp::NextBatchImpl(RowBatch* out) {
         ++outer_pos_;
         continue;
       }
-      current_matches_ = &it->second;
+      outer_matches_ = &it->second;
       match_idx_ = 0;
     }
     const Row& outer_row = outer_.row(outer_pos_);
-    while (match_idx_ < current_matches_->size() && !out->full()) {
+    while (match_idx_ < outer_matches_->size() && !out->full()) {
       AssignConcat(out->NextSlot(), outer_row,
-                   inner_rows_[(*current_matches_)[match_idx_++]]);
+                   inner_rows_[(*outer_matches_)[match_idx_++]]);
       out->CommitSlot();
     }
-    if (match_idx_ == current_matches_->size()) {
-      current_matches_ = nullptr;
+    if (match_idx_ == outer_matches_->size()) {
+      outer_matches_ = nullptr;
       ++outer_pos_;
     }
   }

@@ -59,10 +59,10 @@ class IndexNestedLoopsJoinOp : public Operator {
   bool index_built_ = false;
 
   // Outer input, pulled a batch at a time (sized at Open); while
-  // current_matches_ is set, outer_.row(outer_pos_) is the row being joined.
+  // outer_matches_ is set, outer_.row(outer_pos_) is the row being joined.
   RowBatch outer_{0};
   size_t outer_pos_ = 0;
-  const std::vector<size_t>* current_matches_ = nullptr;
+  const std::vector<size_t>* outer_matches_ = nullptr;
   size_t match_idx_ = 0;
   uint64_t outer_consumed_ = 0;
 

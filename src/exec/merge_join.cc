@@ -44,8 +44,7 @@ void MergeJoinOp::EnlistInPipeline(
 }
 
 void MergeJoinOp::RunIntakePhases() {
-  RowBatch batch(ctx_ != nullptr ? ctx_->batch_size
-                                 : RowBatch::kDefaultCapacity);
+  RowBatch batch(ctx_->batch_size);
   // Left intake: the sort sees every left tuple, so the histogram can be
   // built before any output is produced.
   while (child(0)->NextBatch(&batch)) {

@@ -1,7 +1,6 @@
 #include "exec/morsel_scan.h"
 
 #include <algorithm>
-#include <chrono>
 #include <utility>
 
 #include "common/check.h"
@@ -164,16 +163,7 @@ void MorselScanDriver::Fill(RowBatch* out) {
     // otherwise deadlock the fleet once every worker waits like this; the
     // timed wait is only a safety net for the instant where the needed
     // morsel is mid-execution elsewhere and nothing else is runnable.
-    while (true) {
-      {
-        std::unique_lock<std::mutex> lock(mu_);
-        if (r.done) break;
-      }
-      if (sched_->HelpOneSubtask()) continue;
-      std::unique_lock<std::mutex> lock(mu_);
-      if (r.done) break;
-      cv_.wait_for(lock, std::chrono::milliseconds(2), [&r] { return r.done; });
-    }
+    sched_->HelpUntil(mu_, cv_, [&r] { return r.done; });
     while (cursor_ < r.rows.size() && !out->full()) {
       bool in_run = run_open_ && cursor_ < r.random_limit;
       std::swap(*out->NextSlot(), r.rows[cursor_]);

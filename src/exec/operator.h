@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "common/check.h"
 #include "common/row.h"
 #include "common/row_batch.h"
 #include "common/schema.h"
@@ -37,8 +38,11 @@ class Operator {
   Operator(const Operator&) = delete;
   Operator& operator=(const Operator&) = delete;
 
-  /// Prepare this operator and (recursively) its children.
+  /// Prepare this operator and (recursively) its children. Every opened
+  /// operator has a context: NextBatchImpl and OpenImpl may use ctx_
+  /// unguarded.
   Status Open(ExecContext* ctx) {
+    QPI_CHECK(ctx != nullptr);
     ctx_ = ctx;
     for (auto& child : children_) {
       QPI_RETURN_NOT_OK(child->Open(ctx));
@@ -62,7 +66,7 @@ class Operator {
     // Cooperative cancellation: a cancelled query drains as if every
     // operator simultaneously hit end-of-stream, so Close() still runs and
     // the final counters are self-consistent.
-    if (ctx_ != nullptr && ctx_->IsCancelled()) {
+    if (ctx_->IsCancelled()) {
       state_.store(OpState::kFinished, std::memory_order_relaxed);
       return false;
     }
@@ -72,7 +76,7 @@ class Operator {
       state_.store(OpState::kFinished, std::memory_order_relaxed);
       return false;
     }
-    if (ctx_ != nullptr) ctx_->Tick(n);
+    ctx_->Tick(n);
     return true;
   }
 

@@ -16,7 +16,7 @@ SeqScanOp::~SeqScanOp() = default;
 
 Status SeqScanOp::OpenImpl() {
   double fraction = sample_fraction_;
-  if (fraction == 0.0 && ctx_ != nullptr) fraction = ctx_->sample_fraction;
+  if (fraction == 0.0) fraction = ctx_->sample_fraction;
   order_ = BlockSampler::MakeOrder(*table_, fraction, &ctx_->rng);
   block_pos_ = 0;
   row_pos_ = 0;
@@ -33,7 +33,7 @@ void SeqScanOp::CloseImpl() {
 void SeqScanOp::NextBatchImpl(RowBatch* out) {
   if (!parallel_checked_) {
     parallel_checked_ = true;
-    if (ctx_ != nullptr && ctx_->exec_workers > 1) {
+    if (ctx_->exec_workers > 1) {
       driver_ = std::make_unique<MorselScanDriver>(
           this, std::vector<MorselStage>{}, ctx_);
     }

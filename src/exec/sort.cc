@@ -28,8 +28,7 @@ SortOp::SortOp(OperatorPtr child, std::vector<size_t> key_indices)
 
 void SortOp::NextBatchImpl(RowBatch* out) {
   if (!intake_done_) {
-    RowBatch batch(ctx_ != nullptr ? ctx_->batch_size
-                                   : RowBatch::kDefaultCapacity);
+    RowBatch batch(ctx_->batch_size);
     while (child(0)->NextBatch(&batch)) {
       for (size_t i = 0; i < batch.size(); ++i) {
         rows_.push_back(std::move(batch.row(i)));
@@ -94,8 +93,7 @@ bool NestedLoopsJoinOp::Matches(const Value& outer, const Value& inner) const {
 }
 
 Status NestedLoopsJoinOp::OpenImpl() {
-  outer_ = RowBatch(ctx_ != nullptr ? ctx_->batch_size
-                                    : RowBatch::kDefaultCapacity);
+  outer_ = RowBatch(ctx_->batch_size);
   outer_pos_ = 0;
   have_outer_ = false;
   return Status::OK();
@@ -103,8 +101,7 @@ Status NestedLoopsJoinOp::OpenImpl() {
 
 void NestedLoopsJoinOp::NextBatchImpl(RowBatch* out) {
   if (!inner_materialized_) {
-    RowBatch batch(ctx_ != nullptr ? ctx_->batch_size
-                                   : RowBatch::kDefaultCapacity);
+    RowBatch batch(ctx_->batch_size);
     while (child(1)->NextBatch(&batch)) {
       for (size_t i = 0; i < batch.size(); ++i) {
         Row& row = batch.row(i);

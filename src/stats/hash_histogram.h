@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/row.h"
 #include "common/value.h"
 
 namespace qpi {
@@ -24,6 +25,19 @@ inline uint64_t CombineKeyCodes(uint64_t h, uint64_t k) {
 
 /// Seed for composite key codes.
 inline constexpr uint64_t kCompositeKeySeed = 0x51ed2701a3b5e1c7ULL;
+
+/// Key code of `row` over the columns `indices` (join keys, grouping
+/// columns): a single column's own code, else the composite fold of every
+/// column's code from kCompositeKeySeed.
+inline uint64_t RowKeyCode(const Row& row,
+                           const std::vector<size_t>& indices) {
+  if (indices.size() == 1) return HistogramKeyCode(row[indices[0]]);
+  uint64_t h = kCompositeKeySeed;
+  for (size_t idx : indices) {
+    h = CombineKeyCodes(h, HistogramKeyCode(row[idx]));
+  }
+  return h;
+}
 
 /// \brief Frequency histogram: 64-bit key → occurrence count.
 ///

@@ -1,12 +1,15 @@
 // Semi / anti / probe-outer hash joins (the paper's Section 4.1.1
-// extension): operator correctness vs set-based oracles, schema shapes,
-// ONCE estimation exactness per flavour, and optimizer sanity.
+// extension): operator correctness vs set-based and nested-loops oracles
+// (sequential and partition-parallel join phase), schema shapes, ONCE
+// estimation exactness per flavour, and optimizer sanity.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <set>
+#include <utility>
 
 #include "datagen/table_builder.h"
 #include "exec/compiler.h"
@@ -100,12 +103,22 @@ TEST(JoinFlavor, ProbeOuterPadsWithNulls) {
   EXPECT_EQ(null_padded, 1);
 }
 
+/// (flavor, Zipf skew, exec_workers, batch_size): the sequential and the
+/// partition-parallel join phase, at a batch size that splits buckets
+/// across batches and at the default.
 class FlavorSweep
-    : public ::testing::TestWithParam<std::tuple<JoinFlavor, double>> {};
+    : public ::testing::TestWithParam<
+          std::tuple<JoinFlavor, double, size_t, size_t>> {};
+
+/// (build id, probe id) of one output row; semi and anti rows, and
+/// probe-outer misses, carry no build id.
+using IdPair = std::pair<std::optional<int64_t>, int64_t>;
 
 TEST_P(FlavorSweep, MatchesOracleAndEstimatesExactly) {
-  auto [flavor, z] = GetParam();
+  auto [flavor, z, workers, batch_size] = GetParam();
   Fixture fx;
+  fx.ctx.exec_workers = workers;
+  fx.ctx.batch_size = batch_size;
   TablePtr build = MakeSkewed("b", 1200, z, 60, 1, 5);
   TablePtr probe = MakeSkewed("p", 1500, z, 60, 2, 6);
   fx.Add(build);
@@ -136,11 +149,45 @@ TEST_P(FlavorSweep, MatchesOracleAndEstimatesExactly) {
     }
   }
 
+  // Nested-loops oracle of the emitted rows, independent of the hash
+  // join's partitioning and probe kernel.
+  bool probe_only = flavor == JoinFlavor::kSemi || flavor == JoinFlavor::kAnti;
+  std::vector<IdPair> oracle;
+  for (uint64_t pi = 0; pi < probe->num_rows(); ++pi) {
+    const Row& p = probe->RowAt(pi);
+    bool any = false;
+    for (uint64_t bi = 0; bi < build->num_rows(); ++bi) {
+      const Row& b = build->RowAt(bi);
+      if (b[0].AsInt64() != p[0].AsInt64()) continue;
+      any = true;
+      if (!probe_only) oracle.emplace_back(b[1].AsInt64(), p[1].AsInt64());
+    }
+    bool emit_alone = flavor == JoinFlavor::kSemi ? any : !any;
+    if (flavor != JoinFlavor::kInner && emit_alone) {
+      oracle.emplace_back(std::nullopt, p[1].AsInt64());
+    }
+  }
+  std::sort(oracle.begin(), oracle.end());
+
   OperatorPtr root;
   std::vector<Row> rows = fx.Run(
       FlavoredHashJoinPlan(ScanPlan("b"), ScanPlan("p"), "b.k", "p.k", flavor),
       &root);
   EXPECT_EQ(rows.size(), expected);
+
+  std::vector<IdPair> emitted;
+  for (const Row& r : rows) {
+    ASSERT_EQ(r.size(), probe_only ? 2u : 4u);
+    if (probe_only) {
+      emitted.emplace_back(std::nullopt, r[1].AsInt64());
+    } else if (r[1].is_null()) {
+      emitted.emplace_back(std::nullopt, r[3].AsInt64());
+    } else {
+      emitted.emplace_back(r[1].AsInt64(), r[3].AsInt64());
+    }
+  }
+  std::sort(emitted.begin(), emitted.end());
+  EXPECT_EQ(emitted, oracle);
 
   auto* join = dynamic_cast<GraceHashJoinOp*>(root.get());
   ASSERT_NE(join, nullptr);
@@ -155,7 +202,9 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(JoinFlavor::kInner, JoinFlavor::kSemi,
                                          JoinFlavor::kAnti,
                                          JoinFlavor::kProbeOuter),
-                       ::testing::Values(0.0, 1.0, 2.0)));
+                       ::testing::Values(0.0, 1.0, 2.0),
+                       ::testing::Values(size_t{1}, size_t{4}),
+                       ::testing::Values(size_t{7}, size_t{1024})));
 
 TEST(JoinFlavor, SemiAndOuterOptimizerEstimatesAreConsistent) {
   Fixture fx;
