@@ -92,7 +92,7 @@ GraceHashJoinOp::~GraceHashJoinOp() {
   // Destruction without Close (error paths): flag the abort before
   // waiting the task group (its Wait helps the fleet drain), so the
   // remaining members (partitions included) die only after every
-  // partition subtask has exited.
+  // join-unit subtask has exited.
   join_abort_.store(true, std::memory_order_relaxed);
   join_group_.reset();
 }
@@ -104,8 +104,7 @@ Status GraceHashJoinOp::OpenImpl() {
         "hash_join_partitions must be >= 1 (got 0)");
   }
   // Normalize to the next power of two: the partition index becomes a mask
-  // over the mixed key hash, and the parallel join phase fans out one task
-  // per partition.
+  // over the mixed key hash.
   num_partitions_ = NextPowerOfTwo(requested);
   build_parts_.assign(num_partitions_, {});
   probe_parts_.assign(num_partitions_, {});
@@ -146,6 +145,14 @@ void GraceHashJoinOp::RunProbePartitionPhase() {
   std::vector<uint64_t> keys;
   keys.reserve(batch.capacity());
   bool feed_pipeline = pipeline_ != nullptr && pipeline_lowest_;
+  // Weigh partitions for the parallel join's unit sizing. N^R is read
+  // from the exact build histogram, so the weight is exact even if
+  // estimation freezes, and ONCE's own probe-side state is untouched.
+  const HashHistogram* weigh = nullptr;
+  if (ctx_->exec_workers > 1 && once_ != nullptr) {
+    weigh = &once_->build_histogram();
+    part_weight_.assign(num_partitions_, 0);
+  }
   while (probe_child()->NextBatch(&batch)) {
     size_t n = batch.size();
     keys.clear();
@@ -172,6 +179,7 @@ void GraceHashJoinOp::RunProbePartitionPhase() {
     for (size_t i = 0; i < n; ++i) {
       size_t part = PartitionMix(keys[i]) & (num_partitions_ - 1);
       probe_parts_[part].push_back(std::move(batch.row(i)));
+      if (weigh != nullptr) part_weight_[part] += 1 + weigh->Count(keys[i]);
     }
   }
   if (once_ != nullptr) once_->ProbeComplete();
@@ -188,15 +196,43 @@ void GraceHashJoinOp::PreparePartitions() {
 void GraceHashJoinOp::StartParallelJoin() {
   parallel_join_ = true;
   join_abort_.store(false, std::memory_order_relaxed);
-  part_results_ = std::vector<PartitionResult>(num_partitions_);
+  // Cut each partition into equal probe-row ranges whose estimated output
+  // is about half a unit's ready budget, so a unit running ahead of the
+  // merge cursor finishes without stalling. Empty partitions emit nothing
+  // for any flavor and get no unit.
+  const uint64_t target =
+      std::max(kJoinReadyCap * ctx_->batch_size / 2, kMinJoinUnitWeight);
+  part_tables_ = std::vector<SharedTable>(num_partitions_);
+  size_t num_units = 0;
+  for (size_t p = 0; p < num_partitions_; ++p) {
+    const size_t rows = probe_parts_[p].size();
+    const uint64_t weight = part_weight_.empty() ? rows : part_weight_[p];
+    const size_t ranges = static_cast<size_t>(
+        std::min<uint64_t>(rows, (weight + target - 1) / target));
+    part_tables_[p].units_left = ranges;
+    num_units += ranges;
+  }
+  join_units_ = std::vector<JoinUnit>(num_units);
+  size_t u = 0;
+  for (size_t p = 0; p < num_partitions_; ++p) {
+    const size_t rows = probe_parts_[p].size();
+    const size_t ranges = part_tables_[p].units_left;
+    for (size_t r = 0; r < ranges; ++r, ++u) {
+      JoinUnit& unit = join_units_[u];
+      unit.part = p;
+      unit.cursor.shared = &part_tables_[p];
+      unit.cursor.probe_row = rows * r / ranges;
+      unit.cursor.probe_end = rows * (r + 1) / ranges;
+    }
+  }
   // In-flight memory is bounded by the submission window, like the morsel
-  // driver's: at most ~2·workers+2 partitions run ahead of the merge
-  // cursor, and the merge drains each partition's batches while it is
-  // still producing, so even a skew-heavy partition streams through
+  // driver's: at most ~2·workers+2 units run ahead of the merge cursor,
+  // and the merge drains each unit's batches while it is still
+  // producing, so even a probe row with a huge bucket streams through
   // rather than materializing its whole output.
-  join_window_ = std::min(2 * ctx_->exec_workers + 2, num_partitions_);
+  join_window_ = std::min(2 * ctx_->exec_workers + 2, join_units_.size());
   join_submitted_ = 0;
-  join_emit_part_ = 0;
+  join_emit_unit_ = 0;
   join_merge_batch_ = RowBatch(0);
   join_emit_row_ = 0;
   spare_batches_.reserve(join_window_ * kJoinReadyCap);
@@ -206,28 +242,28 @@ void GraceHashJoinOp::StartParallelJoin() {
 }
 
 void GraceHashJoinOp::SubmitJoinUpTo(size_t limit) {
-  limit = std::min(limit, num_partitions_);
+  limit = std::min(limit, join_units_.size());
   while (join_submitted_ < limit) {
-    size_t p = join_submitted_++;
-    join_group_->Submit([this, p] { JoinPartitionTask(p); });
+    size_t u = join_submitted_++;
+    join_group_->Submit([this, u] { JoinUnitTask(u); });
   }
 }
 
-void GraceHashJoinOp::JoinPartitionTask(size_t part) {
+void GraceHashJoinOp::JoinUnitTask(size_t unit) {
   // Claimed-bail entry: every submission (initial window fill, driver
   // requeue after a stall, helping thread racing a worker) funnels through
-  // here, and only one claims the partition — duplicates see a state other
+  // here, and only one claims the unit — duplicates see a state other
   // than kQueued and return immediately. The claim takes the chunk's first
   // batch from the pool.
   RowBatch batch(0);
   {
     std::lock_guard<std::mutex> lock(join_mu_);
-    PartitionResult& result = part_results_[part];
-    if (result.state != PartitionResult::State::kQueued) return;
-    result.state = PartitionResult::State::kRunning;
+    JoinUnit& u = join_units_[unit];
+    if (u.state != JoinUnit::State::kQueued) return;
+    u.state = JoinUnit::State::kRunning;
     TakeSpareLocked(&batch);
   }
-  RunJoinChunk(part, std::move(batch));
+  RunJoinChunk(unit, std::move(batch));
 }
 
 void GraceHashJoinOp::TakeSpareLocked(RowBatch* batch) {
@@ -245,27 +281,30 @@ void GraceHashJoinOp::RecycleLocked(RowBatch* batch) {
   spare_batches_.push_back(std::move(*batch));
 }
 
-void GraceHashJoinOp::RunJoinChunk(size_t part, RowBatch batch) {
-  PartitionResult& result = part_results_[part];
+void GraceHashJoinOp::RunJoinChunk(size_t unit, RowBatch batch) {
+  JoinUnit& result = join_units_[unit];
   while (true) {
     // Allocate only when the pool had no batch to give.
     if (batch.capacity() != ctx_->batch_size) {
       batch = RowBatch(ctx_->batch_size);
     }
-    uint64_t consumed = JoinPartitionInto(part, &result.cursor, &batch);
+    uint64_t consumed = JoinPartitionInto(result.part, &result.cursor, &batch);
     bool done = result.cursor.done;
-    // The hash table is dead weight once the partition is done.
-    if (done) result.cursor = PartitionCursor();
+    // The shared table is dead weight once its partition's last unit is
+    // done; that unit frees it.
+    if (done && result.cursor.shared->units_left.fetch_sub(1) == 1) {
+      result.cursor.shared->table = JoinTable();
+    }
     // Count emitted rows and driver consumption *before* publishing the
     // batch, so a monitor never sees more output than accounted input.
     // Publication is a bounded-time push under join_mu_ — never a wait on
     // the consumer — which keeps the subtask-never-blocks contract the
     // fleet's helping protocol relies on, while letting the merge drain
-    // this partition concurrently with its production. The same critical
+    // this unit concurrently with its production. The same critical
     // section decides whether to stall and, if not, takes the next batch
     // from the pool. A kernel call ends on a full batch unless the
-    // partition is done, so only a done partition publishes a partial
-    // one (or recycles an empty one).
+    // unit is done, so only a done unit publishes a partial one (or
+    // recycles an empty one).
     CountEmitted(batch.size());
     join_driver_consumed_.fetch_add(consumed, std::memory_order_relaxed);
     bool stalled = false;
@@ -277,9 +316,9 @@ void GraceHashJoinOp::RunJoinChunk(size_t part, RowBatch batch) {
         result.ready.push_back(std::move(batch));
       }
       if (done) {
-        result.state = PartitionResult::State::kDone;
+        result.state = JoinUnit::State::kDone;
       } else if (result.ready.size() >= kJoinReadyCap) {
-        result.state = PartitionResult::State::kStalled;
+        result.state = JoinUnit::State::kStalled;
         stalled = true;
       } else {
         TakeSpareLocked(&batch);
@@ -296,13 +335,30 @@ uint64_t GraceHashJoinOp::JoinPartitionInto(size_t part,
                                             RowBatch* out) {
   const std::vector<Row>& build_rows = build_parts_[part];
   const std::vector<Row>& probe_rows = probe_parts_[part];
-  auto& table = cursor->table;
+  JoinTable& table =
+      cursor->shared != nullptr ? cursor->shared->table : cursor->table;
+  const size_t probe_end = std::min(cursor->probe_end, probe_rows.size());
   const bool probe_only =
       join_type_ == JoinFlavor::kSemi || join_type_ == JoinFlavor::kAnti;
+  auto stopped = [this] {
+    return join_abort_.load(std::memory_order_relaxed) || ctx_->IsCancelled();
+  };
+  auto build_table = [&] {
+    table.reserve(build_rows.size());
+    for (size_t i = 0; i < build_rows.size(); ++i) {
+      table[RowKeyCode(build_rows[i], build_key_indices_)].push_back(i);
+    }
+  };
+  // Checked once per call (one output batch), so a hot bucket cannot run
+  // on unchecked.
+  if (stopped()) {
+    cursor->done = true;
+    return 0;
+  }
   uint64_t consumed = 0;
   while (!out->full()) {
     size_t pi = cursor->probe_row;
-    if (pi == probe_rows.size()) {
+    if (pi == probe_end) {
       cursor->done = true;
       break;
     }
@@ -310,17 +366,17 @@ uint64_t GraceHashJoinOp::JoinPartitionInto(size_t part,
     uint64_t code = RowKeyCode(probe_row, probe_key_indices_);
     const std::vector<size_t>* bucket = nullptr;
     if (cursor->match == 0) {
-      // A fresh probe row: consume it.
-      if ((pi & 1023u) == 0 &&
-          (join_abort_.load(std::memory_order_relaxed) ||
-           ctx_->IsCancelled())) {
+      // A fresh probe row: consume it. The per-row cadence covers long
+      // semi/anti runs that fill a batch slowly.
+      if ((pi & 1023u) == 0 && stopped()) {
         cursor->done = true;
         break;
       }
       if (!cursor->table_built) {
-        table.reserve(build_rows.size());
-        for (size_t i = 0; i < build_rows.size(); ++i) {
-          table[RowKeyCode(build_rows[i], build_key_indices_)].push_back(i);
+        if (cursor->shared != nullptr) {
+          std::call_once(cursor->shared->once, build_table);
+        } else {
+          build_table();
         }
         cursor->table_built = true;
       }
@@ -378,25 +434,25 @@ void GraceHashJoinOp::NextBatchImpl(RowBatch* out) {
   // explicit PreparePartitions).
   if (!parallel_join_ && ctx_->exec_workers > 1) StartParallelJoin();
   if (parallel_join_) {
-    // Merge published batches in partition-index order — each drained as
-    // soon as its producer publishes it, so in-flight output stays near
-    // one batch per running subtask. The subtasks already advanced
-    // `emitted_` when they flushed, so the merge must not count again.
-    // The wrapper's Tick(out->size()) still delivers the progress ticks
-    // for these rows on the driving thread. Rows are swapped into `out`'s
-    // slots, so the consumer's old row storage goes back to the pool with
-    // the drained batch and no row is freed here.
+    // Merge published batches in unit order — each drained as soon as
+    // its producer publishes it, so in-flight output stays near one batch
+    // per running subtask. The subtasks already advanced `emitted_` when
+    // they flushed, so the merge must not count again. The wrapper's
+    // Tick(out->size()) still delivers the progress ticks for these rows
+    // on the driving thread. Rows are swapped into `out`'s slots, so the
+    // consumer's old row storage goes back to the pool with the drained
+    // batch and no row is freed here.
     while (!out->full()) {
       while (join_emit_row_ < join_merge_batch_.size() && !out->full()) {
         std::swap(*out->NextSlot(), join_merge_batch_.row(join_emit_row_++));
         out->CommitSlot();
       }
       if (out->full()) break;
-      if (join_emit_part_ >= num_partitions_) {
+      if (join_emit_unit_ >= join_units_.size()) {
         phase_ = Phase::kDone;
         break;
       }
-      PartitionResult& r = part_results_[join_emit_part_];
+      JoinUnit& r = join_units_[join_emit_unit_];
       enum class Next { kBatch, kAdvance, kWait } next;
       bool requeue = false;  // stalled runner drained below the cap
       // The merge batch is fully drained here. It is released after the
@@ -410,36 +466,36 @@ void GraceHashJoinOp::NextBatchImpl(RowBatch* out) {
           r.ready.pop_front();
           join_emit_row_ = 0;
           next = Next::kBatch;
-          if (r.state == PartitionResult::State::kStalled &&
+          if (r.state == JoinUnit::State::kStalled &&
               r.ready.size() < kJoinReadyCap) {
-            r.state = PartitionResult::State::kQueued;
+            r.state = JoinUnit::State::kQueued;
             requeue = true;
           }
-        } else if (r.state == PartitionResult::State::kDone) {
+        } else if (r.state == JoinUnit::State::kDone) {
           next = Next::kAdvance;
         } else {
-          if (r.state == PartitionResult::State::kStalled) {
-            r.state = PartitionResult::State::kQueued;
+          if (r.state == JoinUnit::State::kStalled) {
+            r.state = JoinUnit::State::kQueued;
             requeue = true;
           }
           next = Next::kWait;
         }
       }
       if (requeue) {
-        size_t p = join_emit_part_;
-        join_group_->Submit([this, p] { JoinPartitionTask(p); });
+        size_t u = join_emit_unit_;
+        join_group_->Submit([this, u] { JoinUnitTask(u); });
       }
       if (next == Next::kBatch) continue;
       if (next == Next::kAdvance) {
-        ++join_emit_part_;
-        SubmitJoinUpTo(join_emit_part_ + join_window_);
+        ++join_emit_unit_;
+        SubmitJoinUpTo(join_emit_unit_ + join_window_);
         continue;
       }
-      // Wait for the partition's next batch by helping the fleet, like
-      // the morsel merge. A runner only stalls with batches ready, so
-      // "ready or done" covers every way the partition can move on.
+      // Wait for the unit's next batch by helping the fleet, like the
+      // morsel merge. A runner only stalls with batches ready, so "ready
+      // or done" covers every way the unit can move on.
       join_sched_->HelpUntil(join_mu_, join_cv_, [&r] {
-        return !r.ready.empty() || r.state == PartitionResult::State::kDone;
+        return !r.ready.empty() || r.state == JoinUnit::State::kDone;
       });
     }
     return;
@@ -461,16 +517,19 @@ void GraceHashJoinOp::NextBatchImpl(RowBatch* out) {
 
 void GraceHashJoinOp::CloseImpl() {
   // Tear down the parallel join phase first: the abort flag makes still-
-  // queued partition subtasks exit at their next check, and resetting the
+  // queued unit subtasks exit at their next check, and resetting the
   // group waits (helping the fleet) for every subtask before the
-  // partitions they read are cleared.
+  // partitions and tables they read are cleared.
   join_abort_.store(true, std::memory_order_relaxed);
   join_group_.reset();
   join_sched_ = nullptr;
-  part_results_.clear();
+  join_units_.clear();
+  part_tables_.clear();
+  part_weight_.clear();
   parallel_join_ = false;
   join_window_ = 0;
   join_submitted_ = 0;
+  join_emit_unit_ = 0;
   join_emit_part_ = 0;
   join_merge_batch_ = RowBatch(0);
   join_emit_row_ = 0;

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <cstdint>
 #include <deque>
 #include <memory>
 #include <mutex>
@@ -35,6 +36,9 @@ class TaskScheduler;
 ///     re-read clustered by partition, which is precisely the reordering
 ///     that makes the dne/byte baselines (whose driver consumption is
 ///     measured here, as in the original systems) fluctuate under skew.
+///     With exec_workers > 1, partitions are cut into probe-row join
+///     units sized by the output the probe pass counted for them (see
+///     StartParallelJoin).
 ///
 /// children[0] is the build input, children[1] the probe input.
 class GraceHashJoinOp : public Operator {
@@ -73,6 +77,14 @@ class GraceHashJoinOp : public Operator {
 
   /// Partition count after Open's normalization to a power of two.
   size_t num_partitions() const { return num_partitions_; }
+
+  /// Output batches a parallel join unit may publish ahead of the merge
+  /// before it pauses (see StartParallelJoin).
+  static constexpr size_t kJoinReadyCap = 8;
+
+  /// Join units of the running parallel join phase: 0 before its first
+  /// batch, with exec_workers == 1, and after Close.
+  size_t num_join_units() const { return join_units_.size(); }
 
   /// Run the (sequential, ONCE-instrumented) build and probe-partition
   /// phases now, leaving only the join phase for NextBatch. No-op if
@@ -116,17 +128,32 @@ class GraceHashJoinOp : public Operator {
   void RunBuildPhase();
   void RunProbePartitionPhase();
 
-  /// Resume point of one partition's join. The sequential join cursor
-  /// (`join_cursor_`) is one of these; each parallel partition keeps its
-  /// own in its PartitionResult, owned by whichever runner holds the
-  /// partition.
+  using JoinTable = std::unordered_map<uint64_t, std::vector<size_t>>;
+
+  /// One partition's build table, shared read-only by all of that
+  /// partition's parallel join units: the first unit to need it builds it
+  /// under `once`, and the unit that brings `units_left` to zero frees it.
+  struct SharedTable {
+    std::once_flag once;
+    JoinTable table;
+    std::atomic<size_t> units_left{0};
+  };
+
+  /// Resume point of a join over one partition's probe rows
+  /// [probe_row, probe_end). The sequential join cursor (`join_cursor_`)
+  /// is one of these, walking whole partitions with a table of its own;
+  /// each parallel join unit keeps its own, probing its partition's
+  /// SharedTable, owned by whichever runner holds the unit.
   struct PartitionCursor {
-    /// Build-row indices by key code, built on the partition's first
-    /// probe row.
-    std::unordered_map<uint64_t, std::vector<size_t>> table;
+    /// Build-row indices by key code, built on the first probe row
+    /// (unused when `shared` is set).
+    JoinTable table;
+    SharedTable* shared = nullptr;
     bool table_built = false;
     bool done = false;     ///< exhausted, or abandoned on abort/cancel
     size_t probe_row = 0;  ///< next probe row index
+    /// End of the probe-row range; SIZE_MAX means the partition's end.
+    size_t probe_end = SIZE_MAX;
     /// Next index into the current probe row's bucket; 0 while that row
     /// has not been looked up yet.
     size_t match = 0;
@@ -134,36 +161,40 @@ class GraceHashJoinOp : public Operator {
 
   /// The join phase's one loop, shared by the sequential and parallel
   /// paths: continue partition `part` from `*cursor`, filling `out` in
-  /// place until it is full, the partition is exhausted or the join is
-  /// aborted or cancelled (either of the last two sets cursor->done).
-  /// Returns the probe rows this call consumed; counting them, and the
-  /// emitted rows, is the caller's job.
+  /// place until it is full, the cursor's probe range is exhausted or the
+  /// join is aborted or cancelled (either of the last two sets
+  /// cursor->done; abort/cancel is checked on entry and every 1K probe
+  /// rows). Returns the probe rows this call consumed; counting them, and
+  /// the emitted rows, is the caller's job.
   uint64_t JoinPartitionInto(size_t part, PartitionCursor* cursor,
                              RowBatch* out);
 
-  /// Fan the partition pairs out as subtasks on the query's TaskScheduler
-  /// (ctx->exec_workers > 1), at most `join_window_`
-  /// partitions ahead of the merge cursor. Each subtask joins one
-  /// partition, publishing every completed output batch under `join_mu_`
-  /// as it is produced — a bounded-time push, never a blocking wait, which
-  /// is what lets any blocked waiter help the fleet (see task_scheduler.h)
-  /// — and the driving thread merges batches **in partition-index order**
-  /// in NextBatchImpl, draining a partition concurrently with its
-  /// production (so a skew-heavy partition's output streams through
-  /// instead of materializing wholesale). Partition order is exactly the
-  /// sequential join cursor's order, so the emitted stream is
-  /// bit-identical to the sequential engine at any worker count; gnm
-  /// counters were already order-invariant, and the join phase performs
-  /// no estimator observation.
+  /// Fan the join out as subtasks on the query's TaskScheduler
+  /// (ctx->exec_workers > 1). The unit of work is a *join unit*: a
+  /// contiguous probe-row range of one partition, probing that
+  /// partition's SharedTable. Units are cut so each one's estimated
+  /// output (the probe pass's partition weight, see part_weight_) is about
+  /// half of kJoinReadyCap batches. At most `join_window_` units run ahead
+  /// of the merge cursor. Each subtask joins one unit, publishing every
+  /// completed output batch under `join_mu_` as it is produced — a
+  /// bounded-time push, never a blocking wait, which is what lets any
+  /// blocked waiter help the fleet (see task_scheduler.h) — and the
+  /// driving thread merges batches **in unit order** in NextBatchImpl,
+  /// draining a unit concurrently with its production. Units are ordered
+  /// by (partition, probe range), exactly the sequential join cursor's
+  /// order, so the emitted stream is bit-identical to the sequential
+  /// engine at any worker count; gnm counters were already
+  /// order-invariant, and the join phase performs no estimator
+  /// observation.
   void StartParallelJoin();
   void SubmitJoinUpTo(size_t limit);
-  void JoinPartitionTask(size_t part);
-  /// One bounded chunk of partition `part`'s join: runs the kernel into
-  /// `batch` and publishes each filled batch, until the partition is done
-  /// (-> kDone) or a publish leaves kJoinReadyCap batches unmerged
-  /// (-> kStalled; the cursor keeps the resume point). Called with the
-  /// partition in state kRunning.
-  void RunJoinChunk(size_t part, RowBatch batch);
+  void JoinUnitTask(size_t unit);
+  /// One bounded chunk of join unit `unit`: runs the kernel into `batch`
+  /// and publishes each filled batch, until the unit is done (-> kDone)
+  /// or a publish leaves kJoinReadyCap batches unmerged (-> kStalled; the
+  /// cursor keeps the resume point). Called with the unit in state
+  /// kRunning.
+  void RunJoinChunk(size_t unit, RowBatch batch);
   /// Batch pool of the parallel join phase; both require join_mu_.
   /// TakeSpareLocked moves a recycled batch into `*batch` if the pool has
   /// one; RecycleLocked clears a drained batch and returns it to the pool
@@ -194,6 +225,7 @@ class GraceHashJoinOp : public Operator {
   // Sequential join cursor (exec_workers == 1), at partition
   // join_emit_part_.
   PartitionCursor join_cursor_;
+  size_t join_emit_part_ = 0;
 
   uint64_t build_rows_ = 0;
   uint64_t probe_partition_consumed_ = 0;
@@ -201,31 +233,42 @@ class GraceHashJoinOp : public Operator {
   // a parallel runner's publish; read by monitor-thread estimates.
   std::atomic<uint64_t> join_driver_consumed_{0};
 
-  // Parallel join phase (see StartParallelJoin). A partition's output is
+  // Estimated join work per partition, Σ (1 + N^R(key)) over its probe
+  // rows, accumulated by the probe-partition pass from ONCE's exact build
+  // histogram. Filled only with exec_workers > 1 and binary ONCE attached;
+  // otherwise a unit's weight is its probe-row count.
+  std::vector<uint64_t> part_weight_;
+
+  // Parallel join phase (see StartParallelJoin). A unit's output is
   // produced in bounded chunks: its runner pauses (returns to the fleet,
   // never blocks) when its publish leaves kJoinReadyCap unmerged batches
   // in `ready`, and the merge driver requeues it after draining — so
   // in-flight join output is capped at ~window × cap batches no matter
-  // how skewed one partition's output is. Output batches circulate: the
+  // how much output one probe row has. Output batches circulate: the
   // merge swaps each row into the consumer's slot (taking the consumer's
   // old row storage in exchange) and returns the drained batch to
   // `spare_batches_`, from which runners take their next batch — so a
   // steady-state join fills recycled slots in place and allocates no rows.
-  struct PartitionResult {
+  struct JoinUnit {
     enum class State : unsigned char {
       kQueued,   ///< a task for the next chunk is (re)submitted
       kRunning,  ///< a runner is producing batches right now
       kStalled,  ///< paused at the ready-cap; the driver requeues it
       kDone,     ///< fully joined, nothing more will be produced
     };
+    size_t part = 0;
     std::deque<RowBatch> ready;     ///< produced, not yet merged (join_mu_)
     State state = State::kQueued;   ///< guarded by join_mu_
-    /// Chunk-resume state, owned by the current runner (handed off through
-    /// the join_mu_ state transitions above).
+    /// Chunk-resume state over the unit's probe range, owned by the
+    /// current runner (handed off through the join_mu_ state transitions
+    /// above).
     PartitionCursor cursor;
   };
-  static constexpr size_t kJoinReadyCap = 16;
-  std::vector<PartitionResult> part_results_;
+  // Floor of a unit's target weight, so tiny batch sizes do not cut a
+  // unit per probe row.
+  static constexpr size_t kMinJoinUnitWeight = 256;
+  std::vector<JoinUnit> join_units_;
+  std::vector<SharedTable> part_tables_;  // one per partition
   std::mutex join_mu_;
   // Drained output batches awaiting reuse (join_mu_), at most
   // join_window_ × kJoinReadyCap of them.
@@ -234,13 +277,13 @@ class GraceHashJoinOp : public Operator {
   std::atomic<bool> join_abort_{false};
   TaskScheduler* join_sched_ = nullptr;
   bool parallel_join_ = false;
-  size_t join_window_ = 0;     // partitions in flight past the merge cursor
-  size_t join_submitted_ = 0;  // partitions handed to the scheduler
-  size_t join_emit_part_ = 0;  // partition being emitted (driving thread)
+  size_t join_window_ = 0;     // units in flight past the merge cursor
+  size_t join_submitted_ = 0;  // units handed to the scheduler
+  size_t join_emit_unit_ = 0;  // unit being merged (driving thread)
   RowBatch join_merge_batch_{0};  // batch being merged (driving thread only)
   size_t join_emit_row_ = 0;
   // Declared after the members its tasks touch: the group's destructor
-  // waits for outstanding partition subtasks.
+  // waits for outstanding unit subtasks.
   std::unique_ptr<TaskGroup> join_group_;
 
   // Estimation attachments.

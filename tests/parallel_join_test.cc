@@ -13,16 +13,19 @@
 //       the outer input itself), so the parallel layer must not move a
 //       single freeze boundary.
 // A single-hot-key join additionally pins the exact *ordered* stream
-// through the join phase's ready-cap stall/resume cycle and batch
-// recycling, for every join flavor and two batch sizes. Also covers
-// partition-count normalization (round up to a power of two, reject 0)
-// and cooperative cancellation under parallel execution, including while
-// a partition is stalled.
+// through the join phase's ready-cap stall/resume cycle, batch recycling
+// and the split of partitions into probe-row join units sharing one build
+// table, for every join flavor, three batch sizes and one or four
+// partitions. Also covers partition-count normalization (round up to a
+// power of two, reject 0) and cooperative cancellation under parallel
+// execution, including while a join unit is stalled and inside a hot
+// bucket.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -480,11 +483,16 @@ TEST(ParallelCancellation, DrainsCleanly) {
 /// One hot join key. hb holds 4 build rows of key 1 plus 200 distinct
 /// keys; hp holds 6000 probe rows of key 1 (matched), 5000 of key 2
 /// (absent from hb) and 400 spread keys, shuffled. Whatever partition a hot
-/// key lands in emits many times kJoinReadyCap (16) × batch_size rows for
-/// every flavor — inner/probe-outer/semi through key 1, anti/probe-outer
-/// through key 2 — so its runner stalls at the ready cap, is requeued by
-/// the merge and resumes on recycled batches over and over. The string
-/// column exercises in-place refills of string Values.
+/// key lands in emits many times GraceHashJoinOp::kJoinReadyCap ×
+/// batch_size rows for every flavor — inner/probe-outer/semi through key
+/// 1, anti/probe-outer through key 2 — so the parallel join cuts that
+/// partition into many probe-row units. Joining the other way round
+/// (`hot_build`: hp as the build side) gives each key-1 probe row a bucket
+/// of 6000 build rows, more than kJoinReadyCap × batch_size for every
+/// tested batch size, which no probe-row range can cut: its runner stalls
+/// at the ready cap, is requeued by the merge and resumes on recycled
+/// batches over and over. The string column exercises in-place refills of
+/// string Values.
 void BuildHotKeyCatalog(Catalog* catalog) {
   auto make = [&](const char* name, std::vector<int64_t> keys) {
     Schema schema({Column{name, "k", ValueType::kInt64},
@@ -528,42 +536,82 @@ const Shape kHotKeyShapes[] = {
        return FlavoredHashJoinPlan(ScanPlan("hb"), ScanPlan("hp"), "hb.k",
                                    "hp.k", JoinFlavor::kAnti);
      }},
+    {"hot_build",
+     [] { return HashJoinPlan(ScanPlan("hp"), ScanPlan("hb"), "hp.k", "hb.k"); }},
 };
 
-/// Stall/resume with recycled batches: the merged stream must be the
-/// sequential one row for row — same order, counters and estimates.
+/// Join units the parallel join cut, read after its first output batch
+/// (the count is gone once the join closes).
+size_t JoinUnitsAtFirstBatch(const Catalog& catalog, const Shape& shape,
+                             size_t workers, size_t batch_size,
+                             size_t partitions) {
+  ExecContext ctx;
+  ctx.catalog = const_cast<Catalog*>(&catalog);
+  ctx.mode = EstimationMode::kOnce;
+  ctx.sample_fraction = 0.1;
+  ctx.batch_size = batch_size;
+  ctx.exec_workers = workers;
+  ctx.hash_join_partitions = partitions;
+  PlanNodePtr plan = shape.make();
+  OperatorPtr root;
+  EXPECT_TRUE(CompilePlan(plan.get(), &ctx, &root).ok());
+  auto* join = dynamic_cast<GraceHashJoinOp*>(root.get());
+  EXPECT_NE(join, nullptr);
+  if (join == nullptr) return 0;
+  EXPECT_TRUE(root->Open(&ctx).ok());
+  ctx.BeginExecution();
+  RowBatch batch(ctx.batch_size);
+  EXPECT_TRUE(root->NextBatch(&batch));
+  size_t units = join->num_join_units();
+  root->Close();
+  ctx.EndExecution();
+  return units;
+}
+
+/// Stall/resume with recycled batches, over partitions cut into many
+/// probe-row units (with one partition, every unit shares its table): the
+/// merged stream must be the sequential one row for row — same order,
+/// counters and estimates.
 TEST(ParallelJoinHotKey, StallResumeKeepsOrderedStream) {
   Catalog catalog;
   BuildHotKeyCatalog(&catalog);
   for (const Shape& shape : kHotKeyShapes) {
-    for (size_t batch_size : {size_t{7}, size_t{64}}) {
-      RunResult reference =
-          RunQuery(catalog, shape, EstimationMode::kOnce, 1, batch_size,
-                   /*partitions=*/4, /*ordered=*/true);
-      ASSERT_GE(reference.rows_emitted, 4 * 16 * batch_size) << shape.name;
-      for (size_t workers : {size_t{2}, size_t{4}, size_t{8}}) {
-        SCOPED_TRACE(std::string(shape.name) + " batch " +
-                     std::to_string(batch_size) + " workers " +
-                     std::to_string(workers));
-        RunResult parallel =
-            RunQuery(catalog, shape, EstimationMode::kOnce, workers,
-                     batch_size, /*partitions=*/4, /*ordered=*/true);
-        EXPECT_EQ(parallel.rows_emitted, reference.rows_emitted);
-        EXPECT_TRUE(parallel.rows == reference.rows)
-            << "emitted row sequence differs";
-        ASSERT_EQ(parallel.ops.size(), reference.ops.size());
-        for (size_t i = 0; i < reference.ops.size(); ++i) {
-          EXPECT_EQ(parallel.ops[i].emitted, reference.ops[i].emitted)
-              << "operator " << reference.ops[i].label;
-          EXPECT_EQ(parallel.ops[i].estimate, reference.ops[i].estimate)
-              << "operator " << reference.ops[i].label;
-        }
-        ASSERT_EQ(parallel.once.size(), reference.once.size());
-        for (size_t i = 0; i < reference.once.size(); ++i) {
-          EXPECT_EQ(parallel.once[i].probe_seen, reference.once[i].probe_seen);
-          EXPECT_EQ(parallel.once[i].estimate, reference.once[i].estimate);
-          EXPECT_EQ(parallel.once[i].frozen, reference.once[i].frozen);
-          EXPECT_EQ(parallel.once[i].exact, reference.once[i].exact);
+    for (size_t partitions : {size_t{4}, size_t{1}}) {
+      for (size_t batch_size : {size_t{1}, size_t{7}, size_t{64}}) {
+        RunResult reference =
+            RunQuery(catalog, shape, EstimationMode::kOnce, 1, batch_size,
+                     partitions, /*ordered=*/true);
+        ASSERT_GE(reference.rows_emitted, 4 * 16 * batch_size) << shape.name;
+        for (size_t workers : {size_t{2}, size_t{4}, size_t{8}}) {
+          SCOPED_TRACE(std::string(shape.name) + " partitions " +
+                       std::to_string(partitions) + " batch " +
+                       std::to_string(batch_size) + " workers " +
+                       std::to_string(workers));
+          // The hot partition must really be split.
+          EXPECT_GT(JoinUnitsAtFirstBatch(catalog, shape, workers, batch_size,
+                                          partitions),
+                    partitions);
+          RunResult parallel =
+              RunQuery(catalog, shape, EstimationMode::kOnce, workers,
+                       batch_size, partitions, /*ordered=*/true);
+          EXPECT_EQ(parallel.rows_emitted, reference.rows_emitted);
+          EXPECT_TRUE(parallel.rows == reference.rows)
+              << "emitted row sequence differs";
+          ASSERT_EQ(parallel.ops.size(), reference.ops.size());
+          for (size_t i = 0; i < reference.ops.size(); ++i) {
+            EXPECT_EQ(parallel.ops[i].emitted, reference.ops[i].emitted)
+                << "operator " << reference.ops[i].label;
+            EXPECT_EQ(parallel.ops[i].estimate, reference.ops[i].estimate)
+                << "operator " << reference.ops[i].label;
+          }
+          ASSERT_EQ(parallel.once.size(), reference.once.size());
+          for (size_t i = 0; i < reference.once.size(); ++i) {
+            EXPECT_EQ(parallel.once[i].probe_seen,
+                      reference.once[i].probe_seen);
+            EXPECT_EQ(parallel.once[i].estimate, reference.once[i].estimate);
+            EXPECT_EQ(parallel.once[i].frozen, reference.once[i].frozen);
+            EXPECT_EQ(parallel.once[i].exact, reference.once[i].exact);
+          }
         }
       }
     }
@@ -614,6 +662,48 @@ TEST(ParallelJoinHotKey, CancelWhileStalledDrainsCleanly) {
     EXPECT_GE(root->tuples_emitted(), delivered);
     EXPECT_EQ(root->state(), OpState::kFinished);
   }
+}
+
+/// Cancel right after the first batch of a join whose hot probe rows each
+/// match 6000 build rows: the kernel checks for cancellation once per
+/// output batch, so a runner inside a hot bucket stops after the batch it
+/// is filling instead of running the bucket on. Growth after the cancel is
+/// bounded by one batch per thread that can run a unit (the fleet plus the
+/// helping driver), well inside the in-flight bound of
+/// join window × kJoinReadyCap batches.
+TEST(ParallelJoinHotKey, CancelStopsHotBucketWithinABatch) {
+  Catalog catalog;
+  BuildHotKeyCatalog(&catalog);
+  const Shape& shape = kHotKeyShapes[std::size(kHotKeyShapes) - 1];
+  ASSERT_EQ(std::string(shape.name), "hot_build");
+  const size_t workers = 4;
+  const size_t batch_size = 64;
+  ExecContext ctx;
+  ctx.catalog = &catalog;
+  ctx.mode = EstimationMode::kOnce;
+  ctx.sample_fraction = 0.1;
+  ctx.batch_size = batch_size;
+  ctx.exec_workers = workers;
+  ctx.hash_join_partitions = 4;
+  PlanNodePtr plan = shape.make();
+  OperatorPtr root;
+  ASSERT_TRUE(CompilePlan(plan.get(), &ctx, &root).ok());
+  ASSERT_TRUE(root->Open(&ctx).ok());
+  ctx.BeginExecution();
+  RowBatch batch(ctx.batch_size);
+  ASSERT_TRUE(root->NextBatch(&batch));
+  ctx.RequestCancel();
+  const uint64_t at_cancel = root->tuples_emitted();
+  while (root->NextBatch(&batch)) {
+  }
+  root->Close();
+  ctx.EndExecution();
+  const uint64_t growth = root->tuples_emitted() - at_cancel;
+  const size_t join_window = 2 * workers + 2;
+  EXPECT_LE(growth,
+            join_window * GraceHashJoinOp::kJoinReadyCap * batch_size);
+  EXPECT_LE(growth, (workers + 1) * batch_size);
+  EXPECT_EQ(root->state(), OpState::kFinished);
 }
 
 }  // namespace
