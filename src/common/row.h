@@ -14,9 +14,10 @@ using Row = std::vector<Value>;
 
 /// Overwrite `*out` with `left` followed by `right` (join output
 /// construction). Copy-assigns over the existing Values, so a slot whose
-/// storage has room for this width (and whose strings have room for these
-/// values) is refilled without touching the heap; a wider previous row is
-/// truncated, leaving no stale trailing Value.
+/// storage has room for this width is refilled without touching the heap:
+/// each Value copy is 16 bytes, plus a refcount bump for a string longer
+/// than Value::kInlineCapacity. A wider previous row is truncated, leaving
+/// no stale trailing Value.
 inline void AssignConcat(Row* out, const Row& left, const Row& right) {
   out->reserve(left.size() + right.size());
   out->resize(left.size() + right.size());

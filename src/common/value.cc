@@ -1,7 +1,6 @@
 #include "common/value.h"
 
-#include <cmath>
-#include <cstring>
+#include <new>
 
 namespace qpi {
 
@@ -19,17 +18,37 @@ const char* ValueTypeName(ValueType type) {
   return "UNKNOWN";
 }
 
+Value::Value(std::string_view v) : rep_{{}, 0, ValueType::kString} {
+  if (v.size() <= kInlineCapacity) {
+    if (!v.empty()) std::memcpy(rep_.data, v.data(), v.size());
+    rep_.size = static_cast<uint8_t>(v.size());
+    return;
+  }
+  auto* s = new (::operator new(sizeof(LongString) + v.size()))
+      LongString{{1}, v.size()};
+  std::memcpy(reinterpret_cast<char*>(s + 1), v.data(), v.size());
+  std::memcpy(rep_.data, &s, sizeof(s));
+  rep_.size = kLongSize;
+}
+
+void Value::FreeLongString(LongString* s) {
+  s->~LongString();
+  ::operator delete(s);
+}
+
 int Value::Compare(const Value& other) const {
   if (is_null() || other.is_null()) {
     // NULL sorts first; two NULLs are equal for grouping purposes.
     return static_cast<int>(!is_null()) - static_cast<int>(!other.is_null());
   }
-  if (type_ == ValueType::kString || other.type_ == ValueType::kString) {
-    QPI_DCHECK(type_ == other.type_);
-    return s_.compare(other.s_);
+  if (type() == ValueType::kString || other.type() == ValueType::kString) {
+    QPI_DCHECK(type() == other.type());
+    return AsString().compare(other.AsString());
   }
-  if (type_ == ValueType::kInt64 && other.type_ == ValueType::kInt64) {
-    return (i_ < other.i_) ? -1 : (i_ > other.i_ ? 1 : 0);
+  if (type() == ValueType::kInt64 && other.type() == ValueType::kInt64) {
+    int64_t a = AsInt64();
+    int64_t b = other.AsInt64();
+    return (a < b) ? -1 : (a > b ? 1 : 0);
   }
   double a = AsDouble();
   double b = other.AsDouble();
@@ -51,15 +70,15 @@ inline uint64_t Mix64(uint64_t k) {
 }  // namespace
 
 uint64_t Value::Hash() const {
-  switch (type_) {
+  switch (type()) {
     case ValueType::kNull:
       return 0x9e3779b97f4a7c15ULL;
     case ValueType::kInt64:
-      return Mix64(static_cast<uint64_t>(i_));
+      return Mix64(static_cast<uint64_t>(AsInt64()));
     case ValueType::kDouble: {
       // Hash integral doubles like the equal int64 so cross-type equality
       // implies equal hashes.
-      double d = d_;
+      double d = AsDouble();
       int64_t as_int = static_cast<int64_t>(d);
       if (static_cast<double>(as_int) == d) {
         return Mix64(static_cast<uint64_t>(as_int));
@@ -70,7 +89,7 @@ uint64_t Value::Hash() const {
     }
     case ValueType::kString: {
       uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a
-      for (char c : s_) {
+      for (char c : AsString()) {
         h ^= static_cast<unsigned char>(c);
         h *= 0x100000001b3ULL;
       }
@@ -81,15 +100,15 @@ uint64_t Value::Hash() const {
 }
 
 std::string Value::ToString() const {
-  switch (type_) {
+  switch (type()) {
     case ValueType::kNull:
       return "NULL";
     case ValueType::kInt64:
-      return std::to_string(i_);
+      return std::to_string(AsInt64());
     case ValueType::kDouble:
-      return std::to_string(d_);
+      return std::to_string(AsDouble());
     case ValueType::kString:
-      return s_;
+      return std::string(AsString());
   }
   return "?";
 }

@@ -1,9 +1,13 @@
 #ifndef QPI_COMMON_VALUE_H_
 #define QPI_COMMON_VALUE_H_
 
+#include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <string>
+#include <string_view>
 
 #include "common/check.h"
 
@@ -20,36 +24,86 @@ enum class ValueType : uint8_t {
 /// Name of a ValueType for error messages and schema dumps.
 const char* ValueTypeName(ValueType type);
 
-/// \brief A dynamically-typed scalar: NULL, INT64, DOUBLE or STRING.
+/// \brief A dynamically-typed scalar: NULL, INT64, DOUBLE or STRING, in
+/// 16 bytes.
 ///
 /// The engine is row-oriented; a tuple is a vector of Values. Join and
 /// grouping attributes in the reproduced experiments are integers (TPC-H
 /// keys), so the integer path is kept branch-light; strings exist for
 /// payload realism in the generated tables.
+///
+/// Layout: an 8-byte payload (int64, double or long-string pointer), then
+/// a length byte and a type tag. A string of at most kInlineCapacity bytes
+/// is stored inline, spilling from the payload into the bytes before the
+/// length. A longer string lives in one immutable, refcounted heap block:
+/// a copy shares the block, and the last Value referencing it frees it.
+/// Nothing is interned, so no string storage outlives the Values using it.
 class Value {
  public:
-  Value() : type_(ValueType::kNull), i_(0), d_(0) {}
-  explicit Value(int64_t v) : type_(ValueType::kInt64), i_(v), d_(0) {}
-  explicit Value(double v) : type_(ValueType::kDouble), i_(0), d_(v) {}
-  explicit Value(std::string v)
-      : type_(ValueType::kString), i_(0), d_(0), s_(std::move(v)) {}
+  /// Longest string stored inside the Value itself.
+  static constexpr size_t kInlineCapacity = 14;
+
+  Value() noexcept : rep_{{}, 0, ValueType::kNull} {}
+  explicit Value(int64_t v) noexcept : rep_{{}, 0, ValueType::kInt64} {
+    std::memcpy(rep_.data, &v, sizeof(v));
+  }
+  explicit Value(double v) noexcept : rep_{{}, 0, ValueType::kDouble} {
+    std::memcpy(rep_.data, &v, sizeof(v));
+  }
+  /// Copies `v`'s bytes: inline if they fit, else into a new heap block.
+  explicit Value(std::string_view v);
+
+  /// A copy shares a long string's block; a moved-from Value is NULL.
+  Value(const Value& other) noexcept : rep_(other.rep_) {
+    if (is_long()) {
+      long_string()->refs.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+  Value(Value&& other) noexcept : rep_(other.rep_) { other.rep_ = Rep{}; }
+  Value& operator=(const Value& other) noexcept {
+    // Take the new reference before dropping the old: safe on self-assignment.
+    if (other.is_long()) {
+      other.long_string()->refs.fetch_add(1, std::memory_order_relaxed);
+    }
+    Release();
+    rep_ = other.rep_;
+    return *this;
+  }
+  Value& operator=(Value&& other) noexcept {
+    if (this != &other) {
+      Release();
+      rep_ = other.rep_;
+      other.rep_ = Rep{};
+    }
+    return *this;
+  }
+  ~Value() { Release(); }
 
   static Value Null() { return Value(); }
 
-  ValueType type() const { return type_; }
-  bool is_null() const { return type_ == ValueType::kNull; }
+  ValueType type() const { return rep_.type; }
+  bool is_null() const { return rep_.type == ValueType::kNull; }
 
   int64_t AsInt64() const {
-    QPI_DCHECK(type_ == ValueType::kInt64);
-    return i_;
+    QPI_DCHECK(rep_.type == ValueType::kInt64);
+    return Payload<int64_t>();
   }
   double AsDouble() const {
-    QPI_DCHECK(type_ == ValueType::kDouble || type_ == ValueType::kInt64);
-    return type_ == ValueType::kDouble ? d_ : static_cast<double>(i_);
+    QPI_DCHECK(rep_.type == ValueType::kDouble ||
+               rep_.type == ValueType::kInt64);
+    return rep_.type == ValueType::kDouble
+               ? Payload<double>()
+               : static_cast<double>(Payload<int64_t>());
   }
-  const std::string& AsString() const {
-    QPI_DCHECK(type_ == ValueType::kString);
-    return s_;
+  /// A view of the string's bytes, valid while this Value is alive and
+  /// unmodified (an inline string's bytes live inside the Value).
+  std::string_view AsString() const {
+    QPI_DCHECK(rep_.type == ValueType::kString);
+    if (is_long()) {
+      const LongString* s = long_string();
+      return {s->chars(), s->size};
+    }
+    return {rep_.data, rep_.size};
   }
 
   /// Total ordering (NULL < everything; cross numeric types compare as
@@ -69,11 +123,45 @@ class Value {
   std::string ToString() const;
 
  private:
-  ValueType type_;
-  int64_t i_;
-  double d_;
-  std::string s_;
+  /// Heap block of a string longer than kInlineCapacity: this header, then
+  /// `size` immutable bytes.
+  struct LongString {
+    std::atomic<uint64_t> refs;
+    size_t size;
+    const char* chars() const {
+      return reinterpret_cast<const char*>(this + 1);
+    }
+  };
+
+  /// `size` value marking a long string; inline lengths are at most 14.
+  static constexpr uint8_t kLongSize = 0xff;
+
+  struct Rep {
+    alignas(8) char data[kInlineCapacity];  // payload or inline string
+    uint8_t size;  // inline string length, kLongSize, or 0 for non-strings
+    ValueType type;
+  };
+
+  template <typename T>
+  T Payload() const {
+    T v;
+    std::memcpy(&v, rep_.data, sizeof(v));
+    return v;
+  }
+  bool is_long() const { return rep_.size == kLongSize; }
+  LongString* long_string() const { return Payload<LongString*>(); }
+  void Release() {
+    if (is_long() &&
+        long_string()->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      FreeLongString(long_string());
+    }
+  }
+  static void FreeLongString(LongString* s);
+
+  Rep rep_;
 };
+
+static_assert(sizeof(Value) == 16, "Value must stay 16 bytes");
 
 }  // namespace qpi
 

@@ -125,7 +125,8 @@ void ProjectOp::NextBatchImpl(RowBatch* out) {
       Row* slot = out->NextSlot();
       slot->clear();
       slot->reserve(indices_.size());
-      for (size_t idx : indices_) slot->push_back(std::move(input[idx]));
+      // Copy, not move: a column may be projected more than once.
+      for (size_t idx : indices_) slot->push_back(input[idx]);
       out->CommitSlot();
       if (!random_over_) out->bump_random_run();
     }

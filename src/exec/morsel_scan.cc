@@ -111,9 +111,8 @@ void MorselScanDriver::ProcessMorsel(size_t m) {
         } else {
           Row projected;
           projected.reserve(st.projection->size());
-          for (size_t idx : *st.projection) {
-            projected.push_back(std::move(row[idx]));
-          }
+          // Copy, not move: a column may be projected more than once.
+          for (size_t idx : *st.projection) projected.push_back(row[idx]);
           row = std::move(projected);
         }
         if (keep) ++stage_out[s];

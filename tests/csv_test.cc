@@ -67,11 +67,16 @@ TEST(Csv, RejectsBadHeaderTypeAndEmptyInput) {
 }
 
 TEST(Csv, RoundTripThroughWriter) {
+  // 14 bytes fit inside a Value; 15 and 40 bytes live in a heap block.
+  const std::string long40 = "a forty-byte field that no Value inlines";
   TablePtr original;
   ASSERT_TRUE(CsvReader::Parse(
-                  "k:int,v:double,s:string\n1,1.5,aa\n2,2.5,bb\n3,,cc\n",
+                  "k:int,v:double,s:string\n1,1.5,aa\n2,2.5,bb\n3,,cc\n"
+                  "4,4.5,fourteen-bytes\n5,5.5,fifteen-bytes!!\n6,6.5," +
+                      long40 + "\n",
                   "t", &original)
                   .ok());
+  EXPECT_EQ(original->RowAt(5)[2].AsString(), long40);
   std::string rendered = CsvWriter::ToCsv(*original);
   TablePtr reloaded;
   ASSERT_TRUE(CsvReader::Parse(rendered, "t", &reloaded).ok());

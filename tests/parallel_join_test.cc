@@ -492,14 +492,17 @@ TEST(ParallelCancellation, DrainsCleanly) {
 /// tested batch size, which no probe-row range can cut: its runner stalls
 /// at the ready cap, is requeued by the merge and resumes on recycled
 /// batches over and over. The string column exercises in-place refills of
-/// string Values.
+/// string Values. lb/lp hold the same keys as hb/hp with every string
+/// longer than Value::kInlineCapacity, so output rows share heap string
+/// blocks that fleet threads copy and drop.
 void BuildHotKeyCatalog(Catalog* catalog) {
-  auto make = [&](const char* name, std::vector<int64_t> keys) {
+  auto make = [&](const char* name, std::vector<int64_t> keys,
+                  const char* infix) {
     Schema schema({Column{name, "k", ValueType::kInt64},
                    Column{name, "s", ValueType::kString}});
     auto t = std::make_shared<Table>(name, schema);
     for (size_t i = 0; i < keys.size(); ++i) {
-      std::string s = std::string(name) + "-" + std::to_string(i);
+      std::string s = std::string(name) + infix + std::to_string(i);
       ASSERT_TRUE(t->Append({Value(keys[i]), Value(std::move(s))}).ok());
     }
     ASSERT_TRUE(catalog->Register(t).ok());
@@ -514,8 +517,10 @@ void BuildHotKeyCatalog(Catalog* catalog) {
   for (size_t i = probe.size() - 1; i > 0; --i) {
     std::swap(probe[i], probe[rng.NextBounded(static_cast<uint32_t>(i + 1))]);
   }
-  make("hb", build);
-  make("hp", probe);
+  make("hb", build, "-");
+  make("hp", probe, "-");
+  make("lb", build, "-a-long-string-payload-");
+  make("lp", probe, "-a-long-string-payload-");
 }
 
 const Shape kHotKeyShapes[] = {
@@ -536,6 +541,8 @@ const Shape kHotKeyShapes[] = {
        return FlavoredHashJoinPlan(ScanPlan("hb"), ScanPlan("hp"), "hb.k",
                                    "hp.k", JoinFlavor::kAnti);
      }},
+    {"long_strings_hot_build",
+     [] { return HashJoinPlan(ScanPlan("lp"), ScanPlan("lb"), "lp.k", "lb.k"); }},
     {"hot_build",
      [] { return HashJoinPlan(ScanPlan("hp"), ScanPlan("hb"), "hp.k", "hb.k"); }},
 };

@@ -220,12 +220,18 @@ TEST_F(ServiceE2eTest, CancelQueuedAndRunningQueries) {
 
   QpiClient client;
   ASSERT_TRUE(client.Connect("127.0.0.1", server->port()).ok());
+  // The first query runs for seconds, so the second is still queued when
+  // it is cancelled, however slow the host.
+  const char* kLongJoin =
+      "SELECT COUNT(*) FROM orders JOIN lineitem ON "
+      "orders.orderpriority = lineitem.linenumber JOIN customer ON "
+      "lineitem.quantity = customer.mktsegment";
   const char* kJoin =
       "SELECT * FROM orders JOIN lineitem "
       "ON orders.orderkey = lineitem.orderkey";
   uint64_t running_id = 0;
   uint64_t queued_id = 0;
-  ASSERT_TRUE(client.Submit(kJoin, &running_id).ok());
+  ASSERT_TRUE(client.Submit(kLongJoin, &running_id).ok());
   ASSERT_TRUE(client.Submit(kJoin, &queued_id).ok());
 
   // Cancel the queued one first: it never ran, so its terminal snapshot is

@@ -47,13 +47,25 @@ const char kJoinSql[] =
 
 TEST_F(ServiceEventLoopTest, WatchersOfOneCadenceClassShareSerializations) {
   QpiServer::Options options;
-  options.max_inflight = 2;
+  options.max_inflight = 1;
   options.exec_workers = 2;
   options.publish_interval = 256;
   auto server = StartServer(options);
 
   QpiClient submitter;
   ASSERT_TRUE(submitter.Connect("127.0.0.1", server->port()).ok());
+  // The watched join can finish within a few milliseconds, so it waits in
+  // the admission queue behind a blocker (seconds of work, cancelled below)
+  // until every watcher is subscribed: a watch that opens on a terminal
+  // query is a one-shot stream with nothing to share.
+  uint64_t blocker = 0;
+  ASSERT_TRUE(submitter
+                  .Submit("SELECT COUNT(*) FROM orders JOIN lineitem ON "
+                          "orders.orderpriority = lineitem.linenumber "
+                          "JOIN customer ON "
+                          "lineitem.quantity = customer.mktsegment",
+                          &blocker)
+                  .ok());
   uint64_t id = 0;
   ASSERT_TRUE(submitter.Submit(kJoinSql, &id).ok());
 
@@ -75,10 +87,21 @@ TEST_F(ServiceEventLoopTest, WatchersOfOneCadenceClassShareSerializations) {
       watcher.Quit();
     });
   }
+  ServerStats stats;
+  bool stats_ok = true;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  do {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    stats_ok = submitter.Stats(&stats).ok();
+  } while (stats_ok && stats.watchers < kWatchers &&
+           std::chrono::steady_clock::now() < deadline);
+  EXPECT_TRUE(stats_ok);
+  EXPECT_EQ(stats.watchers, static_cast<uint64_t>(kWatchers));
+  EXPECT_TRUE(submitter.Cancel(blocker).ok());
   for (std::thread& thread : threads) thread.join();
   for (const std::string& failure : failures) EXPECT_EQ(failure, "");
 
-  ServerStats stats;
   ASSERT_TRUE(submitter.Stats(&stats).ok());
   // Every delivered snapshot buffer is counted in sends; every distinct
   // serialization in builds. With 8 watchers on one (query, cadence)

@@ -246,6 +246,50 @@ TEST_F(SqlEndToEnd, SemiJoinViaSql) {
   EXPECT_EQ(sql_rows.size(), api_rows.size());
 }
 
+/// A column projected twice comes out twice: projection copies cells
+/// rather than moving them out of the input row, on the sequential path
+/// and on the fused morsel scan (exec_workers > 1).
+TEST_F(SqlEndToEnd, RepeatedProjectedColumnsAreEqual) {
+  TableBuilder s("s");
+  s.AddColumn("i", std::make_unique<UniformIntSpec>(1, 100))
+      .AddColumn("d", std::make_unique<MoneySpec>(1.0, 100.0))
+      .AddColumn("short_str", std::make_unique<RandomStringSpec>(12))
+      .AddColumn("long_str", std::make_unique<RandomStringSpec>(40));
+  ASSERT_TRUE(catalog_.Register(s.Build(2000, 3)).ok());
+  const std::string sql =
+      "SELECT i, i, d, d, short_str, short_str, long_str, long_str FROM s "
+      "WHERE s.i <= 50";
+  std::vector<Row> sequential;
+  for (size_t workers : {1, 4}) {
+    ExecContext ctx;
+    ctx.catalog = &catalog_;
+    ctx.exec_workers = workers;
+    ctx.morsel_rows = 256;
+    SqlPlanner planner(&catalog_);
+    PlanNodePtr plan;
+    ASSERT_TRUE(planner.PlanQuery(sql, &plan).ok());
+    OperatorPtr root;
+    ASSERT_TRUE(CompilePlan(plan.get(), &ctx, &root).ok());
+    std::vector<Row> rows;
+    ASSERT_TRUE(QueryExecutor::Run(root.get(), &ctx, &rows, nullptr).ok());
+    ASSERT_FALSE(rows.empty());
+    for (const Row& row : rows) {
+      ASSERT_EQ(row.size(), 8u);
+      for (size_t c = 0; c < 8; c += 2) {
+        ASSERT_FALSE(row[c].is_null()) << "workers " << workers;
+        ASSERT_EQ(row[c], row[c + 1]) << "workers " << workers;
+      }
+      EXPECT_LE(row[0].AsInt64(), 50);
+      EXPECT_EQ(row[6].AsString().size(), 40u);
+    }
+    if (workers == 1) {
+      sequential = rows;
+    } else {
+      EXPECT_EQ(rows, sequential);
+    }
+  }
+}
+
 TEST_F(SqlEndToEnd, PlannerErrors) {
   SqlPlanner planner(&catalog_);
   PlanNodePtr plan;

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <thread>
 #include <unordered_set>
+#include <vector>
 
 #include "common/row.h"
+#include "stats/hash_histogram.h"
 
 namespace qpi {
 namespace {
@@ -75,6 +79,137 @@ TEST(Value, HashSpreadsOverDomain) {
   std::unordered_set<uint64_t> hashes;
   for (int64_t i = 0; i < 1000; ++i) hashes.insert(Value(i).Hash());
   EXPECT_EQ(hashes.size(), 1000u);  // no collisions on a small dense domain
+}
+
+// The longest inline string and the shortest long one.
+const std::string kInlineMax(Value::kInlineCapacity, 'i');
+const std::string kLongMin(Value::kInlineCapacity + 1, 'l');
+const std::string kLong40 = "the quick brown fox jumps over the lazy!";
+
+TEST(Value, StringsAtTheInlineBoundary) {
+  ASSERT_EQ(kLong40.size(), 40u);
+  for (const std::string& s :
+       {std::string(), std::string("a"), kInlineMax, kLongMin, kLong40}) {
+    Value v(s);
+    EXPECT_EQ(v.type(), ValueType::kString);
+    EXPECT_EQ(v.AsString(), s);
+    EXPECT_EQ(v.AsString().size(), s.size());
+    EXPECT_EQ(v.ToString(), s);
+  }
+}
+
+TEST(Value, StringsKeepEmbeddedNulBytes) {
+  const std::string short_nul("a\0b", 3);
+  const std::string long_nul("0123456789\0abcdefghij", 21);
+  for (const std::string& s : {short_nul, long_nul}) {
+    Value v(s);
+    ASSERT_EQ(v.AsString().size(), s.size());
+    EXPECT_EQ(v.AsString(), s);
+    EXPECT_EQ(v.ToString(), s);
+  }
+  // A NUL orders before any other byte, and bytes after it still count.
+  EXPECT_LT(Value(std::string("a\0b", 3)), Value(std::string("a\0c", 3)));
+  EXPECT_LT(Value(std::string("a\0", 2)), Value(std::string("a\1", 2)));
+  EXPECT_NE(Value(short_nul).Hash(), Value(std::string("a")).Hash());
+}
+
+TEST(Value, LongStringCopyMoveAndAssign) {
+  Value a(kLong40);
+  Value copy(a);
+  EXPECT_EQ(copy.AsString(), kLong40);
+  // Copies share one immutable block.
+  EXPECT_EQ(copy.AsString().data(), a.AsString().data());
+
+  Value moved(std::move(copy));
+  EXPECT_EQ(moved.AsString(), kLong40);
+  EXPECT_TRUE(copy.is_null());  // NOLINT(bugprone-use-after-move)
+
+  Value assigned(int64_t{1});
+  assigned = a;
+  EXPECT_EQ(assigned.AsString(), kLong40);
+  Value& self = assigned;
+  assigned = self;  // self-assignment keeps the block alive
+  EXPECT_EQ(assigned.AsString(), kLong40);
+  assigned = std::move(self);
+  EXPECT_EQ(assigned.AsString(), kLong40);
+
+  // Overwrite a long string with an inline one and a long one with another.
+  Value other(kLongMin);
+  assigned = other;
+  EXPECT_EQ(assigned.AsString(), kLongMin);
+  assigned = Value(std::string("short"));
+  EXPECT_EQ(assigned.AsString(), "short");
+  moved = Value(int64_t{3});
+  EXPECT_EQ(moved.AsInt64(), 3);
+
+  // The original outlives the copies that were dropped or overwritten.
+  EXPECT_EQ(a.AsString(), kLong40);
+  {
+    std::vector<Value> many(100, a);
+    EXPECT_EQ(many.back().AsString(), kLong40);
+  }
+  EXPECT_EQ(a.AsString(), kLong40);
+}
+
+TEST(Value, InlineAndLongStringsOrderByBytes) {
+  // Shared prefix: the inline string is a prefix of the long one.
+  Value inline_prefix(kInlineMax);
+  Value long_extension(kInlineMax + "z");
+  EXPECT_LT(inline_prefix, long_extension);
+  EXPECT_GT(long_extension, inline_prefix);
+  // A long string that differs before the inline boundary orders by that
+  // byte, not by its length.
+  Value long_lower(std::string(Value::kInlineCapacity - 1, 'i') + "a" +
+                   "zzzz");
+  EXPECT_GT(inline_prefix, long_lower);
+  EXPECT_EQ(Value(kLong40), Value(std::string(kLong40)));
+  EXPECT_EQ(Value(kLong40).Hash(), Value(std::string(kLong40)).Hash());
+}
+
+// Golden values: these codes route rows to grace-join partitions and key
+// ONCE's histograms, so changing one moves partitions, estimates and
+// freeze points.
+TEST(Value, HashAndHistogramCodesAreStable) {
+  const struct {
+    Value value;
+    uint64_t hash;
+    uint64_t code;
+  } kGolden[] = {
+      {Value::Null(), 0x9e3779b97f4a7c15ULL, 0x9e3779b97f4a7c15ULL},
+      {Value(int64_t{123456789}), 0x8f7c29206384f886ULL,
+       0x00000000075bcd15ULL},
+      {Value(42.0), 0x810879608e4259ccULL, 0x810879608e4259ccULL},
+      {Value(2.5), 0x7d2e9498d5985f4aULL, 0x7d2e9498d5985f4aULL},
+      {Value(std::string("abcdefghijkl")), 0xf5c5b5d61a00b286ULL,
+       0xf5c5b5d61a00b286ULL},
+      {Value(kLong40), 0xd9b0a179140f75e2ULL, 0xd9b0a179140f75e2ULL},
+  };
+  for (const auto& g : kGolden) {
+    SCOPED_TRACE(g.value.ToString());
+    EXPECT_EQ(g.value.Hash(), g.hash);
+    EXPECT_EQ(HistogramKeyCode(g.value), g.code);
+  }
+}
+
+// Rows copied and dropped on several threads share long-string blocks; the
+// counts must stay exact (run under the thread and address sanitizers).
+TEST(Value, LongStringCopiesAcrossThreads) {
+  const Row shared = {Value(kLong40), Value(kLongMin), Value(int64_t{7})};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&shared] {
+      Row slot;
+      for (int i = 0; i < 20000; ++i) {
+        Row copy = shared;
+        slot = copy;
+        slot[0] = Value(kLongMin);
+        QPI_CHECK(copy[0].AsString() == kLong40);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(shared[0].AsString(), kLong40);
+  EXPECT_EQ(shared[1].AsString(), kLongMin);
 }
 
 TEST(Row, AssignConcatPreservesOrderAndReusesStorage) {
