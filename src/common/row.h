@@ -2,6 +2,7 @@
 #define QPI_COMMON_ROW_H_
 
 #include <algorithm>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -17,8 +18,10 @@ using Row = std::vector<Value>;
 /// storage has room for this width is refilled without touching the heap:
 /// each Value copy is 16 bytes, plus a refcount bump for a string longer
 /// than Value::kInlineCapacity. A wider previous row is truncated, leaving
-/// no stale trailing Value.
-inline void AssignConcat(Row* out, const Row& left, const Row& right) {
+/// no stale trailing Value. A Row converts to either span implicitly; the
+/// grace join passes rows straight out of its partition chunks.
+inline void AssignConcat(Row* out, std::span<const Value> left,
+                         std::span<const Value> right) {
   out->reserve(left.size() + right.size());
   out->resize(left.size() + right.size());
   auto mid = std::copy(left.begin(), left.end(), out->begin());

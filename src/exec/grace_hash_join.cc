@@ -1,6 +1,7 @@
 #include "exec/grace_hash_join.h"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "common/check.h"
@@ -24,13 +25,41 @@ inline uint64_t PartitionMix(uint64_t k) {
   return k;
 }
 
-inline size_t NextPowerOfTwo(size_t n) {
-  size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
+// Target size of one partition chunk, in Values (32 KiB).
+constexpr size_t kChunkValues = (size_t{32} << 10) / sizeof(Value);
 
 }  // namespace
+
+GraceHashJoinOp::Partition::Partition(size_t width)
+    : width_(width), chunks_(1) {
+  const size_t rows = std::bit_floor(std::max<size_t>(1, kChunkValues / width));
+  shift_ = static_cast<unsigned>(std::countr_zero(rows));
+  mask_ = rows - 1;
+}
+
+void GraceHashJoinOp::Partition::Append(const Row& row, uint64_t code) {
+  QPI_DCHECK(row.size() == width_);
+  if (!codes_.empty() && (codes_.size() & mask_) == 0) {
+    chunks_.emplace_back().reserve((mask_ + 1) * width_);
+  }
+  std::vector<Value>& chunk = chunks_.back();
+  chunk.insert(chunk.end(), row.begin(), row.end());
+  codes_.push_back(code);
+}
+
+void GraceHashJoinOp::JoinTable::Build(const Partition& rows) {
+  const size_t n = rows.size();
+  QPI_CHECK(n < kNoRow);  // build-row positions are uint32_t
+  const size_t buckets = std::bit_ceil(std::max<size_t>(n, 2));
+  shift = 64 - static_cast<unsigned>(std::countr_zero(buckets));
+  head.assign(buckets, kNoRow);
+  next.resize(n);
+  for (size_t i = n; i-- > 0;) {
+    uint32_t& first = head[Bucket(rows.code(i))];
+    next[i] = first;
+    first = static_cast<uint32_t>(i);
+  }
+}
 
 GraceHashJoinOp::GraceHashJoinOp(OperatorPtr build, OperatorPtr probe,
                                  size_t build_key_index,
@@ -61,11 +90,15 @@ GraceHashJoinOp::GraceHashJoinOp(OperatorPtr build, OperatorPtr probe,
   }
 }
 
-bool GraceHashJoinOp::KeysEqual(const Row& build_row,
-                                const Row& probe_row) const {
+bool GraceHashJoinOp::KeysEqual(const Value* build_row,
+                                const Value* probe_row) const {
   for (size_t i = 0; i < build_key_indices_.size(); ++i) {
-    if (build_row[build_key_indices_[i]].Compare(
-            probe_row[probe_key_indices_[i]]) != 0) {
+    const Value& b = build_row[build_key_indices_[i]];
+    const Value& p = probe_row[probe_key_indices_[i]];
+    // A string never equals a number, even one equal to its key code
+    // (Compare is only defined within those two kinds).
+    if ((b.type() == ValueType::kString) != (p.type() == ValueType::kString) ||
+        b.Compare(p) != 0) {
       return false;
     }
   }
@@ -105,9 +138,11 @@ Status GraceHashJoinOp::OpenImpl() {
   }
   // Normalize to the next power of two: the partition index becomes a mask
   // over the mixed key hash.
-  num_partitions_ = NextPowerOfTwo(requested);
-  build_parts_.assign(num_partitions_, {});
-  probe_parts_.assign(num_partitions_, {});
+  num_partitions_ = std::bit_ceil(requested);
+  build_parts_.assign(num_partitions_,
+                      Partition(build_child()->schema().num_columns()));
+  probe_parts_.assign(num_partitions_,
+                      Partition(probe_child()->schema().num_columns()));
   null_build_row_.assign(build_child()->schema().num_columns(), Value::Null());
   return Status::OK();
 }
@@ -132,9 +167,8 @@ void GraceHashJoinOp::RunBuildPhase() {
     }
     for (size_t i = 0; i < n; ++i) {
       size_t part = PartitionMix(keys[i]) & (num_partitions_ - 1);
-      build_parts_[part].push_back(std::move(batch.row(i)));
+      build_parts_[part].Append(batch.row(i), keys[i]);
     }
-    build_rows_ += n;
   }
   if (once_ != nullptr) once_->BuildComplete();
   if (pipeline_ != nullptr) pipeline_->BuildComplete(pipeline_index_);
@@ -178,7 +212,7 @@ void GraceHashJoinOp::RunProbePartitionPhase() {
     }
     for (size_t i = 0; i < n; ++i) {
       size_t part = PartitionMix(keys[i]) & (num_partitions_ - 1);
-      probe_parts_[part].push_back(std::move(batch.row(i)));
+      probe_parts_[part].Append(batch.row(i), keys[i]);
       if (weigh != nullptr) part_weight_[part] += 1 + weigh->Count(keys[i]);
     }
   }
@@ -333,21 +367,15 @@ void GraceHashJoinOp::RunJoinChunk(size_t unit, RowBatch batch) {
 uint64_t GraceHashJoinOp::JoinPartitionInto(size_t part,
                                             PartitionCursor* cursor,
                                             RowBatch* out) {
-  const std::vector<Row>& build_rows = build_parts_[part];
-  const std::vector<Row>& probe_rows = probe_parts_[part];
+  const Partition& build = build_parts_[part];
+  const Partition& probe = probe_parts_[part];
   JoinTable& table =
       cursor->shared != nullptr ? cursor->shared->table : cursor->table;
-  const size_t probe_end = std::min(cursor->probe_end, probe_rows.size());
+  const size_t probe_end = std::min(cursor->probe_end, probe.size());
   const bool probe_only =
       join_type_ == JoinFlavor::kSemi || join_type_ == JoinFlavor::kAnti;
   auto stopped = [this] {
     return join_abort_.load(std::memory_order_relaxed) || ctx_->IsCancelled();
-  };
-  auto build_table = [&] {
-    table.reserve(build_rows.size());
-    for (size_t i = 0; i < build_rows.size(); ++i) {
-      table[RowKeyCode(build_rows[i], build_key_indices_)].push_back(i);
-    }
   };
   // Checked once per call (one output batch), so a hot bucket cannot run
   // on unchecked.
@@ -362,10 +390,16 @@ uint64_t GraceHashJoinOp::JoinPartitionInto(size_t part,
       cursor->done = true;
       break;
     }
-    const Row& probe_row = probe_rows[pi];
-    uint64_t code = RowKeyCode(probe_row, probe_key_indices_);
-    const std::vector<size_t>* bucket = nullptr;
-    if (cursor->match == 0) {
+    const std::span<const Value> probe_row = probe.row(pi);
+    const uint64_t code = probe.code(pi);
+    // A chain holds every build row of its bucket: compare the stored
+    // codes first, then the values, since composite and string keys can
+    // share a code.
+    auto matches = [&](uint32_t b) {
+      return build.code(b) == code &&
+             KeysEqual(build.row(b).data(), probe_row.data());
+    };
+    if (cursor->match == kNoRow) {
       // A fresh probe row: consume it. The per-row cadence covers long
       // semi/anti runs that fill a batch slowly.
       if ((pi & 1023u) == 0 && stopped()) {
@@ -374,30 +408,20 @@ uint64_t GraceHashJoinOp::JoinPartitionInto(size_t part,
       }
       if (!cursor->table_built) {
         if (cursor->shared != nullptr) {
-          std::call_once(cursor->shared->once, build_table);
+          std::call_once(cursor->shared->once, [&] { table.Build(build); });
         } else {
-          build_table();
+          table.Build(build);
         }
         cursor->table_built = true;
       }
       ++consumed;
-      auto it = table.find(code);
-      // Verify actual key equality on the candidate bucket: composite and
-      // string keys are matched by 64-bit code first, values second.
-      bool matched = false;
-      if (it != table.end()) {
-        for (size_t idx : it->second) {
-          if (KeysEqual(build_rows[idx], probe_row)) {
-            matched = true;
-            break;
-          }
-        }
-      }
-      if (probe_only || !matched) {
+      uint32_t first = table.head[table.Bucket(code)];
+      while (first != kNoRow && !matches(first)) first = table.next[first];
+      if (probe_only || first == kNoRow) {
         ++cursor->probe_row;
         if (probe_only) {
-          if (matched == (join_type_ == JoinFlavor::kSemi)) {
-            *out->NextSlot() = probe_row;
+          if ((first != kNoRow) == (join_type_ == JoinFlavor::kSemi)) {
+            out->NextSlot()->assign(probe_row.begin(), probe_row.end());
             out->CommitSlot();
           }
         } else if (join_type_ == JoinFlavor::kProbeOuter) {
@@ -407,22 +431,18 @@ uint64_t GraceHashJoinOp::JoinPartitionInto(size_t part,
         }
         continue;
       }
-      bucket = &it->second;
-    } else {
-      // Resuming inside the row's bucket: it was consumed by an earlier
-      // call that stopped on a full batch.
-      bucket = &table.find(code)->second;
+      cursor->match = first;
     }
-    while (cursor->match < bucket->size() && !out->full()) {
-      const Row& build_row = build_rows[(*bucket)[cursor->match++]];
-      if (!KeysEqual(build_row, probe_row)) continue;  // code collision
-      AssignConcat(out->NextSlot(), build_row, probe_row);
+    // Emit the rest of the chain from the cursor; a call that stops on a
+    // full batch resumes here.
+    while (cursor->match != kNoRow && !out->full()) {
+      const uint32_t b = cursor->match;
+      cursor->match = table.next[b];
+      if (!matches(b)) continue;  // another key in this bucket
+      AssignConcat(out->NextSlot(), build.row(b), probe_row);
       out->CommitSlot();
     }
-    if (cursor->match == bucket->size()) {
-      cursor->match = 0;
-      ++cursor->probe_row;
-    }
+    if (cursor->match == kNoRow) ++cursor->probe_row;
   }
   return consumed;
 }

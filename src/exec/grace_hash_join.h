@@ -7,7 +7,7 @@
 #include <deque>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "estimators/baselines.h"
@@ -128,7 +128,50 @@ class GraceHashJoinOp : public Operator {
   void RunBuildPhase();
   void RunProbePartitionPhase();
 
-  using JoinTable = std::unordered_map<uint64_t, std::vector<size_t>>;
+  /// Build-row position that ends a chain (and marks a cursor whose
+  /// current probe row has not been looked up yet).
+  static constexpr uint32_t kNoRow = UINT32_MAX;
+
+  /// One grace partition: its rows stored row-major in chunks of about
+  /// 32 KiB of Values, next to each row's join-key code. A chunk holds a
+  /// power-of-two number of rows, so row i starts at
+  /// chunks_[i >> shift_] + (i & mask_) * width_. The first chunk grows by
+  /// doubling, so a small partition stays small; later chunks are reserved
+  /// at full size, so a large one is never copied as it grows. Rows are
+  /// copied in: the input batch keeps its slots' storage for its refill.
+  class Partition {
+   public:
+    explicit Partition(size_t width);
+    void Append(const Row& row, uint64_t code);
+    size_t size() const { return codes_.size(); }
+    std::span<const Value> row(size_t i) const {
+      return {chunks_[i >> shift_].data() + (i & mask_) * width_, width_};
+    }
+    uint64_t code(size_t i) const { return codes_[i]; }
+
+   private:
+    size_t width_;
+    unsigned shift_;
+    size_t mask_;
+    std::vector<std::vector<Value>> chunks_;
+    std::vector<uint64_t> codes_;
+  };
+
+  /// Chained hash table over one build partition's rows: head[bucket] is
+  /// the first build row of a chain and next[row] the one after it. Rows
+  /// are chained back to front, so a chain lists them in ascending order.
+  /// Every code of one partition shares PartitionMix's low bits, so the
+  /// bucket is taken from the top bits of a Fibonacci multiply instead.
+  struct JoinTable {
+    std::vector<uint32_t> head;
+    std::vector<uint32_t> next;
+    unsigned shift = 63;
+
+    void Build(const Partition& rows);
+    size_t Bucket(uint64_t code) const {
+      return (code * 0x9e3779b97f4a7c15ULL) >> shift;
+    }
+  };
 
   /// One partition's build table, shared read-only by all of that
   /// partition's parallel join units: the first unit to need it builds it
@@ -145,8 +188,8 @@ class GraceHashJoinOp : public Operator {
   /// each parallel join unit keeps its own, probing its partition's
   /// SharedTable, owned by whichever runner holds the unit.
   struct PartitionCursor {
-    /// Build-row indices by key code, built on the first probe row
-    /// (unused when `shared` is set).
+    /// The partition's build table, built on the first probe row (unused
+    /// when `shared` is set).
     JoinTable table;
     SharedTable* shared = nullptr;
     bool table_built = false;
@@ -154,9 +197,9 @@ class GraceHashJoinOp : public Operator {
     size_t probe_row = 0;  ///< next probe row index
     /// End of the probe-row range; SIZE_MAX means the partition's end.
     size_t probe_end = SIZE_MAX;
-    /// Next index into the current probe row's bucket; 0 while that row
-    /// has not been looked up yet.
-    size_t match = 0;
+    /// Next chain entry to check for the current probe row; kNoRow while
+    /// that row has not been looked up yet.
+    uint32_t match = kNoRow;
   };
 
   /// The join phase's one loop, shared by the sequential and parallel
@@ -209,7 +252,7 @@ class GraceHashJoinOp : public Operator {
   /// independent of ctx->mode.
   double OnceEstimate() const;
 
-  bool KeysEqual(const Row& build_row, const Row& probe_row) const;
+  bool KeysEqual(const Value* build_row, const Value* probe_row) const;
 
   std::vector<size_t> build_key_indices_;
   std::vector<size_t> probe_key_indices_;
@@ -217,8 +260,8 @@ class GraceHashJoinOp : public Operator {
   size_t num_partitions_ = 64;
 
   Phase phase_ = Phase::kInit;
-  std::vector<std::vector<Row>> build_parts_;
-  std::vector<std::vector<Row>> probe_parts_;
+  std::vector<Partition> build_parts_;
+  std::vector<Partition> probe_parts_;
   // NULL build-side prefix of a probe-outer miss, built once at Open.
   Row null_build_row_;
 
@@ -227,7 +270,6 @@ class GraceHashJoinOp : public Operator {
   PartitionCursor join_cursor_;
   size_t join_emit_part_ = 0;
 
-  uint64_t build_rows_ = 0;
   uint64_t probe_partition_consumed_ = 0;
   // Advanced once per output batch, by the sequential join cursor or by
   // a parallel runner's publish; read by monitor-thread estimates.

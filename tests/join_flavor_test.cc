@@ -1,7 +1,8 @@
 // Semi / anti / probe-outer hash joins (the paper's Section 4.1.1
 // extension): operator correctness vs set-based and nested-loops oracles
-// (sequential and partition-parallel join phase), schema shapes, ONCE
-// estimation exactness per flavour, and optimizer sanity.
+// (sequential and partition-parallel join phase), the value check behind
+// colliding key codes, schema shapes, ONCE estimation exactness per
+// flavour, and optimizer sanity.
 
 #include <gtest/gtest.h>
 
@@ -9,6 +10,7 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <string>
 #include <utility>
 
 #include "datagen/table_builder.h"
@@ -16,6 +18,7 @@
 #include "exec/executor.h"
 #include "exec/grace_hash_join.h"
 #include "plan/optimizer.h"
+#include "stats/hash_histogram.h"
 #include "storage/catalog.h"
 
 namespace qpi {
@@ -205,6 +208,136 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(0.0, 1.0, 2.0),
                        ::testing::Values(size_t{1}, size_t{4}),
                        ::testing::Values(size_t{7}, size_t{1024})));
+
+/// Join-key equality: a string never equals a number.
+bool SameKey(const Value& a, const Value& b) {
+  return (a.type() == ValueType::kString) ==
+             (b.type() == ValueType::kString) &&
+         a.Compare(b) == 0;
+}
+
+/// Nested-loops oracle of the rows `flavor` emits for build ⋈ probe on
+/// column 0 of each (column 1 is the id), independent of the hash join's
+/// partitioning and probe kernel. Sorted.
+std::vector<IdPair> NestedLoopsOracle(const Table& build, const Table& probe,
+                                      JoinFlavor flavor) {
+  bool probe_only = flavor == JoinFlavor::kSemi || flavor == JoinFlavor::kAnti;
+  std::vector<IdPair> oracle;
+  for (uint64_t pi = 0; pi < probe.num_rows(); ++pi) {
+    const Row& p = probe.RowAt(pi);
+    bool any = false;
+    for (uint64_t bi = 0; bi < build.num_rows(); ++bi) {
+      const Row& b = build.RowAt(bi);
+      if (!SameKey(b[0], p[0])) continue;
+      any = true;
+      if (!probe_only) oracle.emplace_back(b[1].AsInt64(), p[1].AsInt64());
+    }
+    bool emit_alone = flavor == JoinFlavor::kSemi ? any : !any;
+    if (flavor != JoinFlavor::kInner && emit_alone) {
+      oracle.emplace_back(std::nullopt, p[1].AsInt64());
+    }
+  }
+  std::sort(oracle.begin(), oracle.end());
+  return oracle;
+}
+
+/// The IdPairs of a join's output rows, sorted.
+std::vector<IdPair> EmittedIds(const std::vector<Row>& rows, JoinFlavor flavor) {
+  bool probe_only = flavor == JoinFlavor::kSemi || flavor == JoinFlavor::kAnti;
+  std::vector<IdPair> emitted;
+  for (const Row& r : rows) {
+    EXPECT_EQ(r.size(), probe_only ? 2u : 4u);
+    if (r.size() != (probe_only ? 2u : 4u)) continue;
+    if (probe_only) {
+      emitted.emplace_back(std::nullopt, r[1].AsInt64());
+    } else if (r[1].is_null()) {
+      emitted.emplace_back(std::nullopt, r[3].AsInt64());
+    } else {
+      emitted.emplace_back(r[1].AsInt64(), r[3].AsInt64());
+    }
+  }
+  std::sort(emitted.begin(), emitted.end());
+  return emitted;
+}
+
+/// (flavor, exec_workers, batch_size, hash_join_partitions).
+class CodeCollision : public ::testing::TestWithParam<
+                          std::tuple<JoinFlavor, size_t, size_t, size_t>> {};
+
+/// A table (k, id) whose key column mixes strings and integers. It is
+/// registered without statistics: Analyze orders a column's values, and
+/// strings and numbers have no common order.
+TablePtr MakeMixed(const std::string& name, const std::vector<Value>& keys) {
+  Schema schema({Column{name, "k", ValueType::kInt64},
+                 Column{name, "id", ValueType::kInt64}});
+  auto t = std::make_shared<Table>(name, schema);
+  int64_t id = 0;
+  for (const Value& k : keys) {
+    EXPECT_TRUE(t->Append({k, Value(id++)}).ok());
+  }
+  return t;
+}
+
+TEST_P(CodeCollision, ValueCheckRejectsCollidingCodes) {
+  auto [flavor, workers, batch_size, partitions] = GetParam();
+  // An integer's key code is the integer itself, so the integer equal to a
+  // string's code lands in that string's partition and bucket with the
+  // same code. Each side holds, for every j, the string s_j and the
+  // integer c_j = code(s_j) crosswise; true matches are the small integers
+  // and the strings repeated on both sides. Every fourth string is longer
+  // than Value::kInlineCapacity.
+  std::vector<Value> build_keys;
+  std::vector<Value> probe_keys;
+  for (int j = 0; j < 48; ++j) {
+    std::string text = (j % 4 == 0 ? "a-longer-join-key-" : "key-") +
+                       std::to_string(j);
+    Value str{std::string_view(text)};
+    Value code(static_cast<int64_t>(HistogramKeyCode(str)));
+    ASSERT_EQ(HistogramKeyCode(code), HistogramKeyCode(str));
+    build_keys.push_back(j % 2 == 0 ? str : code);
+    probe_keys.push_back(j % 2 == 0 ? code : str);
+    if (j % 3 == 0) probe_keys.push_back(str);  // matches for even j
+    if (j % 4 == 0) build_keys.push_back(str);  // a duplicate build key
+    build_keys.push_back(Value(int64_t{j % 10}));
+    if (j % 5 != 0) probe_keys.push_back(Value(int64_t{j}));
+  }
+  TablePtr build = MakeMixed("b", build_keys);
+  TablePtr probe = MakeMixed("p", probe_keys);
+
+  // The codes collide far more often than the values match.
+  uint64_t code_pairs = 0;
+  uint64_t value_pairs = 0;
+  for (const Value& b : build_keys) {
+    for (const Value& p : probe_keys) {
+      code_pairs += HistogramKeyCode(b) == HistogramKeyCode(p);
+      value_pairs += SameKey(b, p);
+    }
+  }
+  ASSERT_GT(value_pairs, 0u);
+  ASSERT_GT(code_pairs, value_pairs + 40);
+
+  Fixture fx;
+  fx.ctx.exec_workers = workers;
+  fx.ctx.batch_size = batch_size;
+  fx.ctx.hash_join_partitions = partitions;
+  ASSERT_TRUE(fx.catalog.Register(build).ok());
+  ASSERT_TRUE(fx.catalog.Register(probe).ok());
+  // ONCE counts by code, so it is not exact here by design; only the rows
+  // are checked.
+  std::vector<Row> rows = fx.Run(
+      FlavoredHashJoinPlan(ScanPlan("b"), ScanPlan("p"), "b.k", "p.k", flavor));
+  EXPECT_EQ(EmittedIds(rows, flavor),
+            NestedLoopsOracle(*build, *probe, flavor));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Flavors, CodeCollision,
+    ::testing::Combine(::testing::Values(JoinFlavor::kInner, JoinFlavor::kSemi,
+                                         JoinFlavor::kAnti,
+                                         JoinFlavor::kProbeOuter),
+                       ::testing::Values(size_t{1}, size_t{4}),
+                       ::testing::Values(size_t{1}, size_t{1024}),
+                       ::testing::Values(size_t{1}, size_t{64})));
 
 TEST(JoinFlavor, SemiAndOuterOptimizerEstimatesAreConsistent) {
   Fixture fx;

@@ -1,11 +1,14 @@
 // Conjunctive multi-attribute hash equijoins (Section 4.1's "conjunctions
-// of multiple attributes"): correctness vs a brute-force oracle, composite
-// key estimation exactness, collision safety of the value-equality check,
-// and optimizer/compile error paths.
+// of multiple attributes"): correctness vs a brute-force oracle at 1 and 4
+// workers, composite key estimation exactness, collision safety of the
+// value-equality check, and optimizer/compile error paths.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <utility>
+#include <vector>
 
 #include "datagen/table_builder.h"
 #include "exec/compiler.h"
@@ -43,26 +46,37 @@ TEST(MultiKeyJoin, MatchesBruteForceOracle) {
   fx.Add(l);
   fx.Add(r);
 
-  uint64_t expected = 0;
+  // (l.id, r.id) of every matching pair.
+  std::vector<std::pair<int64_t, int64_t>> expected;
   for (uint64_t a = 0; a < l->num_rows(); ++a) {
     for (uint64_t b = 0; b < r->num_rows(); ++b) {
       if (l->RowAt(a)[0].AsInt64() == r->RowAt(b)[0].AsInt64() &&
           l->RowAt(a)[1].AsInt64() == r->RowAt(b)[1].AsInt64()) {
-        ++expected;
+        expected.emplace_back(l->RowAt(a)[2].AsInt64(),
+                              r->RowAt(b)[2].AsInt64());
       }
     }
   }
+  std::sort(expected.begin(), expected.end());
 
-  PlanNodePtr plan = MultiKeyHashJoinPlan(ScanPlan("l"), ScanPlan("r"),
-                                          {"l.x", "l.y"}, {"r.x", "r.y"});
-  OperatorPtr root;
-  ASSERT_TRUE(CompilePlan(plan.get(), &fx.ctx, &root).ok());
-  std::vector<Row> rows;
-  ASSERT_TRUE(QueryExecutor::Run(root.get(), &fx.ctx, &rows, nullptr).ok());
-  EXPECT_EQ(rows.size(), expected);
-  for (const Row& row : rows) {
-    EXPECT_EQ(row[0].AsInt64(), row[3].AsInt64());  // l.x == r.x
-    EXPECT_EQ(row[1].AsInt64(), row[4].AsInt64());  // l.y == r.y
+  // The sequential and the parallel join phase.
+  for (size_t workers : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE(workers);
+    fx.ctx.exec_workers = workers;
+    PlanNodePtr plan = MultiKeyHashJoinPlan(ScanPlan("l"), ScanPlan("r"),
+                                            {"l.x", "l.y"}, {"r.x", "r.y"});
+    OperatorPtr root;
+    ASSERT_TRUE(CompilePlan(plan.get(), &fx.ctx, &root).ok());
+    std::vector<Row> rows;
+    ASSERT_TRUE(QueryExecutor::Run(root.get(), &fx.ctx, &rows, nullptr).ok());
+    std::vector<std::pair<int64_t, int64_t>> emitted;
+    for (const Row& row : rows) {
+      EXPECT_EQ(row[0].AsInt64(), row[3].AsInt64());  // l.x == r.x
+      EXPECT_EQ(row[1].AsInt64(), row[4].AsInt64());  // l.y == r.y
+      emitted.emplace_back(row[2].AsInt64(), row[5].AsInt64());
+    }
+    std::sort(emitted.begin(), emitted.end());
+    EXPECT_EQ(emitted, expected);
   }
 }
 
