@@ -53,14 +53,14 @@ const char* TaskLaneName(TaskLane lane);
 /// and external submitters block until space frees up — safe because
 /// subtask bodies never block, so the fleet always drains.
 ///
-/// **Helping protocol**: a blocked query-level wait (a morsel merge
-/// waiting for morsel k, a join merge waiting for partition p, a
-/// TaskGroup::Wait) must not park a fleet worker while runnable subtasks
-/// exist, or a fleet saturated with blocked query tasks deadlocks
-/// against its own fan-out. Every such waiter therefore waits through
-/// HelpUntil, which loops on HelpOneSubtask() — legal from any thread
-/// precisely because subtask bodies never block (the grace join's
-/// partition results are buffered, not pushed through a blocking queue).
+/// **Helping protocol**: a blocked query-level wait (the ordered merge
+/// of a parallel scan or join waiting for unit k, a TaskGroup::Wait)
+/// must not park a fleet worker while runnable subtasks exist, or a
+/// fleet saturated with blocked query tasks deadlocks against its own
+/// fan-out. Every such waiter therefore waits through HelpUntil, which
+/// loops on HelpOneSubtask() — legal from any thread precisely because
+/// subtask bodies never block (a unit's output batches are buffered, not
+/// pushed through a blocking queue).
 ///
 /// The destructor keeps the old pool's drain contract: every queued task
 /// (both lanes) executes before the workers join — the service drain

@@ -1,5 +1,7 @@
 #include "exec/compiler.h"
 
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -161,6 +163,34 @@ Status CompileNode(const PlanNode& node, ExecContext* ctx, OperatorPtr* out) {
 
 void WireOnceEstimation(Operator* op);
 
+/// Share one PipelineJoinEstimator across `chain` (joins listed top-down,
+/// each the probe child of the one above; the lowest one's probe child is
+/// the driver): build the join specs bottom-up and enlist every member,
+/// the lowest feeding driver rows.
+template <typename Join>
+void EnlistPipeline(const std::vector<Join*>& chain,
+                    size_t (Join::*build_key)() const,
+                    size_t (Join::*probe_key)() const) {
+  Operator* driver = chain.back()->child(1);
+  std::vector<PipelineJoinEstimator::JoinSpec> specs;
+  for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
+    Join* join = *it;
+    PipelineJoinEstimator::JoinSpec spec;
+    spec.build_schema = join->child(0)->schema();
+    spec.build_key_index = (join->*build_key)();
+    spec.probe_attr = join->child(1)->schema().column((join->*probe_key)());
+    specs.push_back(std::move(spec));
+  }
+  auto pipeline = std::make_shared<PipelineJoinEstimator>(
+      driver->schema(), std::move(specs),
+      [driver] { return driver->CurrentCardinalityEstimate(); });
+  for (size_t k = 0; k < chain.size(); ++k) {
+    size_t bottom_up = chain.size() - 1 - k;
+    chain[k]->EnlistInPipeline(pipeline, bottom_up,
+                               /*is_lowest=*/bottom_up == 0);
+  }
+}
+
 /// Wire estimation for the chain of hash joins rooted at `top` (a chain
 /// follows probe children; non-inner joins end it), then recurse into the
 /// build subtrees and the driver subtree. With `force_pipeline`, even a
@@ -192,26 +222,8 @@ void WireHashChain(GraceHashJoinOp* top, bool force_pipeline) {
     }
     // else: clustered probe input, fall back to dne (paper Section 4.1.4).
   } else if (chain.size() > 1 || top->child(1)->ProducesRandomStream()) {
-    // Bottom-up specs for the shared pipeline estimator.
-    Operator* driver = chain.back()->child(1);
-    std::vector<PipelineJoinEstimator::JoinSpec> specs;
-    for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
-      GraceHashJoinOp* join = *it;
-      PipelineJoinEstimator::JoinSpec spec;
-      spec.build_schema = join->child(0)->schema();
-      spec.build_key_index = join->build_key_index();
-      spec.probe_attr = join->child(1)->schema().column(
-          join->probe_key_index());
-      specs.push_back(std::move(spec));
-    }
-    auto pipeline = std::make_shared<PipelineJoinEstimator>(
-        driver->schema(), std::move(specs),
-        [driver] { return driver->CurrentCardinalityEstimate(); });
-    for (size_t k = 0; k < chain.size(); ++k) {
-      size_t bottom_up = chain.size() - 1 - k;
-      chain[k]->EnlistInPipeline(pipeline, bottom_up,
-                                 /*is_lowest=*/bottom_up == 0);
-    }
+    EnlistPipeline(chain, &GraceHashJoinOp::build_key_index,
+                   &GraceHashJoinOp::probe_key_index);
   }
   // Recurse into build children of every chain member plus the driver
   // subtree (the probe children inside the chain are the chain itself).
@@ -272,25 +284,8 @@ void WireOnceEstimation(Operator* op) {
         merge_top->EnableOnceEstimation();
       }
     } else {
-      Operator* driver = chain.back()->child(1);
-      std::vector<PipelineJoinEstimator::JoinSpec> specs;
-      for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
-        MergeJoinOp* join = *it;
-        PipelineJoinEstimator::JoinSpec spec;
-        spec.build_schema = join->child(0)->schema();
-        spec.build_key_index = join->left_key_index();
-        spec.probe_attr =
-            join->child(1)->schema().column(join->right_key_index());
-        specs.push_back(std::move(spec));
-      }
-      auto pipeline = std::make_shared<PipelineJoinEstimator>(
-          driver->schema(), std::move(specs),
-          [driver] { return driver->CurrentCardinalityEstimate(); });
-      for (size_t k = 0; k < chain.size(); ++k) {
-        size_t bottom_up = chain.size() - 1 - k;
-        chain[k]->EnlistInPipeline(pipeline, bottom_up,
-                                   /*is_lowest=*/bottom_up == 0);
-      }
+      EnlistPipeline(chain, &MergeJoinOp::left_key_index,
+                     &MergeJoinOp::right_key_index);
     }
     for (MergeJoinOp* join : chain) {
       WireOnceEstimation(join->child(0));
@@ -329,9 +324,7 @@ Status CompilePlan(PlanNode* plan, ExecContext* ctx, OperatorPtr* out) {
   if (ctx == nullptr || ctx->catalog == nullptr) {
     return Status::InvalidArgument("ExecContext with catalog required");
   }
-  OptimizerOptions options;
-  options.use_column_histograms = ctx->use_column_histograms;
-  OptimizerEstimator optimizer(ctx->catalog, options);
+  OptimizerEstimator optimizer(ctx->catalog);
   QPI_RETURN_NOT_OK(optimizer.Annotate(plan));
   QPI_RETURN_NOT_OK(CompileNode(*plan, ctx, out));
   if (ctx->mode == EstimationMode::kOnce) {

@@ -149,17 +149,10 @@ struct ExecContext {
   /// output and is not counted here.
   size_t exec_workers = 1;
 
-  /// Rows per scan morsel on the parallel scan path.
-  size_t morsel_rows = 4096;
-
   /// Upper bound Validate() accepts for exec_workers: far above any real
   /// fleet, low enough that a corrupted knob cannot spawn thousands of
   /// threads.
   static constexpr size_t kMaxExecWorkers = 256;
-
-  /// Let the optimizer consult per-column equi-depth histograms (Section 3's
-  /// optional base-table statistics) instead of uniform interpolation.
-  bool use_column_histograms = false;
 
   /// Rows per RowBatch. 1 gives tuple-granular ticks: every internal intake
   /// loop sizes its batches from this, so monitor snapshots land on single
@@ -172,19 +165,15 @@ struct ExecContext {
 
   Pcg32 rng{0x5eed5eedULL};
 
-  /// Check the knobs that would otherwise produce undefined looping at
-  /// execution time: a batch_size of 0 makes every NextBatch return an
-  /// empty (= end-of-stream) batch and a morsel_rows of 0 would spin the
-  /// morsel cursor forever. Called by the executors before Open; service
-  /// submissions surface the error on the wire instead of wedging a
-  /// worker. (hash_join_partitions == 0 is rejected separately at operator
-  /// Open, where the power-of-two normalization lives.)
+  /// Check the knobs that would otherwise misbehave at execution time: a
+  /// batch_size of 0 makes every NextBatch return an empty
+  /// (= end-of-stream) batch. Called by the executors before Open;
+  /// service submissions surface the error on the wire instead of wedging
+  /// a worker. (hash_join_partitions == 0 is rejected separately at
+  /// operator Open, where the power-of-two normalization lives.)
   Status Validate() const {
     if (batch_size == 0) {
       return Status::InvalidArgument("batch_size must be >= 1");
-    }
-    if (morsel_rows == 0) {
-      return Status::InvalidArgument("morsel_rows must be >= 1");
     }
     if (exec_workers == 0) {
       return Status::InvalidArgument("exec_workers must be >= 1");

@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "exec/morsel_scan.h"
-
 namespace qpi {
 
 namespace {
@@ -21,29 +19,19 @@ FilterOp::FilterOp(OperatorPtr child, std::unique_ptr<BoundPredicate> predicate,
   SetSchema(this->child(0)->schema());
 }
 
-FilterOp::~FilterOp() = default;
-
 Status FilterOp::OpenImpl() {
   in_ = RowBatch(ctx_->batch_size);
   in_pos_ = 0;
   in_valid_ = false;
   random_over_ = false;
-  driver_.reset();
-  fusion_checked_ = false;
+  fused_.Reset();
   return Status::OK();
 }
 
-void FilterOp::CloseImpl() { driver_.reset(); }
+void FilterOp::CloseImpl() { fused_.Reset(); }
 
 void FilterOp::NextBatchImpl(RowBatch* out) {
-  if (!fusion_checked_) {
-    fusion_checked_ = true;
-    if (ctx_->exec_workers > 1) {
-      driver_ = TryBuildFusedScanDriver(this, ctx_);
-    }
-  }
-  if (driver_ != nullptr) {
-    driver_->Fill(out);
+  if (fused_.Fill(this, ctx_, out)) {
     CountEmitted(out->size());
     return;
   }
@@ -86,29 +74,19 @@ ProjectOp::ProjectOp(OperatorPtr child, std::vector<size_t> indices,
   SetSchema(std::move(output_schema));
 }
 
-ProjectOp::~ProjectOp() = default;
-
 Status ProjectOp::OpenImpl() {
   in_ = RowBatch(ctx_->batch_size);
   in_pos_ = 0;
   in_valid_ = false;
   random_over_ = false;
-  driver_.reset();
-  fusion_checked_ = false;
+  fused_.Reset();
   return Status::OK();
 }
 
-void ProjectOp::CloseImpl() { driver_.reset(); }
+void ProjectOp::CloseImpl() { fused_.Reset(); }
 
 void ProjectOp::NextBatchImpl(RowBatch* out) {
-  if (!fusion_checked_) {
-    fusion_checked_ = true;
-    if (ctx_->exec_workers > 1) {
-      driver_ = TryBuildFusedScanDriver(this, ctx_);
-    }
-  }
-  if (driver_ != nullptr) {
-    driver_->Fill(out);
+  if (fused_.Fill(this, ctx_, out)) {
     CountEmitted(out->size());
     return;
   }
@@ -121,17 +99,19 @@ void ProjectOp::NextBatchImpl(RowBatch* out) {
     while (in_pos_ < in_.size() && !out->full()) {
       size_t i = in_pos_++;
       if (i >= in_.random_run()) random_over_ = true;
-      Row& input = in_.row(i);
-      Row* slot = out->NextSlot();
-      slot->clear();
-      slot->reserve(indices_.size());
-      // Copy, not move: a column may be projected more than once.
-      for (size_t idx : indices_) slot->push_back(input[idx]);
+      ProjectRow(in_.row(i), out->NextSlot());
       out->CommitSlot();
       if (!random_over_) out->bump_random_run();
     }
   }
   CountEmitted(out->size());
+}
+
+void ProjectOp::ProjectRow(const Row& in, Row* out) const {
+  out->clear();
+  out->reserve(indices_.size());
+  // Copy, not move: a column may be projected more than once.
+  for (size_t idx : indices_) out->push_back(in[idx]);
 }
 
 }  // namespace qpi

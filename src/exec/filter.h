@@ -3,12 +3,11 @@
 
 #include <memory>
 
+#include "exec/morsel_scan.h"
 #include "exec/operator.h"
 #include "plan/expr.h"
 
 namespace qpi {
-
-class MorselScanDriver;
 
 /// \brief Selection (σ). Estimation follows the paper's Section 4.3:
 /// selections have no preprocessing phase, and on a random input prefix the
@@ -18,7 +17,6 @@ class FilterOp : public Operator {
  public:
   FilterOp(OperatorPtr child, std::unique_ptr<BoundPredicate> predicate,
            std::string predicate_text);
-  ~FilterOp() override;
 
   double CardinalityEstimate(EstimationMode mode) const override;
   bool ProducesRandomStream() const override {
@@ -39,10 +37,9 @@ class FilterOp : public Operator {
   size_t in_pos_ = 0;
   bool in_valid_ = false;
   bool random_over_ = false;
-  // Engaged when this operator tops a fusable scan chain and
-  // ctx->exec_workers > 1 (see morsel_scan.h).
-  std::unique_ptr<MorselScanDriver> driver_;
-  bool fusion_checked_ = false;
+  // Runs when this operator tops a fusable scan chain and
+  // ctx->exec_workers > 1.
+  FusedScan fused_;
 };
 
 /// \brief Projection (π) down to a fixed set of column indices.
@@ -50,7 +47,6 @@ class ProjectOp : public Operator {
  public:
   ProjectOp(OperatorPtr child, std::vector<size_t> indices,
             Schema output_schema);
-  ~ProjectOp() override;
 
   double CardinalityEstimate(EstimationMode mode) const override {
     return child(0)->CardinalityEstimate(mode);
@@ -62,8 +58,9 @@ class ProjectOp : public Operator {
     return child(0)->ProducesRandomStream();
   }
 
-  /// Morsel-fusion support.
-  const std::vector<size_t>& project_indices() const { return indices_; }
+  /// Copy the projected columns of `in` into `out`, reusing its storage:
+  /// the one per-row projection, shared with the fused morsel scan.
+  void ProjectRow(const Row& in, Row* out) const;
 
  protected:
   Status OpenImpl() override;
@@ -76,8 +73,7 @@ class ProjectOp : public Operator {
   size_t in_pos_ = 0;
   bool in_valid_ = false;
   bool random_over_ = false;
-  std::unique_ptr<MorselScanDriver> driver_;
-  bool fusion_checked_ = false;
+  FusedScan fused_;
 };
 
 }  // namespace qpi

@@ -5,7 +5,7 @@
 #include <utility>
 
 #include "common/check.h"
-#include "common/task_scheduler.h"
+#include "exec/ordered_merge.h"
 
 namespace qpi {
 
@@ -121,14 +121,9 @@ void GraceHashJoinOp::EnlistInPipeline(
   pipeline_lowest_ = is_lowest;
 }
 
-GraceHashJoinOp::~GraceHashJoinOp() {
-  // Destruction without Close (error paths): flag the abort before
-  // waiting the task group (its Wait helps the fleet drain), so the
-  // remaining members (partitions included) die only after every
-  // join-unit subtask has exited.
-  join_abort_.store(true, std::memory_order_relaxed);
-  join_group_.reset();
-}
+// Destruction without Close (error paths) destroys merge_ first, which
+// waits for every join-unit subtask before the partitions die.
+GraceHashJoinOp::~GraceHashJoinOp() = default;
 
 Status GraceHashJoinOp::OpenImpl() {
   size_t requested = ctx_->hash_join_partitions;
@@ -228,14 +223,10 @@ void GraceHashJoinOp::PreparePartitions() {
 }
 
 void GraceHashJoinOp::StartParallelJoin() {
-  parallel_join_ = true;
-  join_abort_.store(false, std::memory_order_relaxed);
   // Cut each partition into equal probe-row ranges whose estimated output
-  // is about half a unit's ready budget, so a unit running ahead of the
-  // merge cursor finishes without stalling. Empty partitions emit nothing
+  // is about OrderedMerge::UnitTarget rows. Empty partitions emit nothing
   // for any flavor and get no unit.
-  const uint64_t target =
-      std::max(kJoinReadyCap * ctx_->batch_size / 2, kMinJoinUnitWeight);
+  const uint64_t target = OrderedMerge::UnitTarget(ctx_->batch_size);
   part_tables_ = std::vector<SharedTable>(num_partitions_);
   size_t num_units = 0;
   for (size_t p = 0; p < num_partitions_; ++p) {
@@ -259,109 +250,23 @@ void GraceHashJoinOp::StartParallelJoin() {
       unit.cursor.probe_end = rows * (r + 1) / ranges;
     }
   }
-  // In-flight memory is bounded by the submission window, like the morsel
-  // driver's: at most ~2·workers+2 units run ahead of the merge cursor,
-  // and the merge drains each unit's batches while it is still
-  // producing, so even a probe row with a huge bucket streams through
-  // rather than materializing its whole output.
-  join_window_ = std::min(2 * ctx_->exec_workers + 2, join_units_.size());
-  join_submitted_ = 0;
-  join_emit_unit_ = 0;
-  join_merge_batch_ = RowBatch(0);
-  join_emit_row_ = 0;
-  spare_batches_.reserve(join_window_ * kJoinReadyCap);
-  join_sched_ = ctx_->scheduler();
-  join_group_ = std::make_unique<TaskGroup>(join_sched_, ctx_->sched_tag());
-  SubmitJoinUpTo(join_window_);
+  merge_ = std::make_unique<OrderedMerge>(
+      num_units, ctx_,
+      [this](size_t unit, RowBatch* out) { return ProduceUnit(unit, out); });
 }
 
-void GraceHashJoinOp::SubmitJoinUpTo(size_t limit) {
-  limit = std::min(limit, join_units_.size());
-  while (join_submitted_ < limit) {
-    size_t u = join_submitted_++;
-    join_group_->Submit([this, u] { JoinUnitTask(u); });
+bool GraceHashJoinOp::ProduceUnit(size_t unit, RowBatch* out) {
+  JoinUnit& u = join_units_[unit];
+  const uint64_t consumed = JoinPartitionInto(u.part, &u.cursor, out);
+  // The shared table is dead weight once its partition's last unit is
+  // done; that unit frees it.
+  if (u.cursor.done && u.cursor.shared->units_left.fetch_sub(1) == 1) {
+    u.cursor.shared->table = JoinTable();
   }
-}
-
-void GraceHashJoinOp::JoinUnitTask(size_t unit) {
-  // Claimed-bail entry: every submission (initial window fill, driver
-  // requeue after a stall, helping thread racing a worker) funnels through
-  // here, and only one claims the unit — duplicates see a state other
-  // than kQueued and return immediately. The claim takes the chunk's first
-  // batch from the pool.
-  RowBatch batch(0);
-  {
-    std::lock_guard<std::mutex> lock(join_mu_);
-    JoinUnit& u = join_units_[unit];
-    if (u.state != JoinUnit::State::kQueued) return;
-    u.state = JoinUnit::State::kRunning;
-    TakeSpareLocked(&batch);
-  }
-  RunJoinChunk(unit, std::move(batch));
-}
-
-void GraceHashJoinOp::TakeSpareLocked(RowBatch* batch) {
-  if (spare_batches_.empty()) return;
-  *batch = std::move(spare_batches_.back());
-  spare_batches_.pop_back();
-}
-
-void GraceHashJoinOp::RecycleLocked(RowBatch* batch) {
-  if (batch->capacity() != ctx_->batch_size ||
-      spare_batches_.size() >= join_window_ * kJoinReadyCap) {
-    return;
-  }
-  batch->Clear();
-  spare_batches_.push_back(std::move(*batch));
-}
-
-void GraceHashJoinOp::RunJoinChunk(size_t unit, RowBatch batch) {
-  JoinUnit& result = join_units_[unit];
-  while (true) {
-    // Allocate only when the pool had no batch to give.
-    if (batch.capacity() != ctx_->batch_size) {
-      batch = RowBatch(ctx_->batch_size);
-    }
-    uint64_t consumed = JoinPartitionInto(result.part, &result.cursor, &batch);
-    bool done = result.cursor.done;
-    // The shared table is dead weight once its partition's last unit is
-    // done; that unit frees it.
-    if (done && result.cursor.shared->units_left.fetch_sub(1) == 1) {
-      result.cursor.shared->table = JoinTable();
-    }
-    // Count emitted rows and driver consumption *before* publishing the
-    // batch, so a monitor never sees more output than accounted input.
-    // Publication is a bounded-time push under join_mu_ — never a wait on
-    // the consumer — which keeps the subtask-never-blocks contract the
-    // fleet's helping protocol relies on, while letting the merge drain
-    // this unit concurrently with its production. The same critical
-    // section decides whether to stall and, if not, takes the next batch
-    // from the pool. A kernel call ends on a full batch unless the
-    // unit is done, so only a done unit publishes a partial one (or
-    // recycles an empty one).
-    CountEmitted(batch.size());
-    join_driver_consumed_.fetch_add(consumed, std::memory_order_relaxed);
-    bool stalled = false;
-    {
-      std::lock_guard<std::mutex> lock(join_mu_);
-      if (batch.empty()) {
-        RecycleLocked(&batch);
-      } else {
-        result.ready.push_back(std::move(batch));
-      }
-      if (done) {
-        result.state = JoinUnit::State::kDone;
-      } else if (result.ready.size() >= kJoinReadyCap) {
-        result.state = JoinUnit::State::kStalled;
-        stalled = true;
-      } else {
-        TakeSpareLocked(&batch);
-      }
-    }
-    // The merge driver is the only join_cv_ waiter.
-    join_cv_.notify_one();
-    if (done || stalled) return;
-  }
+  // Join output is clustered by partition: its random_run stays 0.
+  CountEmitted(out->size());
+  join_driver_consumed_.fetch_add(consumed, std::memory_order_relaxed);
+  return u.cursor.done;
 }
 
 uint64_t GraceHashJoinOp::JoinPartitionInto(size_t part,
@@ -374,15 +279,6 @@ uint64_t GraceHashJoinOp::JoinPartitionInto(size_t part,
   const size_t probe_end = std::min(cursor->probe_end, probe.size());
   const bool probe_only =
       join_type_ == JoinFlavor::kSemi || join_type_ == JoinFlavor::kAnti;
-  auto stopped = [this] {
-    return join_abort_.load(std::memory_order_relaxed) || ctx_->IsCancelled();
-  };
-  // Checked once per call (one output batch), so a hot bucket cannot run
-  // on unchecked.
-  if (stopped()) {
-    cursor->done = true;
-    return 0;
-  }
   uint64_t consumed = 0;
   while (!out->full()) {
     size_t pi = cursor->probe_row;
@@ -402,7 +298,7 @@ uint64_t GraceHashJoinOp::JoinPartitionInto(size_t part,
     if (cursor->match == kNoRow) {
       // A fresh probe row: consume it. The per-row cadence covers long
       // semi/anti runs that fill a batch slowly.
-      if ((pi & 1023u) == 0 && stopped()) {
+      if ((pi & 1023u) == 0 && ctx_->IsCancelled()) {
         cursor->done = true;
         break;
       }
@@ -451,73 +347,10 @@ void GraceHashJoinOp::NextBatchImpl(RowBatch* out) {
   PreparePartitions();
   if (phase_ != Phase::kJoin) return;
   // Launch the parallel join on the first batch request (also after an
-  // explicit PreparePartitions).
-  if (!parallel_join_ && ctx_->exec_workers > 1) StartParallelJoin();
-  if (parallel_join_) {
-    // Merge published batches in unit order — each drained as soon as
-    // its producer publishes it, so in-flight output stays near one batch
-    // per running subtask. The subtasks already advanced `emitted_` when
-    // they flushed, so the merge must not count again. The wrapper's
-    // Tick(out->size()) still delivers the progress ticks for these rows
-    // on the driving thread. Rows are swapped into `out`'s slots, so the
-    // consumer's old row storage goes back to the pool with the drained
-    // batch and no row is freed here.
-    while (!out->full()) {
-      while (join_emit_row_ < join_merge_batch_.size() && !out->full()) {
-        std::swap(*out->NextSlot(), join_merge_batch_.row(join_emit_row_++));
-        out->CommitSlot();
-      }
-      if (out->full()) break;
-      if (join_emit_unit_ >= join_units_.size()) {
-        phase_ = Phase::kDone;
-        break;
-      }
-      JoinUnit& r = join_units_[join_emit_unit_];
-      enum class Next { kBatch, kAdvance, kWait } next;
-      bool requeue = false;  // stalled runner drained below the cap
-      // The merge batch is fully drained here. It is released after the
-      // lock if the pool has no room for it.
-      RowBatch drained = std::move(join_merge_batch_);
-      {
-        std::lock_guard<std::mutex> lock(join_mu_);
-        RecycleLocked(&drained);
-        if (!r.ready.empty()) {
-          join_merge_batch_ = std::move(r.ready.front());
-          r.ready.pop_front();
-          join_emit_row_ = 0;
-          next = Next::kBatch;
-          if (r.state == JoinUnit::State::kStalled &&
-              r.ready.size() < kJoinReadyCap) {
-            r.state = JoinUnit::State::kQueued;
-            requeue = true;
-          }
-        } else if (r.state == JoinUnit::State::kDone) {
-          next = Next::kAdvance;
-        } else {
-          if (r.state == JoinUnit::State::kStalled) {
-            r.state = JoinUnit::State::kQueued;
-            requeue = true;
-          }
-          next = Next::kWait;
-        }
-      }
-      if (requeue) {
-        size_t u = join_emit_unit_;
-        join_group_->Submit([this, u] { JoinUnitTask(u); });
-      }
-      if (next == Next::kBatch) continue;
-      if (next == Next::kAdvance) {
-        ++join_emit_unit_;
-        SubmitJoinUpTo(join_emit_unit_ + join_window_);
-        continue;
-      }
-      // Wait for the unit's next batch by helping the fleet, like the
-      // morsel merge. A runner only stalls with batches ready, so "ready
-      // or done" covers every way the unit can move on.
-      join_sched_->HelpUntil(join_mu_, join_cv_, [&r] {
-        return !r.ready.empty() || r.state == JoinUnit::State::kDone;
-      });
-    }
+  // explicit PreparePartitions). Its units counted their rows already.
+  if (merge_ == nullptr && ctx_->exec_workers > 1) StartParallelJoin();
+  if (merge_ != nullptr) {
+    merge_->Fill(out);
     return;
   }
   // Sequential join: the kernel fills `out` straight from the cursor, in
@@ -536,24 +369,14 @@ void GraceHashJoinOp::NextBatchImpl(RowBatch* out) {
 }
 
 void GraceHashJoinOp::CloseImpl() {
-  // Tear down the parallel join phase first: the abort flag makes still-
-  // queued unit subtasks exit at their next check, and resetting the
-  // group waits (helping the fleet) for every subtask before the
-  // partitions and tables they read are cleared.
-  join_abort_.store(true, std::memory_order_relaxed);
-  join_group_.reset();
-  join_sched_ = nullptr;
+  // Tear down the parallel join phase first: destroying the merge stops
+  // still-queued units and waits (helping the fleet) for every subtask
+  // before the partitions and tables they read are cleared.
+  merge_.reset();
   join_units_.clear();
   part_tables_.clear();
   part_weight_.clear();
-  parallel_join_ = false;
-  join_window_ = 0;
-  join_submitted_ = 0;
-  join_emit_unit_ = 0;
   join_emit_part_ = 0;
-  join_merge_batch_ = RowBatch(0);
-  join_emit_row_ = 0;
-  spare_batches_.clear();
   build_parts_.clear();
   probe_parts_.clear();
   join_cursor_ = PartitionCursor();

@@ -2,9 +2,7 @@
 #define QPI_EXEC_GRACE_HASH_JOIN_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -18,8 +16,7 @@
 
 namespace qpi {
 
-class TaskGroup;
-class TaskScheduler;
+class OrderedMerge;
 
 /// \brief Grace hash join with the three-phase structure the paper
 /// instruments (Section 4.1.1).
@@ -77,10 +74,6 @@ class GraceHashJoinOp : public Operator {
 
   /// Partition count after Open's normalization to a power of two.
   size_t num_partitions() const { return num_partitions_; }
-
-  /// Output batches a parallel join unit may publish ahead of the merge
-  /// before it pauses (see StartParallelJoin).
-  static constexpr size_t kJoinReadyCap = 8;
 
   /// Join units of the running parallel join phase: 0 before its first
   /// batch, with exec_workers == 1, and after Close.
@@ -193,7 +186,7 @@ class GraceHashJoinOp : public Operator {
     JoinTable table;
     SharedTable* shared = nullptr;
     bool table_built = false;
-    bool done = false;     ///< exhausted, or abandoned on abort/cancel
+    bool done = false;     ///< exhausted, or abandoned on cancel
     size_t probe_row = 0;  ///< next probe row index
     /// End of the probe-row range; SIZE_MAX means the partition's end.
     size_t probe_end = SIZE_MAX;
@@ -205,45 +198,28 @@ class GraceHashJoinOp : public Operator {
   /// The join phase's one loop, shared by the sequential and parallel
   /// paths: continue partition `part` from `*cursor`, filling `out` in
   /// place until it is full, the cursor's probe range is exhausted or the
-  /// join is aborted or cancelled (either of the last two sets
-  /// cursor->done; abort/cancel is checked on entry and every 1K probe
-  /// rows). Returns the probe rows this call consumed; counting them, and
-  /// the emitted rows, is the caller's job.
+  /// query is cancelled (either of the last two sets cursor->done;
+  /// cancellation is checked every 1K probe rows). Returns the probe rows
+  /// this call consumed; counting them, and the emitted rows, is the
+  /// caller's job.
   uint64_t JoinPartitionInto(size_t part, PartitionCursor* cursor,
                              RowBatch* out);
 
-  /// Fan the join out as subtasks on the query's TaskScheduler
-  /// (ctx->exec_workers > 1). The unit of work is a *join unit*: a
-  /// contiguous probe-row range of one partition, probing that
-  /// partition's SharedTable. Units are cut so each one's estimated
-  /// output (the probe pass's partition weight, see part_weight_) is about
-  /// half of kJoinReadyCap batches. At most `join_window_` units run ahead
-  /// of the merge cursor. Each subtask joins one unit, publishing every
-  /// completed output batch under `join_mu_` as it is produced — a
-  /// bounded-time push, never a blocking wait, which is what lets any
-  /// blocked waiter help the fleet (see task_scheduler.h) — and the
-  /// driving thread merges batches **in unit order** in NextBatchImpl,
-  /// draining a unit concurrently with its production. Units are ordered
-  /// by (partition, probe range), exactly the sequential join cursor's
-  /// order, so the emitted stream is bit-identical to the sequential
-  /// engine at any worker count; gnm counters were already
+  /// Fan the join out through an OrderedMerge (ctx->exec_workers > 1).
+  /// The unit of work is a *join unit*: a contiguous probe-row range of
+  /// one partition, probing that partition's SharedTable. Units are cut so
+  /// each one's estimated output (the probe pass's partition weight, see
+  /// part_weight_) is about OrderedMerge::UnitTarget rows. Units are
+  /// ordered by (partition, probe range), exactly the sequential join
+  /// cursor's order, so the merged stream is bit-identical to the
+  /// sequential engine at any worker count; gnm counters were already
   /// order-invariant, and the join phase performs no estimator
   /// observation.
   void StartParallelJoin();
-  void SubmitJoinUpTo(size_t limit);
-  void JoinUnitTask(size_t unit);
-  /// One bounded chunk of join unit `unit`: runs the kernel into `batch`
-  /// and publishes each filled batch, until the unit is done (-> kDone)
-  /// or a publish leaves kJoinReadyCap batches unmerged (-> kStalled; the
-  /// cursor keeps the resume point). Called with the unit in state
-  /// kRunning.
-  void RunJoinChunk(size_t unit, RowBatch batch);
-  /// Batch pool of the parallel join phase; both require join_mu_.
-  /// TakeSpareLocked moves a recycled batch into `*batch` if the pool has
-  /// one; RecycleLocked clears a drained batch and returns it to the pool
-  /// unless the pool is at its bound (the batch is then left to its owner).
-  void TakeSpareLocked(RowBatch* batch);
-  void RecycleLocked(RowBatch* batch);
+  /// OrderedMerge producer: run the kernel for join unit `unit` into
+  /// `out`, count its rows and driver consumption, and free the shared
+  /// table once its partition's last unit is done.
+  bool ProduceUnit(size_t unit, RowBatch* out);
 
   Operator* build_child() const { return child(0); }
   Operator* probe_child() const { return child(1); }
@@ -272,7 +248,7 @@ class GraceHashJoinOp : public Operator {
 
   uint64_t probe_partition_consumed_ = 0;
   // Advanced once per output batch, by the sequential join cursor or by
-  // a parallel runner's publish; read by monitor-thread estimates.
+  // a parallel unit's producer; read by monitor-thread estimates.
   std::atomic<uint64_t> join_driver_consumed_{0};
 
   // Estimated join work per partition, Σ (1 + N^R(key)) over its probe
@@ -281,58 +257,25 @@ class GraceHashJoinOp : public Operator {
   // otherwise a unit's weight is its probe-row count.
   std::vector<uint64_t> part_weight_;
 
-  // Parallel join phase (see StartParallelJoin). A unit's output is
-  // produced in bounded chunks: its runner pauses (returns to the fleet,
-  // never blocks) when its publish leaves kJoinReadyCap unmerged batches
-  // in `ready`, and the merge driver requeues it after draining — so
-  // in-flight join output is capped at ~window × cap batches no matter
-  // how much output one probe row has. Output batches circulate: the
-  // merge swaps each row into the consumer's slot (taking the consumer's
-  // old row storage in exchange) and returns the drained batch to
-  // `spare_batches_`, from which runners take their next batch — so a
-  // steady-state join fills recycled slots in place and allocates no rows.
-  struct JoinUnit {
-    enum class State : unsigned char {
-      kQueued,   ///< a task for the next chunk is (re)submitted
-      kRunning,  ///< a runner is producing batches right now
-      kStalled,  ///< paused at the ready-cap; the driver requeues it
-      kDone,     ///< fully joined, nothing more will be produced
-    };
+  // Parallel join phase (see StartParallelJoin): each unit's cursor is
+  // owned by whichever runner holds the unit. The kernel writes the cursor
+  // per row, so units running side by side keep off each other's cache
+  // lines.
+  struct alignas(64) JoinUnit {
     size_t part = 0;
-    std::deque<RowBatch> ready;     ///< produced, not yet merged (join_mu_)
-    State state = State::kQueued;   ///< guarded by join_mu_
-    /// Chunk-resume state over the unit's probe range, owned by the
-    /// current runner (handed off through the join_mu_ state transitions
-    /// above).
     PartitionCursor cursor;
   };
-  // Floor of a unit's target weight, so tiny batch sizes do not cut a
-  // unit per probe row.
-  static constexpr size_t kMinJoinUnitWeight = 256;
   std::vector<JoinUnit> join_units_;
   std::vector<SharedTable> part_tables_;  // one per partition
-  std::mutex join_mu_;
-  // Drained output batches awaiting reuse (join_mu_), at most
-  // join_window_ × kJoinReadyCap of them.
-  std::vector<RowBatch> spare_batches_;
-  std::condition_variable join_cv_;
-  std::atomic<bool> join_abort_{false};
-  TaskScheduler* join_sched_ = nullptr;
-  bool parallel_join_ = false;
-  size_t join_window_ = 0;     // units in flight past the merge cursor
-  size_t join_submitted_ = 0;  // units handed to the scheduler
-  size_t join_emit_unit_ = 0;  // unit being merged (driving thread)
-  RowBatch join_merge_batch_{0};  // batch being merged (driving thread only)
-  size_t join_emit_row_ = 0;
-  // Declared after the members its tasks touch: the group's destructor
-  // waits for outstanding unit subtasks.
-  std::unique_ptr<TaskGroup> join_group_;
-
   // Estimation attachments.
   std::unique_ptr<OnceBinaryJoinEstimator> once_;
   std::shared_ptr<PipelineJoinEstimator> pipeline_;
   size_t pipeline_index_ = 0;
   bool pipeline_lowest_ = false;
+
+  // Declared last: destroying the merge waits for the unit runners, which
+  // touch the partitions, units and tables above.
+  std::unique_ptr<OrderedMerge> merge_;
 };
 
 }  // namespace qpi

@@ -1,17 +1,108 @@
 #include "exec/morsel_scan.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <memory>
 #include <utility>
+#include <vector>
 
 #include "common/check.h"
-#include "common/task_scheduler.h"
 #include "exec/exec_context.h"
 #include "exec/filter.h"
 #include "exec/operator.h"
+#include "exec/ordered_merge.h"
 #include "exec/seq_scan.h"
 #include "storage/table.h"
 
 namespace qpi {
+
+/// One operator of a fused scan → filter/project chain, in bottom-up order.
+/// Exactly one of `predicate` / `project` is set for filter / project
+/// stages; `op` is always the operator the stage's output counts are
+/// attributed to.
+struct MorselStage {
+  Operator* op = nullptr;
+  const BoundPredicate* predicate = nullptr;
+  const ProjectOp* project = nullptr;
+};
+
+/// \brief Morsel-parallel executor for a fused SeqScan → Filter/Project
+/// chain.
+///
+/// The scan order (random-sample prefix first, then the remaining blocks)
+/// is cut into morsels of OrderedMerge::UnitTarget(batch_size) virtual
+/// rows, the units of an OrderedMerge. A unit's producer copy-assigns each
+/// block row into the batch's next slot, runs the whole fused chain on it
+/// there — the same per-row predicate and projection FilterOp and ProjectOp
+/// use — and commits survivors only; the merge delivers the batches in
+/// morsel order, so the emitted row stream, every batch boundary and every
+/// batch's `random_run` are bit-identical to the sequential engine at any
+/// worker count (see OrderedMerge and DESIGN.md §9).
+///
+/// Counter accounting: producers attribute the captured (non-driving)
+/// operators' output counts via Operator::CountEmitted for every batch,
+/// and bank the matching progress ticks with ExecContext::TickConcurrent;
+/// the driving operator's own rows are counted by its NextBatchImpl and
+/// ticked by the ordinary wrapper. Totals are therefore identical to
+/// sequential execution — gnm progress is a sum of per-operator counters
+/// and is invariant under the order in which threads contribute.
+class MorselScanDriver {
+ public:
+  /// `stages` is the fused chain bottom-up; the last stage (or the scan
+  /// itself when `stages` is empty) is the *driving* operator, whose
+  /// NextBatchImpl fills through FusedScan. Must be constructed on the
+  /// query's driving thread after the scan has been opened.
+  MorselScanDriver(SeqScanOp* scan, std::vector<MorselStage> stages,
+                   ExecContext* ctx);
+
+  MorselScanDriver(const MorselScanDriver&) = delete;
+  MorselScanDriver& operator=(const MorselScanDriver&) = delete;
+
+  /// Append rows to `out` (already cleared by the NextBatch wrapper) until
+  /// it is full or the stream ends, setting its random_run. Driving thread
+  /// only.
+  void Fill(RowBatch* out) { merge_->Fill(out); }
+
+ private:
+  /// Resume point of one morsel, owned by whichever runner holds it.
+  /// Written per row, so morsels running side by side keep off each
+  /// other's cache lines.
+  struct alignas(64) Cursor {
+    uint64_t row = 0;  ///< next virtual row
+    size_t block = 0;  ///< index into the scan order of row's block
+    size_t local = 0;  ///< row's offset within that block
+    Row scratch;       ///< a projection stage's output, swapped into the slot
+  };
+
+  /// OrderedMerge producer: fill `out` from morsel `m`.
+  bool Produce(size_t m, RowBatch* out);
+
+  SeqScanOp* scan_;
+  std::vector<MorselStage> stages_;
+  ExecContext* ctx_;
+  const Table* table_;
+  const ScanOrder* order_;
+
+  // Captured operators: every chain member except the driving one. Their
+  // counters/states are attributed by the producers (friend of Operator).
+  std::vector<Operator*> captured_;
+
+  // Rows of the leading random prefix: UINT64_MAX for an unsampled scan,
+  // whose whole stream is random.
+  uint64_t prefix_rows_ = 0;
+  uint64_t total_rows_ = 0;
+  uint64_t morsel_rows_ = 1;
+  std::vector<Cursor> cursors_;  // one per morsel
+  // Per-call output counts of each stage, written per row: morsel m's
+  // counts start at m * stage_stride_, which leaves 64 bytes between
+  // neighbouring morsels' counts.
+  size_t stage_stride_ = 0;
+  std::vector<uint64_t> stage_rows_;
+
+  // Declared last: its destructor waits for the producers, which touch
+  // every member above.
+  std::unique_ptr<OrderedMerge> merge_;
+};
 
 MorselScanDriver::MorselScanDriver(SeqScanOp* scan,
                                    std::vector<MorselStage> stages,
@@ -21,20 +112,32 @@ MorselScanDriver::MorselScanDriver(SeqScanOp* scan,
   table_ = &scan_->scan_table();
   order_ = &scan_->scan_order();
 
-  vstarts_.reserve(order_->block_order.size());
+  std::vector<uint64_t> vstarts;  // virtual row offset of each scan block
+  vstarts.reserve(order_->block_order.size());
   for (uint32_t block_id : order_->block_order) {
-    vstarts_.push_back(total_rows_);
+    vstarts.push_back(total_rows_);
     total_rows_ += table_->block(block_id).num_rows();
   }
-  sampled_ = order_->sample_block_count != 0;
-  prefix_rows_ = order_->sample_row_count;
+  prefix_rows_ = order_->sample_block_count != 0 ? order_->sample_row_count
+                                                 : UINT64_MAX;
 
-  morsel_rows_ = std::max<size_t>(1, ctx_->morsel_rows);
-  morsel_count_ =
+  morsel_rows_ = OrderedMerge::UnitTarget(ctx_->batch_size);
+  const size_t morsels =
       static_cast<size_t>((total_rows_ + morsel_rows_ - 1) / morsel_rows_);
-  window_ = 2 * ctx_->exec_workers + 2;
-  results_.resize(morsel_count_);
-  remaining_.store(morsel_count_, std::memory_order_relaxed);
+  cursors_.resize(morsels);
+  for (size_t m = 0; m < morsels; ++m) {
+    // Locate the block containing the morsel's first row; zero-row blocks
+    // are skipped by the producer.
+    Cursor& c = cursors_[m];
+    c.row = m * morsel_rows_;
+    c.block = static_cast<size_t>(
+                  std::upper_bound(vstarts.begin(), vstarts.end(), c.row) -
+                  vstarts.begin()) -
+              1;
+    c.local = static_cast<size_t>(c.row - vstarts[c.block]);
+  }
+  stage_stride_ = stages_.size() + 64 / sizeof(uint64_t);
+  stage_rows_.resize(morsels * stage_stride_);
 
   if (!stages_.empty()) {
     captured_.push_back(scan_);
@@ -43,170 +146,107 @@ MorselScanDriver::MorselScanDriver(SeqScanOp* scan,
     }
   }
   // The driving operator's wrapper flips its own state; the captured chain
-  // below it starts running the moment the first morsel is scheduled.
+  // below it starts running the moment the first morsel is scheduled and
+  // finishes with the last morsel.
   for (Operator* op : captured_) {
     op->state_.store(OpState::kRunning, std::memory_order_relaxed);
   }
-  if (morsel_count_ == 0) {
-    for (Operator* op : captured_) {
-      op->state_.store(OpState::kFinished, std::memory_order_relaxed);
-    }
-  }
-
-  sched_ = ctx_->scheduler();
-  group_ = std::make_unique<TaskGroup>(sched_, ctx_->sched_tag());
-  SubmitUpTo(window_);
-}
-
-MorselScanDriver::~MorselScanDriver() {
-  abort_.store(true, std::memory_order_relaxed);
-  group_->Wait();
-}
-
-void MorselScanDriver::SubmitUpTo(size_t limit) {
-  limit = std::min(limit, morsel_count_);
-  while (submitted_ < limit) {
-    size_t m = submitted_++;
-    group_->Submit([this, m] { ProcessMorsel(m); });
-  }
-}
-
-void MorselScanDriver::ProcessMorsel(size_t m) {
-  MorselResult& r = results_[m];
-  uint64_t begin = static_cast<uint64_t>(m) * morsel_rows_;
-  uint64_t end = std::min(total_rows_, begin + morsel_rows_);
-  uint64_t ticks = 0;
-
-  if (!abort_.load(std::memory_order_relaxed) && !ctx_->IsCancelled()) {
-    // Locate the block containing virtual row `begin`; zero-row blocks are
-    // skipped by the scan loop below.
-    size_t b = static_cast<size_t>(
-                   std::upper_bound(vstarts_.begin(), vstarts_.end(), begin) -
-                   vstarts_.begin()) -
-               1;
-    uint64_t v = begin;
-    size_t local = static_cast<size_t>(begin - vstarts_[b]);
-    bool run_ok = true;
-    std::vector<uint64_t> stage_out(stages_.size(), 0);
-    r.rows.reserve(static_cast<size_t>(end - begin));
-
-    while (v < end) {
-      const Block& block = table_->block(order_->block_order[b]);
-      if (local >= block.num_rows()) {
-        ++b;
-        local = 0;
-        continue;
-      }
-      // Run membership uses the post-emission rule (see RowBatch): input
-      // row v is in-run iff v + 1 < prefix; an out-of-run input ends the
-      // run for every later
-      // output even if a predicate drops it.
-      if (sampled_ && v + 1 >= prefix_rows_) run_ok = false;
-      Row row = block.row(local);
-      bool keep = true;
-      for (size_t s = 0; s < stages_.size() && keep; ++s) {
-        const MorselStage& st = stages_[s];
-        if (st.predicate != nullptr) {
-          keep = st.predicate->Evaluate(row);
-        } else {
-          Row projected;
-          projected.reserve(st.projection->size());
-          // Copy, not move: a column may be projected more than once.
-          for (size_t idx : *st.projection) projected.push_back(row[idx]);
-          row = std::move(projected);
+  merge_ = std::make_unique<OrderedMerge>(
+      morsels, ctx_,
+      [this](size_t m, RowBatch* out) { return Produce(m, out); },
+      [this] {
+        for (Operator* op : captured_) {
+          op->state_.store(OpState::kFinished, std::memory_order_relaxed);
         }
-        if (keep) ++stage_out[s];
-      }
-      if (keep) {
-        if (run_ok) ++r.random_limit;
-        r.rows.push_back(std::move(row));
-      }
-      ++local;
-      ++v;
-    }
-
-    r.scanned = end - begin;
-    r.breaks_run = sampled_ && end >= prefix_rows_;
-
-    // Attribute the captured operators' counters and bank the matching
-    // progress ticks; the driving operator's rows are counted on delivery.
-    if (!captured_.empty()) {
-      scan_->CountEmitted(r.scanned);
-      ticks += r.scanned;
-      for (size_t s = 0; s + 1 < stages_.size(); ++s) {
-        stages_[s].op->CountEmitted(stage_out[s]);
-        ticks += stage_out[s];
-      }
-    }
-  }
-
-  if (ticks != 0) ctx_->TickConcurrent(ticks);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    r.done = true;
-  }
-  cv_.notify_all();
-  if (remaining_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    for (Operator* op : captured_) {
-      op->state_.store(OpState::kFinished, std::memory_order_relaxed);
-    }
-  }
+      });
 }
 
-void MorselScanDriver::Fill(RowBatch* out) {
-  while (!out->full() && emit_idx_ < morsel_count_) {
-    MorselResult& r = results_[emit_idx_];
-    // Wait for morsel emit_idx_ by *helping*: drain pending subtasks
-    // (often our own, possibly another query's on a shared fleet) instead
-    // of parking. A driving thread that is itself a fleet worker would
-    // otherwise deadlock the fleet once every worker waits like this; the
-    // timed wait is only a safety net for the instant where the needed
-    // morsel is mid-execution elsewhere and nothing else is runnable.
-    sched_->HelpUntil(mu_, cv_, [&r] { return r.done; });
-    while (cursor_ < r.rows.size() && !out->full()) {
-      bool in_run = run_open_ && cursor_ < r.random_limit;
-      std::swap(*out->NextSlot(), r.rows[cursor_]);
+bool MorselScanDriver::Produce(size_t m, RowBatch* out) {
+  Cursor& c = cursors_[m];
+  const uint64_t end = std::min(total_rows_, (m + 1) * morsel_rows_);
+  uint64_t* stage_rows = stage_rows_.data() + m * stage_stride_;
+  std::fill_n(stage_rows, stages_.size(), 0);
+  const uint64_t first = c.row;
+  while (!out->full() && c.row < end) {
+    const Block& block = table_->block(order_->block_order[c.block]);
+    if (c.local >= block.num_rows()) {
+      ++c.block;
+      c.local = 0;
+      continue;
+    }
+    Row* slot = out->NextSlot();
+    *slot = block.row(c.local++);
+    bool keep = true;
+    for (size_t s = 0; s < stages_.size() && keep; ++s) {
+      const MorselStage& st = stages_[s];
+      if (st.predicate != nullptr) {
+        keep = st.predicate->Evaluate(*slot);
+      } else {
+        st.project->ProjectRow(*slot, &c.scratch);
+        std::swap(*slot, c.scratch);
+      }
+      if (keep) ++stage_rows[s];
+    }
+    if (keep) {
       out->CommitSlot();
-      if (in_run) out->bump_random_run();
-      ++cursor_;
+      // Run membership uses the post-emission rule (see RowBatch): the
+      // output of input row v is in-run iff v + 1 < prefix. The rule is
+      // monotone in v, so an out-of-run input ends the run for every
+      // later output even if a predicate drops it.
+      if (c.row + 1 < prefix_rows_) out->bump_random_run();
     }
-    if (cursor_ >= r.rows.size()) {
-      // The run is monotone across morsels: once this morsel consumed past
-      // the prefix boundary, no later output is in-run.
-      if (r.breaks_run) run_open_ = false;
-      r.rows.clear();
-      r.rows.shrink_to_fit();
-      cursor_ = 0;
-      ++emit_idx_;
-      SubmitUpTo(emit_idx_ + window_);
-    }
+    ++c.row;
   }
+
+  // Attribute the captured operators' counters and bank the matching
+  // progress ticks; the driving operator's rows are counted on delivery.
+  if (!captured_.empty()) {
+    uint64_t ticks = c.row - first;
+    scan_->CountEmitted(ticks);
+    for (size_t s = 0; s + 1 < stages_.size(); ++s) {
+      stages_[s].op->CountEmitted(stage_rows[s]);
+      ticks += stage_rows[s];
+    }
+    ctx_->TickConcurrent(ticks);
+  }
+  return c.row == end;
 }
 
-std::unique_ptr<MorselScanDriver> TryBuildFusedScanDriver(Operator* driving_op,
-                                                          ExecContext* ctx) {
-  std::vector<MorselStage> top_down;
-  Operator* cur = driving_op;
-  SeqScanOp* scan = nullptr;
-  while (true) {
-    if (auto* s = dynamic_cast<SeqScanOp*>(cur)) {
-      scan = s;
-      break;
+FusedScan::FusedScan() = default;
+FusedScan::~FusedScan() = default;
+
+bool FusedScan::Fill(Operator* op, ExecContext* ctx, RowBatch* out) {
+  if (!checked_ && ctx->exec_workers > 1) {
+    // Walk the chain below (and including) `op`, top-down, for a fusable
+    // SeqScan → Filter/Project spine; anything else (a join, a non-scan
+    // leaf) leaves `op` on its sequential path.
+    std::vector<MorselStage> stages;
+    Operator* cur = op;
+    while (driver_ == nullptr) {
+      if (auto* scan = dynamic_cast<SeqScanOp*>(cur)) {
+        std::reverse(stages.begin(), stages.end());
+        driver_ =
+            std::make_unique<MorselScanDriver>(scan, std::move(stages), ctx);
+      } else if (auto* f = dynamic_cast<FilterOp*>(cur)) {
+        stages.push_back(MorselStage{f, f->bound_predicate(), nullptr});
+        cur = f->child(0);
+      } else if (auto* p = dynamic_cast<ProjectOp*>(cur)) {
+        stages.push_back(MorselStage{p, nullptr, p});
+        cur = p->child(0);
+      } else {
+        break;
+      }
     }
-    if (auto* f = dynamic_cast<FilterOp*>(cur)) {
-      top_down.push_back(MorselStage{f, f->bound_predicate(), nullptr});
-      cur = f->child(0);
-      continue;
-    }
-    if (auto* p = dynamic_cast<ProjectOp*>(cur)) {
-      top_down.push_back(MorselStage{p, nullptr, &p->project_indices()});
-      cur = p->child(0);
-      continue;
-    }
-    return nullptr;  // chain interrupted: not fusable from here
   }
-  std::reverse(top_down.begin(), top_down.end());
-  return std::make_unique<MorselScanDriver>(scan, std::move(top_down), ctx);
+  checked_ = true;
+  if (driver_ == nullptr) return false;
+  driver_->Fill(out);
+  return true;
+}
+
+void FusedScan::Reset() {
+  driver_.reset();
+  checked_ = false;
 }
 
 }  // namespace qpi

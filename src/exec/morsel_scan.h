@@ -1,140 +1,41 @@
 #ifndef QPI_EXEC_MORSEL_SCAN_H_
 #define QPI_EXEC_MORSEL_SCAN_H_
 
-#include <atomic>
-#include <condition_variable>
-#include <cstdint>
 #include <memory>
-#include <mutex>
-#include <vector>
-
-#include "common/row.h"
-#include "common/row_batch.h"
 
 namespace qpi {
 
-class BoundPredicate;
 class ExecContext;
+class MorselScanDriver;
 class Operator;
-class SeqScanOp;
-class TaskGroup;
-class TaskScheduler;
-struct ScanOrder;
-class Table;
+class RowBatch;
 
-/// One operator of a fused scan → filter/project chain, in bottom-up order.
-/// Exactly one of `predicate` / `projection` is set for filter / project
-/// stages; `op` is always the operator the stage's output counts are
-/// attributed to.
-struct MorselStage {
-  Operator* op = nullptr;
-  const BoundPredicate* predicate = nullptr;
-  const std::vector<size_t>* projection = nullptr;
-};
-
-/// \brief Morsel-parallel executor for a fused SeqScan → Filter/Project
-/// chain.
+/// \brief The morsel-parallel path of SeqScanOp, FilterOp and ProjectOp.
 ///
-/// The scan order (random-sample prefix first, then the remaining blocks)
-/// is cut into fixed-size morsels of `ExecContext::morsel_rows` virtual
-/// rows. Subtasks on the query's TaskScheduler (a shared fleet when one is
-/// attached, a private one otherwise) evaluate the whole fused chain
-/// over their morsel — scan, predicates, projections — into a per-morsel
-/// result buffer; the query's driving thread merges results back **in
-/// morsel-index order**, so the emitted row stream, every batch boundary,
-/// and every batch's `random_run` are bit-identical to the sequential
-/// engine at any worker count. That invariance is what keeps the gnm
-/// progress counters and the ONCE estimation freeze points exact (see
-/// DESIGN.md §9): estimators only ever see the merged stream, on the
-/// driving thread.
-///
-/// Counter accounting: workers attribute the captured (non-driving)
-/// operators' output counts via Operator::CountEmitted as each morsel
-/// completes, and bank the matching progress ticks with
-/// ExecContext::TickConcurrent; the driving operator's own rows are counted
-/// by its NextBatchImpl and ticked by the ordinary wrapper. Totals are
-/// therefore identical to sequential execution — gnm progress is a sum of
-/// per-operator counters and is invariant under the order in which threads
-/// contribute.
-///
-/// In-flight memory is bounded: at most ~2·workers+2 morsels are submitted
-/// ahead of the merge cursor, and drained morsel buffers are released
-/// immediately.
-class MorselScanDriver {
+/// With ctx->exec_workers > 1, the first Fill looks below (and including)
+/// its operator for a fusable SeqScan → Filter/Project spine and, if there
+/// is one, runs the whole chain as one morsel-parallel scan driven by that
+/// operator (MorselScanDriver, morsel_scan.cc; DESIGN.md §9).
+class FusedScan {
  public:
-  /// `stages` is the fused chain bottom-up; the last stage (or the scan
-  /// itself when `stages` is empty) is the *driving* operator, whose
-  /// NextBatchImpl calls Fill(). Must be constructed on the query's driving
-  /// thread after the scan has been opened.
-  MorselScanDriver(SeqScanOp* scan, std::vector<MorselStage> stages,
-                   ExecContext* ctx);
+  FusedScan();
+  ~FusedScan();
 
-  /// Aborts outstanding morsel tasks and waits for them.
-  ~MorselScanDriver();
+  /// Fill `out` (already cleared by the NextBatch wrapper) through the
+  /// fused scan driven by `op` and return true, or return false when `op`
+  /// runs sequentially: one worker, or a chain that a join or a non-scan
+  /// leaf interrupts. The caller counts `out`'s rows either way. Driving
+  /// thread only.
+  bool Fill(Operator* op, ExecContext* ctx, RowBatch* out);
 
-  MorselScanDriver(const MorselScanDriver&) = delete;
-  MorselScanDriver& operator=(const MorselScanDriver&) = delete;
-
-  /// Append rows to `out` (already cleared by the NextBatch wrapper) until
-  /// it is full or the stream ends, bumping the batch's random_run for the
-  /// leading in-run rows. Driving thread only.
-  void Fill(RowBatch* out);
+  /// Stop the fused scan, waiting for its subtasks, and re-arm the
+  /// first-call check. Call from OpenImpl and CloseImpl.
+  void Reset();
 
  private:
-  struct MorselResult {
-    std::vector<Row> rows;      // surviving (fully transformed) rows
-    uint64_t scanned = 0;       // input rows consumed from the table
-    uint64_t random_limit = 0;  // leading rows produced from in-run inputs
-    bool breaks_run = false;    // consumed past the random-prefix boundary
-    bool done = false;          // guarded by mu_
-  };
-
-  void SubmitUpTo(size_t limit);
-  void ProcessMorsel(size_t m);
-
-  SeqScanOp* scan_;
-  std::vector<MorselStage> stages_;
-  ExecContext* ctx_;
-  TaskScheduler* sched_;  ///< the fleet morsel subtasks run on
-  const Table* table_;
-  const ScanOrder* order_;
-
-  // Captured operators: every chain member except the driving one. Their
-  // counters/states are attributed by the workers (friend of Operator).
-  std::vector<Operator*> captured_;
-
-  bool sampled_ = false;
-  uint64_t prefix_rows_ = 0;  // random-prefix length (sampled scans only)
-  uint64_t total_rows_ = 0;
-  size_t morsel_rows_ = 1;
-  size_t morsel_count_ = 0;
-  size_t window_ = 2;
-  std::vector<uint64_t> vstarts_;  // virtual row offset of each scan block
-
-  std::vector<MorselResult> results_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::atomic<bool> abort_{false};
-  std::atomic<size_t> remaining_{0};
-
-  // Merge-side cursors (driving thread only).
-  size_t submitted_ = 0;
-  size_t emit_idx_ = 0;
-  size_t cursor_ = 0;
-  bool run_open_ = true;
-
-  // Declared last: its destructor (which waits on outstanding tasks) must
-  // run while every member those tasks touch is still alive.
-  std::unique_ptr<TaskGroup> group_;
+  std::unique_ptr<MorselScanDriver> driver_;
+  bool checked_ = false;
 };
-
-/// Walk the operator chain below (and including) `driving_op` looking for a
-/// fusable SeqScan → Filter/Project spine; returns a driver with
-/// `driving_op` as its last stage, or nullptr if anything else (a join, a
-/// non-scan leaf) interrupts the chain. Call from `driving_op`'s first
-/// NextBatchImpl when ctx->exec_workers > 1.
-std::unique_ptr<MorselScanDriver> TryBuildFusedScanDriver(Operator* driving_op,
-                                                          ExecContext* ctx);
 
 }  // namespace qpi
 

@@ -1,0 +1,145 @@
+#ifndef QPI_EXEC_ORDERED_MERGE_H_
+#define QPI_EXEC_ORDERED_MERGE_H_
+
+#include <algorithm>
+#include <atomic>
+#include <condition_variable>
+#include <cstdint>
+#include <deque>
+#include <functional>
+#include <memory>
+#include <mutex>
+#include <vector>
+
+#include "common/row_batch.h"
+
+namespace qpi {
+
+class ExecContext;
+class TaskGroup;
+class TaskScheduler;
+
+/// \brief The ordered unit runner: the one ordered merge of intra-query
+/// parallelism, shared by the fused morsel scan and the parallel grace
+/// join phase.
+///
+/// A caller cuts its work into `units` ordered units and supplies a
+/// producer. Subtasks on the query's TaskScheduler run units ahead of the
+/// merge; the driving thread merges their output **strictly in unit
+/// order** (Fill), so the row stream, every batch boundary and every
+/// batch's `random_run` are those of the sequential engine at any worker
+/// count, and the estimators, which only see the merged stream on the
+/// driving thread, freeze exactly where they would sequentially
+/// (DESIGN.md §9).
+///
+/// The producer, `produce(unit, batch) -> done`, resumes the unit from the
+/// caller's own cursor and fills `batch` (empty, capacity ctx->batch_size)
+/// in place until it is full or the unit is exhausted. It sets the
+/// batch's `random_run` and counts the rows it produced before it
+/// returns, so a monitor never sees more output than accounted input. It
+/// returns true once the unit has nothing more to produce; a call that
+/// returns false leaves the batch full. It runs on fleet threads, must
+/// not block, and never runs twice at once for one unit.
+///
+/// At most `2·workers+2` units (the window) run past the merge cursor.
+/// Each produced batch is pushed to its unit's `ready` deque under the
+/// runner's mutex — never a wait on the consumer, which keeps the
+/// subtask-never-blocks contract the fleet's helping protocol relies on.
+/// The push that leaves kReadyCap batches unmerged stalls the unit: its
+/// runner returns to the fleet, and the merge requeues the unit once it
+/// has drained it below the cap, so in-flight output stays within
+/// window × kReadyCap batches however much one unit produces. The merge
+/// swaps rows into the consumer's slots and returns drained batches to a
+/// spare pool of the same bound, from which runners take their next
+/// batch: a steady-state run fills recycled slots in place.
+class OrderedMerge {
+ public:
+  /// Output batches a unit may publish ahead of the merge before it
+  /// stalls.
+  static constexpr size_t kReadyCap = 8;
+
+  /// The one unit sizing rule: a unit should produce about half its ready
+  /// budget, kReadyCap × batch_size / 2 rows, so a unit running ahead of
+  /// the merge cursor finishes without stalling; the 256 floor keeps tiny
+  /// batch sizes from cutting a unit per row. 4096 rows at the default
+  /// batch of 1024.
+  static uint64_t UnitTarget(size_t batch_size) {
+    return std::max<uint64_t>(kReadyCap * batch_size / 2, 256);
+  }
+
+  using Producer = std::function<bool(size_t unit, RowBatch* batch)>;
+
+  /// Starts running units at once. `all_done`, if set, runs once, on the
+  /// thread that finishes the last unit (in this constructor when `units`
+  /// is 0). Construct on the query's driving thread.
+  OrderedMerge(size_t units, ExecContext* ctx, Producer produce,
+               std::function<void()> all_done = nullptr);
+
+  /// Stops outstanding units at their next batch and waits for their
+  /// subtasks (helping the fleet meanwhile).
+  ~OrderedMerge();
+
+  OrderedMerge(const OrderedMerge&) = delete;
+  OrderedMerge& operator=(const OrderedMerge&) = delete;
+
+  /// Swap rows into `out` (already cleared by the NextBatch wrapper), in
+  /// unit order, until it is full or every unit has been merged. `out`'s
+  /// random_run extends over the leading rows that lie within their
+  /// source batch's random_run; the first row that does not closes the
+  /// run for good. Driving thread only.
+  void Fill(RowBatch* out);
+
+ private:
+  /// The in-flight state of one unit. Only the window's units are in
+  /// flight, so unit u lives in slot u % window_.
+  struct Unit {
+    enum class State : unsigned char {
+      kQueued,   ///< a task for the unit's next chunk is submitted
+      kRunning,  ///< a runner is producing batches right now
+      kStalled,  ///< paused at the ready cap; the merge requeues it
+      kDone,     ///< nothing more will be produced
+    };
+    std::deque<RowBatch> ready;    ///< produced, not yet merged
+    State state = State::kQueued;
+  };
+
+  void SubmitUpTo(size_t limit);
+  /// One chunk of unit `u`: produce and publish batches until the unit is
+  /// done or stalls.
+  void Run(size_t u);
+  /// A batch from the spare pool, or a new one if the pool is empty.
+  RowBatch TakeBatch();
+  /// Clear a drained batch and return it to the pool unless the pool is
+  /// full (the batch is then left to its owner). Requires mu_.
+  void RecycleLocked(RowBatch* batch);
+
+  ExecContext* ctx_;
+  Producer produce_;
+  std::function<void()> all_done_;
+  TaskScheduler* sched_;
+  const size_t batch_size_;
+  const size_t window_;
+
+  std::mutex mu_;
+  std::condition_variable cv_;  ///< the merge is the only waiter
+  const size_t units_;
+  std::vector<Unit> slots_;      ///< window_ of them; guarded by mu_
+  std::vector<RowBatch> spare_;  ///< guarded by mu_; ≤ window × kReadyCap
+  size_t units_done_ = 0;        ///< guarded by mu_
+  std::atomic<bool> abort_{false};
+
+  // Merge side (driving thread only).
+  size_t submitted_ = 0;
+  size_t emit_unit_ = 0;
+  RowBatch merge_batch_{0};  ///< the batch being merged
+  size_t emit_row_ = 0;
+  bool run_open_ = true;
+
+  // Declared last: its destructor waits for outstanding subtasks, which
+  // touch every member above.
+  std::unique_ptr<TaskGroup> group_;
+};
+
+}  // namespace qpi
+
+#endif  // QPI_EXEC_ORDERED_MERGE_H_

@@ -1,7 +1,6 @@
 #include "exec/seq_scan.h"
 
 #include "common/check.h"
-#include "exec/morsel_scan.h"
 
 namespace qpi {
 
@@ -12,36 +11,25 @@ SeqScanOp::SeqScanOp(TablePtr table, double sample_fraction)
   SetSchema(table_->schema());
 }
 
-SeqScanOp::~SeqScanOp() = default;
-
 Status SeqScanOp::OpenImpl() {
   double fraction = sample_fraction_;
   if (fraction == 0.0) fraction = ctx_->sample_fraction;
   order_ = BlockSampler::MakeOrder(*table_, fraction, &ctx_->rng);
   block_pos_ = 0;
   row_pos_ = 0;
-  driver_.reset();
-  parallel_checked_ = false;
+  fused_.Reset();
   return Status::OK();
 }
 
 void SeqScanOp::CloseImpl() {
   // Joins the morsel tasks before the table can go away.
-  driver_.reset();
+  fused_.Reset();
 }
 
 void SeqScanOp::NextBatchImpl(RowBatch* out) {
-  if (!parallel_checked_) {
-    parallel_checked_ = true;
-    if (ctx_->exec_workers > 1) {
-      driver_ = std::make_unique<MorselScanDriver>(
-          this, std::vector<MorselStage>{}, ctx_);
-    }
-  }
-  if (driver_ != nullptr) {
+  if (fused_.Fill(this, ctx_, out)) {
     // The ordered morsel merge reproduces the sequential row stream and
-    // random-run boundaries exactly; only the counting below stays here.
-    driver_->Fill(out);
+    // random-run boundaries exactly; only the counting stays here.
     CountEmitted(out->size());
     return;
   }

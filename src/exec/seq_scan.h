@@ -3,13 +3,12 @@
 
 #include <memory>
 
+#include "exec/morsel_scan.h"
 #include "exec/operator.h"
 #include "storage/block_sampler.h"
 #include "storage/table.h"
 
 namespace qpi {
-
-class MorselScanDriver;
 
 /// \brief Sequential scan with optional sample-first ordering.
 ///
@@ -23,7 +22,6 @@ class MorselScanDriver;
 class SeqScanOp : public Operator {
  public:
   SeqScanOp(TablePtr table, double sample_fraction);
-  ~SeqScanOp() override;
 
   double CardinalityEstimate(EstimationMode /*mode*/) const override {
     return static_cast<double>(table_->num_rows());
@@ -50,10 +48,9 @@ class SeqScanOp : public Operator {
   ScanOrder order_;
   size_t block_pos_ = 0;
   size_t row_pos_ = 0;
-  // Engaged when ctx->exec_workers > 1 and no fused
-  // ancestor captured this scan (their NextBatch then never reaches us).
-  std::unique_ptr<MorselScanDriver> driver_;
-  bool parallel_checked_ = false;
+  // Runs when ctx->exec_workers > 1 and no fused ancestor captured this
+  // scan (their NextBatch then never reaches us).
+  FusedScan fused_;
 };
 
 }  // namespace qpi

@@ -17,7 +17,7 @@ namespace qpi {
 /// selectivities are accurate even under heavy skew (where the uniform
 /// min/max interpolation the naive optimizer uses can be off by an order of
 /// magnitude). ANALYZE builds one per numeric column; the optimizer
-/// consults it when ExecContext::use_column_histograms is set.
+/// consults it when OptimizerOptions::use_column_histograms is set.
 class EquiDepthHistogram {
  public:
   /// Build from (not necessarily sorted) column values.

@@ -25,7 +25,8 @@ struct ColumnStats {
   Value max;
   /// Equi-depth histogram of the column's value distribution (numeric
   /// columns only; null if the column is non-numeric or empty). The
-  /// optimizer consults it when ExecContext::use_column_histograms is set.
+  /// optimizer consults it when OptimizerOptions::use_column_histograms is
+  /// set.
   std::shared_ptr<EquiDepthHistogram> histogram;
 };
 

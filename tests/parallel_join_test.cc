@@ -19,7 +19,9 @@
 // partitions. Also covers partition-count normalization (round up to a
 // power of two, reject 0) and cooperative cancellation under parallel
 // execution, including while a join unit is stalled and inside a hot
-// bucket.
+// bucket. Morsel geometries across batch sizes, with sample boundaries
+// inside a unit, pin the fused scan's batch-by-batch (size, random_run)
+// sequence against the sequential engine.
 
 #include <gtest/gtest.h>
 
@@ -37,6 +39,8 @@
 #include "exec/grace_hash_join.h"
 #include "exec/index_nl_join.h"
 #include "exec/merge_join.h"
+#include "exec/ordered_merge.h"
+#include "exec/seq_scan.h"
 #include "exec/sort.h"
 #include "progress/concurrent_multi_query.h"
 #include "storage/catalog.h"
@@ -182,7 +186,6 @@ RunResult RunQuery(const Catalog& catalog, const Shape& shape,
   ctx.sample_fraction = 0.1;
   ctx.batch_size = batch_size;
   ctx.exec_workers = workers;
-  ctx.morsel_rows = 64;  // small morsels: exercise many merge boundaries
   ctx.hash_join_partitions = partitions;
   PlanNodePtr plan = shape.make();
   OperatorPtr root;
@@ -255,48 +258,146 @@ INSTANTIATE_TEST_SUITE_P(Modes, ParallelVsSequential,
                                            EstimationMode::kDne,
                                            EstimationMode::kByte));
 
-/// Odd morsel geometries: morsel_rows that don't divide batch_size (and
-/// vice versa) must not move a row or a random-run boundary.
-TEST(ParallelMorselGeometry, OddSizesMatchSequential) {
+/// A table whose blocks each end in six rows with v == 0, so a predicate
+/// on v >= 1 rejects the last rows of every block — among them the last
+/// row of the sampled prefix, the first input past the random run. A
+/// partial last block keeps the row count off any unit multiple.
+void BuildBlockEdgeTable(Catalog* catalog, const std::string& name,
+                         uint64_t rows) {
+  Schema schema({Column{name, "id", ValueType::kInt64},
+                 Column{name, "v", ValueType::kInt64},
+                 Column{name, "s", ValueType::kString}});
+  auto t = std::make_shared<Table>(name, schema);
+  for (uint64_t id = 0; id < rows; ++id) {
+    const uint64_t pos = id % kRowsPerBlock;
+    const int64_t v =
+        pos >= kRowsPerBlock - 6 ? 0 : static_cast<int64_t>(1 + id % 50);
+    ASSERT_TRUE(t->Append({Value(static_cast<int64_t>(id)), Value(v),
+                           Value("s" + std::to_string(id % 97))})
+                    .ok());
+  }
+  ASSERT_TRUE(catalog->Register(t).ok());
+  ASSERT_TRUE(catalog->Analyze(name).ok());
+}
+
+/// Everything a consumer sees of one sampled run, batch by batch.
+struct DrainedRun {
+  /// (size, random_run) of every emitted batch, in order.
+  std::vector<std::pair<size_t, uint64_t>> batches;
+  std::vector<std::string> rows;  // emitted order
+  uint64_t prefix_rows = 0;       // the scan's random prefix
+};
+
+DrainedRun DrainSampled(const Catalog& catalog, PlanNodePtr plan,
+                        size_t workers, size_t batch_size) {
+  ExecContext ctx;
+  ctx.catalog = const_cast<Catalog*>(&catalog);
+  ctx.mode = EstimationMode::kOnce;
+  ctx.sample_fraction = 0.1;
+  ctx.batch_size = batch_size;
+  ctx.exec_workers = workers;
+  OperatorPtr root;
+  DrainedRun out;
+  EXPECT_TRUE(CompilePlan(plan.get(), &ctx, &root).ok());
+  if (root == nullptr) return out;
+  EXPECT_TRUE(root->Open(&ctx).ok());
+  ctx.BeginExecution();
+  RowBatch batch(batch_size);
+  while (root->NextBatch(&batch)) {
+    out.batches.emplace_back(batch.size(), batch.random_run());
+    for (size_t i = 0; i < batch.size(); ++i) {
+      out.rows.push_back(RowToString(batch.row(i)));
+    }
+  }
+  root->Close();
+  ctx.EndExecution();
+  root->Visit([&](Operator* op) {
+    if (auto* scan = dynamic_cast<SeqScanOp*>(op)) {
+      out.prefix_rows = scan->random_prefix_rows();
+    }
+  });
+  return out;
+}
+
+/// Morsel geometries across batch sizes: each table holds over 30 scan
+/// units (OrderedMerge::UnitTarget rows each), units of 256 rows do not
+/// divide batch sizes 7 and 33, and with 400- and 4000-row units the
+/// sample boundary falls inside a unit. No row, batch boundary or
+/// random-run boundary may move.
+TEST(ParallelMorselGeometry, BatchSizesMatchSequential) {
+  for (size_t batch_size :
+       {size_t{1}, size_t{7}, size_t{33}, size_t{100}, size_t{1000}}) {
+    SCOPED_TRACE("batch " + std::to_string(batch_size));
+    const uint64_t unit = OrderedMerge::UnitTarget(batch_size);
+    const std::string name = "g" + std::to_string(batch_size);
+    Catalog catalog;
+    BuildBlockEdgeTable(&catalog, name, 31 * unit + 77);
+    auto make = [&] {
+      return ProjectPlan(
+          FilterPlan(ScanPlan(name),
+                     MakeCompare("v", CompareOp::kLe, Value(int64_t{25}))),
+          {"s", "id"});
+    };
+    DrainedRun reference = DrainSampled(catalog, make(), 1, batch_size);
+    ASSERT_GT(reference.prefix_rows, 0u);
+    if (unit % kRowsPerBlock != 0) {
+      EXPECT_NE(reference.prefix_rows % unit, 0u)
+          << "sample boundary on a unit edge";
+    }
+    DrainedRun parallel = DrainSampled(catalog, make(), 4, batch_size);
+    EXPECT_EQ(parallel.prefix_rows, reference.prefix_rows);
+    EXPECT_TRUE(parallel.batches == reference.batches)
+        << "batch sizes or random runs differ";
+    // The ordered merge reproduces the exact sequential row ORDER, not
+    // just the multiset.
+    ASSERT_EQ(parallel.rows.size(), reference.rows.size());
+    for (size_t i = 0; i < parallel.rows.size(); ++i) {
+      EXPECT_EQ(parallel.rows[i], reference.rows[i]) << "row " << i;
+    }
+  }
+}
+
+/// The per-batch random run of a sampled scan chain — a plain scan, a
+/// filter that rejects the rows at the sample boundary, and
+/// filter→project — is the sequential one at every worker count: the
+/// same (size, random_run) for every emitted batch, and the same rows in
+/// the same order.
+TEST(ParallelMorselGeometry, PerBatchRandomRunMatchesSequential) {
   Catalog catalog;
-  BuildCatalog(&catalog, 7);
-  const Shape shape{"filter", [] {
-                      return FilterPlan(
-                          ScanPlan("r2"),
-                          MakeCompare("v", CompareOp::kLe, Value(int64_t{25})));
-                    }};
-  for (size_t morsel_rows : {size_t{1}, size_t{33}, size_t{1000}}) {
-    ExecContext ref_ctx;
-    ref_ctx.catalog = &catalog;
-    ref_ctx.mode = EstimationMode::kOnce;
-    ref_ctx.sample_fraction = 0.1;
-    ref_ctx.batch_size = 100;
-    PlanNodePtr plan = shape.make();
-    OperatorPtr ref_root;
-    ASSERT_TRUE(CompilePlan(plan.get(), &ref_ctx, &ref_root).ok());
-    std::vector<Row> ref_rows;
-    ASSERT_TRUE(
-        QueryExecutor::Run(ref_root.get(), &ref_ctx, &ref_rows, nullptr).ok());
-
-    ExecContext ctx;
-    ctx.catalog = &catalog;
-    ctx.mode = EstimationMode::kOnce;
-    ctx.sample_fraction = 0.1;
-    ctx.batch_size = 100;
-    ctx.exec_workers = 4;
-    ctx.morsel_rows = morsel_rows;
-    PlanNodePtr plan2 = shape.make();
-    OperatorPtr root;
-    ASSERT_TRUE(CompilePlan(plan2.get(), &ctx, &root).ok());
-    std::vector<Row> rows;
-    ASSERT_TRUE(QueryExecutor::Run(root.get(), &ctx, &rows, nullptr).ok());
-
-    SCOPED_TRACE("morsel_rows " + std::to_string(morsel_rows));
-    ASSERT_EQ(rows.size(), ref_rows.size());
-    // The ordered morsel merge reproduces the exact sequential row ORDER,
-    // not just the multiset.
-    for (size_t i = 0; i < rows.size(); ++i) {
-      EXPECT_EQ(RowToString(rows[i]), RowToString(ref_rows[i])) << "row " << i;
+  BuildBlockEdgeTable(&catalog, "e", 20000);
+  const Shape shapes[] = {
+      {"scan", [] { return ScanPlan("e"); }},
+      {"filter",
+       [] {
+         return FilterPlan(ScanPlan("e"), MakeCompare("v", CompareOp::kGe,
+                                                      Value(int64_t{1})));
+       }},
+      {"filter_project",
+       [] {
+         return ProjectPlan(
+             FilterPlan(ScanPlan("e"), MakeCompare("v", CompareOp::kGe,
+                                                   Value(int64_t{1}))),
+             {"id", "v"});
+       }},
+  };
+  for (const Shape& shape : shapes) {
+    for (size_t batch_size : {size_t{1}, size_t{7}, size_t{1024}}) {
+      DrainedRun reference = DrainSampled(catalog, shape.make(), 1,
+                                          batch_size);
+      // The run ends inside the stream, not at its start or end.
+      ASSERT_GT(reference.prefix_rows, 0u);
+      ASSERT_LT(reference.prefix_rows, 20000u);
+      for (size_t workers : {size_t{2}, size_t{4}}) {
+        SCOPED_TRACE(std::string(shape.name) + " batch " +
+                     std::to_string(batch_size) + " workers " +
+                     std::to_string(workers));
+        DrainedRun parallel =
+            DrainSampled(catalog, shape.make(), workers, batch_size);
+        EXPECT_TRUE(parallel.batches == reference.batches)
+            << "batch sizes or random runs differ";
+        EXPECT_TRUE(parallel.rows == reference.rows)
+            << "emitted row sequence differs";
+      }
     }
   }
 }
@@ -336,29 +437,22 @@ TEST(PartitionNormalization, RoundsUpToPowerOfTwo) {
   root->Close();
 }
 
-/// batch_size == 0 and morsel_rows == 0 are rejected by
-/// ExecContext::Validate() before any operator opens — a zero batch size
-/// reads as instant end-of-stream (silently empty results) and a zero
-/// morsel size would spin the morsel cursor forever. Both executors check.
-TEST(ExecContextValidation, ZeroBatchAndMorselSizesRejected) {
+/// batch_size == 0 is rejected by ExecContext::Validate() before any
+/// operator opens — a zero batch size reads as instant end-of-stream
+/// (silently empty results). Both executors check.
+TEST(ExecContextValidation, ZeroBatchSizeRejected) {
   Catalog catalog;
   BuildCatalog(&catalog, 13);
-  for (const bool zero_batch : {true, false}) {
-    ExecContext ctx;
-    ctx.catalog = &catalog;
-    if (zero_batch) {
-      ctx.batch_size = 0;
-    } else {
-      ctx.morsel_rows = 0;
-    }
-    PlanNodePtr plan =
-        HashJoinPlan(ScanPlan("r1"), ScanPlan("r2"), "r1.k", "r2.k");
-    OperatorPtr root;
-    ASSERT_TRUE(CompilePlan(plan.get(), &ctx, &root).ok());
-    Status s = QueryExecutor::Run(root.get(), &ctx, nullptr, nullptr);
-    EXPECT_FALSE(s.ok()) << (zero_batch ? "batch_size" : "morsel_rows");
-    EXPECT_EQ(s.code(), Status::Code::kInvalidArgument);
-  }
+  ExecContext ctx;
+  ctx.catalog = &catalog;
+  ctx.batch_size = 0;
+  PlanNodePtr plan =
+      HashJoinPlan(ScanPlan("r1"), ScanPlan("r2"), "r1.k", "r2.k");
+  OperatorPtr root;
+  ASSERT_TRUE(CompilePlan(plan.get(), &ctx, &root).ok());
+  Status s = QueryExecutor::Run(root.get(), &ctx, nullptr, nullptr);
+  EXPECT_FALSE(s.ok());
+  EXPECT_EQ(s.code(), Status::Code::kInvalidArgument);
 }
 
 /// exec_workers gets the same guard rails as batch_size: 0 workers cannot
@@ -405,7 +499,6 @@ TEST(SharedFleet, AttachedSchedulerMatchesOwned) {
     ctx.sample_fraction = 0.1;
     ctx.batch_size = 256;
     ctx.exec_workers = workers;
-    ctx.morsel_rows = 64;
     ctx.hash_join_partitions = 16;
     ctx.AttachScheduler(&fleet, /*tag=*/workers);
     PlanNodePtr plan = shape.make();
@@ -456,7 +549,6 @@ TEST(ParallelCancellation, DrainsCleanly) {
   ctx.sample_fraction = 0.1;
   ctx.batch_size = 64;
   ctx.exec_workers = 4;
-  ctx.morsel_rows = 32;
   ctx.hash_join_partitions = 16;
   PlanNodePtr plan =
       HashJoinPlan(ScanPlan("r1"), ScanPlan("r2"), "r1.k", "r2.k");
@@ -483,12 +575,12 @@ TEST(ParallelCancellation, DrainsCleanly) {
 /// One hot join key. hb holds 4 build rows of key 1 plus 200 distinct
 /// keys; hp holds 6000 probe rows of key 1 (matched), 5000 of key 2
 /// (absent from hb) and 400 spread keys, shuffled. Whatever partition a hot
-/// key lands in emits many times GraceHashJoinOp::kJoinReadyCap ×
+/// key lands in emits many times OrderedMerge::kReadyCap ×
 /// batch_size rows for every flavor — inner/probe-outer/semi through key
 /// 1, anti/probe-outer through key 2 — so the parallel join cuts that
 /// partition into many probe-row units. Joining the other way round
 /// (`hot_build`: hp as the build side) gives each key-1 probe row a bucket
-/// of 6000 build rows, more than kJoinReadyCap × batch_size for every
+/// of 6000 build rows, more than kReadyCap × batch_size for every
 /// tested batch size, which no probe-row range can cut: its runner stalls
 /// at the ready cap, is requeued by the merge and resumes on recycled
 /// batches over and over. The string column exercises in-place refills of
@@ -677,7 +769,7 @@ TEST(ParallelJoinHotKey, CancelWhileStalledDrainsCleanly) {
 /// is filling instead of running the bucket on. Growth after the cancel is
 /// bounded by one batch per thread that can run a unit (the fleet plus the
 /// helping driver), well inside the in-flight bound of
-/// join window × kJoinReadyCap batches.
+/// join window × OrderedMerge::kReadyCap batches.
 TEST(ParallelJoinHotKey, CancelStopsHotBucketWithinABatch) {
   Catalog catalog;
   BuildHotKeyCatalog(&catalog);
@@ -708,7 +800,7 @@ TEST(ParallelJoinHotKey, CancelStopsHotBucketWithinABatch) {
   const uint64_t growth = root->tuples_emitted() - at_cancel;
   const size_t join_window = 2 * workers + 2;
   EXPECT_LE(growth,
-            join_window * GraceHashJoinOp::kJoinReadyCap * batch_size);
+            join_window * OrderedMerge::kReadyCap * batch_size);
   EXPECT_LE(growth, (workers + 1) * batch_size);
   EXPECT_EQ(root->state(), OpState::kFinished);
 }

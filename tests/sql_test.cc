@@ -264,7 +264,7 @@ TEST_F(SqlEndToEnd, RepeatedProjectedColumnsAreEqual) {
     ExecContext ctx;
     ctx.catalog = &catalog_;
     ctx.exec_workers = workers;
-    ctx.morsel_rows = 256;
+    ctx.batch_size = 64;  // 256-row morsels: several merge boundaries
     SqlPlanner planner(&catalog_);
     PlanNodePtr plan;
     ASSERT_TRUE(planner.PlanQuery(sql, &plan).ok());
