@@ -43,8 +43,8 @@ Trajectories RunComparison(bench::Workbench* wb, PlanNodePtr plan,
             (est != nullptr && est->probe_tuples_seen() > 0)
                 ? est->Estimate()
                 : join->optimizer_estimate();
-        out.dne[fraction] = join->DneEstimate();
-        out.byte[fraction] = join->ByteEstimate();
+        out.dne[fraction] = join->CardinalityEstimate(EstimationMode::kDne);
+        out.byte[fraction] = join->CardinalityEstimate(EstimationMode::kByte);
       });
   // Tuple-granular sampling (see bench_fig3): the accuracy trajectory is
   // defined at exact join-phase fractions.

@@ -186,8 +186,8 @@ void EnlistPipeline(const std::vector<Join*>& chain,
       [driver] { return driver->CurrentCardinalityEstimate(); });
   for (size_t k = 0; k < chain.size(); ++k) {
     size_t bottom_up = chain.size() - 1 - k;
-    chain[k]->EnlistInPipeline(pipeline, bottom_up,
-                               /*is_lowest=*/bottom_up == 0);
+    chain[k]->estimation().EnlistInPipeline(pipeline, bottom_up,
+                                            /*is_lowest=*/bottom_up == 0);
   }
 }
 
@@ -218,7 +218,7 @@ void WireHashChain(GraceHashJoinOp* top, bool force_pipeline) {
        top->num_key_columns() > 1);
   if (single_binary) {
     if (top->child(1)->ProducesRandomStream()) {
-      top->EnableBinaryOnceEstimation();
+      top->estimation().EnableBinaryOnce(top->child(1), top->join_type());
     }
     // else: clustered probe input, fall back to dne (paper Section 4.1.4).
   } else if (chain.size() > 1 || top->child(1)->ProducesRandomStream()) {
@@ -281,7 +281,8 @@ void WireOnceEstimation(Operator* op) {
     }
     if (chain.size() == 1) {
       if (merge_top->child(1)->ProducesRandomStream()) {
-        merge_top->EnableOnceEstimation();
+        merge_top->estimation().EnableBinaryOnce(merge_top->child(1),
+                                                 JoinFlavor::kInner);
       }
     } else {
       EnlistPipeline(chain, &MergeJoinOp::left_key_index,

@@ -302,12 +302,13 @@ struct ExecContext {
     return ola_stopped_.load(std::memory_order_relaxed);
   }
 
-  /// The scheduler this query's subtasks (morsels, join partitions) run
-  /// on. A service/multi-query driver attaches its shared fleet before
+  /// The scheduler this query's subtasks (morsels, join units) run on. A
+  /// service/multi-query driver attaches its shared fleet before
   /// execution (AttachScheduler); otherwise a private fleet of
-  /// exec_workers workers is created lazily on first use (never called
-  /// when exec_workers == 1) and destroyed with the context, after every
-  /// operator has closed and waited for its task groups.
+  /// exec_workers workers is created lazily on first use and destroyed
+  /// with the context, after every operator has closed and waited for its
+  /// task groups. Never called when exec_workers == 1: scans stay
+  /// sequential and OrderedMerge runs join units inline.
   TaskScheduler* scheduler();
 
   /// Borrow a shared fleet for this query's subtasks; `tag` names the

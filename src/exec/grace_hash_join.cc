@@ -105,22 +105,6 @@ bool GraceHashJoinOp::KeysEqual(const Value* build_row,
   return true;
 }
 
-void GraceHashJoinOp::EnableBinaryOnceEstimation() {
-  QPI_CHECK(pipeline_ == nullptr);
-  Operator* probe = probe_child();
-  once_ = std::make_unique<OnceBinaryJoinEstimator>(
-      [probe] { return probe->CurrentCardinalityEstimate(); }, join_type_);
-}
-
-void GraceHashJoinOp::EnlistInPipeline(
-    std::shared_ptr<PipelineJoinEstimator> pipeline, size_t index,
-    bool is_lowest) {
-  QPI_CHECK(once_ == nullptr);
-  pipeline_ = std::move(pipeline);
-  pipeline_index_ = index;
-  pipeline_lowest_ = is_lowest;
-}
-
 // Destruction without Close (error paths) destroys merge_ first, which
 // waits for every join-unit subtask before the partitions die.
 GraceHashJoinOp::~GraceHashJoinOp() = default;
@@ -152,34 +136,27 @@ void GraceHashJoinOp::RunBuildPhase() {
     for (size_t i = 0; i < n; ++i) {
       keys.push_back(RowKeyCode(batch.row(i), build_key_indices_));
     }
-    if (once_ != nullptr) {
-      for (size_t i = 0; i < n; ++i) once_->ObserveBuildKey(keys[i]);
-    }
-    if (pipeline_ != nullptr) {
-      for (size_t i = 0; i < n; ++i) {
-        pipeline_->ObserveBuildRow(pipeline_index_, batch.row(i));
-      }
-    }
+    estimation_.ObserveBuild(batch, [&](size_t i) { return keys[i]; });
     for (size_t i = 0; i < n; ++i) {
       size_t part = PartitionMix(keys[i]) & (num_partitions_ - 1);
       build_parts_[part].Append(batch.row(i), keys[i]);
     }
   }
-  if (once_ != nullptr) once_->BuildComplete();
-  if (pipeline_ != nullptr) pipeline_->BuildComplete(pipeline_index_);
+  estimation_.BuildComplete();
 }
 
 void GraceHashJoinOp::RunProbePartitionPhase() {
   RowBatch batch(ctx_->batch_size);
   std::vector<uint64_t> keys;
   keys.reserve(batch.capacity());
-  bool feed_pipeline = pipeline_ != nullptr && pipeline_lowest_;
   // Weigh partitions for the parallel join's unit sizing. N^R is read
   // from the exact build histogram, so the weight is exact even if
   // estimation freezes, and ONCE's own probe-side state is untouched.
+  // The weights balance the fleet's load; at one worker the cut changes
+  // no output, so the pass skips them.
   const HashHistogram* weigh = nullptr;
-  if (ctx_->exec_workers > 1 && once_ != nullptr) {
-    weigh = &once_->build_histogram();
+  if (ctx_->exec_workers > 1 && estimation_.once() != nullptr) {
+    weigh = &estimation_.once()->build_histogram();
     part_weight_.assign(num_partitions_, 0);
   }
   while (probe_child()->NextBatch(&batch)) {
@@ -189,40 +166,24 @@ void GraceHashJoinOp::RunProbePartitionPhase() {
       keys.push_back(RowKeyCode(batch.row(i), probe_key_indices_));
     }
     probe_partition_consumed_ += n;
-
-    // The estimation window: refine while the probe stream is still a
-    // random prefix, freeze the moment it stops being one (Section 4.4).
-    // The batch's random_run marks that boundary per tuple.
-    size_t run = static_cast<size_t>(batch.random_run());
-    if (run > n) run = n;
-    if (once_ != nullptr && !once_->frozen()) {
-      once_->ObserveProbeKeys(keys.data(), run);
-      if (run < n) once_->Freeze();
-    }
-    if (feed_pipeline && !pipeline_->frozen()) {
-      for (size_t i = 0; i < run; ++i) {
-        pipeline_->ObserveDriverRow(batch.row(i));
-      }
-      if (run < n) pipeline_->Freeze();
-    }
+    estimation_.ObserveProbe(batch, [&](size_t) { return keys.data(); });
     for (size_t i = 0; i < n; ++i) {
       size_t part = PartitionMix(keys[i]) & (num_partitions_ - 1);
       probe_parts_[part].Append(batch.row(i), keys[i]);
       if (weigh != nullptr) part_weight_[part] += 1 + weigh->Count(keys[i]);
     }
   }
-  if (once_ != nullptr) once_->ProbeComplete();
-  if (feed_pipeline) pipeline_->DriverComplete();
+  estimation_.ProbeComplete();
 }
 
 void GraceHashJoinOp::PreparePartitions() {
-  if (phase_ != Phase::kInit) return;
+  if (partitioned_) return;
   RunBuildPhase();
   RunProbePartitionPhase();
-  phase_ = Phase::kJoin;
+  partitioned_ = true;
 }
 
-void GraceHashJoinOp::StartParallelJoin() {
+void GraceHashJoinOp::StartJoinUnits() {
   // Cut each partition into equal probe-row ranges whose estimated output
   // is about OrderedMerge::UnitTarget rows. Empty partitions emit nothing
   // for any flavor and get no unit.
@@ -245,7 +206,6 @@ void GraceHashJoinOp::StartParallelJoin() {
     for (size_t r = 0; r < ranges; ++r, ++u) {
       JoinUnit& unit = join_units_[u];
       unit.part = p;
-      unit.cursor.shared = &part_tables_[p];
       unit.cursor.probe_row = rows * r / ranges;
       unit.cursor.probe_end = rows * (r + 1) / ranges;
     }
@@ -257,14 +217,16 @@ void GraceHashJoinOp::StartParallelJoin() {
 
 bool GraceHashJoinOp::ProduceUnit(size_t unit, RowBatch* out) {
   JoinUnit& u = join_units_[unit];
+  const size_t before = out->size();
   const uint64_t consumed = JoinPartitionInto(u.part, &u.cursor, out);
   // The shared table is dead weight once its partition's last unit is
   // done; that unit frees it.
-  if (u.cursor.done && u.cursor.shared->units_left.fetch_sub(1) == 1) {
-    u.cursor.shared->table = JoinTable();
+  SharedTable& shared = part_tables_[u.part];
+  if (u.cursor.done && shared.units_left.fetch_sub(1) == 1) {
+    shared.table = JoinTable();
   }
   // Join output is clustered by partition: its random_run stays 0.
-  CountEmitted(out->size());
+  CountEmitted(out->size() - before);
   join_driver_consumed_.fetch_add(consumed, std::memory_order_relaxed);
   return u.cursor.done;
 }
@@ -274,9 +236,9 @@ uint64_t GraceHashJoinOp::JoinPartitionInto(size_t part,
                                             RowBatch* out) {
   const Partition& build = build_parts_[part];
   const Partition& probe = probe_parts_[part];
-  JoinTable& table =
-      cursor->shared != nullptr ? cursor->shared->table : cursor->table;
-  const size_t probe_end = std::min(cursor->probe_end, probe.size());
+  SharedTable& shared = part_tables_[part];
+  JoinTable& table = shared.table;
+  const size_t probe_end = cursor->probe_end;
   const bool probe_only =
       join_type_ == JoinFlavor::kSemi || join_type_ == JoinFlavor::kAnti;
   uint64_t consumed = 0;
@@ -303,11 +265,7 @@ uint64_t GraceHashJoinOp::JoinPartitionInto(size_t part,
         break;
       }
       if (!cursor->table_built) {
-        if (cursor->shared != nullptr) {
-          std::call_once(cursor->shared->once, [&] { table.Build(build); });
-        } else {
-          table.Build(build);
-        }
+        std::call_once(shared.once, [&] { table.Build(build); });
         cursor->table_built = true;
       }
       ++consumed;
@@ -345,121 +303,36 @@ uint64_t GraceHashJoinOp::JoinPartitionInto(size_t part,
 
 void GraceHashJoinOp::NextBatchImpl(RowBatch* out) {
   PreparePartitions();
-  if (phase_ != Phase::kJoin) return;
-  // Launch the parallel join on the first batch request (also after an
-  // explicit PreparePartitions). Its units counted their rows already.
-  if (merge_ == nullptr && ctx_->exec_workers > 1) StartParallelJoin();
-  if (merge_ != nullptr) {
-    merge_->Fill(out);
-    return;
-  }
-  // Sequential join: the kernel fills `out` straight from the cursor, in
-  // partition order, and the batch's probe consumption is published once.
-  uint64_t consumed = 0;
-  while (!out->full() && join_emit_part_ < num_partitions_) {
-    consumed += JoinPartitionInto(join_emit_part_, &join_cursor_, out);
-    if (join_cursor_.done) {
-      ++join_emit_part_;
-      join_cursor_ = PartitionCursor();
-    }
-  }
-  if (join_emit_part_ == num_partitions_) phase_ = Phase::kDone;
-  join_driver_consumed_.fetch_add(consumed, std::memory_order_relaxed);
-  CountEmitted(out->size());
+  // Start the join units on the first batch request (also after an
+  // explicit PreparePartitions). They count their own rows.
+  if (merge_ == nullptr) StartJoinUnits();
+  merge_->Fill(out);
 }
 
 void GraceHashJoinOp::CloseImpl() {
-  // Tear down the parallel join phase first: destroying the merge stops
+  // Tear down the join phase first: destroying the merge stops
   // still-queued units and waits (helping the fleet) for every subtask
   // before the partitions and tables they read are cleared.
   merge_.reset();
   join_units_.clear();
   part_tables_.clear();
   part_weight_.clear();
-  join_emit_part_ = 0;
   build_parts_.clear();
   probe_parts_.clear();
-  join_cursor_ = PartitionCursor();
-}
-
-double GraceHashJoinOp::DneEstimate() const {
-  if (state() == OpState::kFinished) {
-    return static_cast<double>(tuples_emitted());
-  }
-  DneEstimator dne(optimizer_estimate());
-  dne.Update(join_driver_consumed(), tuples_emitted());
-  return dne.Estimate(static_cast<double>(probe_partition_consumed_));
-}
-
-double GraceHashJoinOp::ByteEstimate() const {
-  if (state() == OpState::kFinished) {
-    return static_cast<double>(tuples_emitted());
-  }
-  ByteEstimator byte(optimizer_estimate());
-  byte.Update(join_driver_consumed(), tuples_emitted());
-  return byte.Estimate(static_cast<double>(probe_partition_consumed_));
-}
-
-double GraceHashJoinOp::OnceEstimate() const {
-  if (state() == OpState::kFinished) {
-    return static_cast<double>(tuples_emitted());
-  }
-  if (pipeline_ != nullptr && pipeline_->Resolved(pipeline_index_)) {
-    if (pipeline_->driver_rows_seen() == 0) return optimizer_estimate();
-    return pipeline_->EstimateForJoin(pipeline_index_);
-  }
-  if (once_ != nullptr) {
-    if (once_->probe_tuples_seen() == 0) return optimizer_estimate();
-    return once_->Estimate();
-  }
-  // No preprocessing-phase estimator applies: default to dne (paper
-  // Sections 4.1.3 / 4.3).
-  return DneEstimate();
 }
 
 double GraceHashJoinOp::CardinalityEstimate(EstimationMode mode) const {
-  switch (mode) {
-    case EstimationMode::kOnce:
-      return OnceEstimate();
-    case EstimationMode::kDne:
-      return DneEstimate();
-    case EstimationMode::kByte:
-      return ByteEstimate();
-    case EstimationMode::kNone:
-      break;
-  }
-  return state() == OpState::kFinished ? static_cast<double>(tuples_emitted())
-                                       : optimizer_estimate();
+  return estimation_.Estimate(
+      *this, mode,
+      {join_driver_consumed(), static_cast<double>(probe_partition_consumed_)});
 }
 
 double GraceHashJoinOp::CurrentCardinalityHalfWidth(double confidence) const {
-  if (state() == OpState::kFinished) return 0.0;
-  if (!OnceMode()) return 0.0;
-  if (pipeline_ != nullptr && pipeline_->Resolved(pipeline_index_) &&
-      pipeline_->driver_rows_seen() > 0) {
-    return pipeline_->ConfidenceHalfWidth(pipeline_index_, confidence);
-  }
-  if (once_ != nullptr && once_->probe_tuples_seen() > 0) {
-    return once_->ConfidenceHalfWidth(confidence);
-  }
-  return 0.0;
+  return estimation_.HalfWidth(*this, OnceMode(), confidence);
 }
 
 bool GraceHashJoinOp::CardinalityExact() const {
-  if (state() == OpState::kFinished) return true;
-  if (!OnceMode()) return false;
-  if (pipeline_ != nullptr && pipeline_->Resolved(pipeline_index_)) {
-    return pipeline_->Exact();
-  }
-  return once_ != nullptr && once_->Exact();
-}
-
-size_t GraceHashJoinOp::EstimationBytesUsed() const {
-  if (once_ != nullptr) return once_->build_histogram().UsedBytes();
-  if (pipeline_ != nullptr && pipeline_lowest_) {
-    return pipeline_->HistogramBytesUsed();
-  }
-  return 0;
+  return estimation_.Exact(*this, OnceMode());
 }
 
 }  // namespace qpi

@@ -8,9 +8,7 @@
 #include <span>
 #include <vector>
 
-#include "estimators/baselines.h"
-#include "estimators/join_once.h"
-#include "estimators/pipeline_join.h"
+#include "exec/join_estimation.h"
 #include "exec/operator.h"
 #include "plan/plan_node.h"
 
@@ -33,10 +31,11 @@ class OrderedMerge;
 ///     re-read clustered by partition, which is precisely the reordering
 ///     that makes the dne/byte baselines (whose driver consumption is
 ///     measured here, as in the original systems) fluctuate under skew.
-///     With exec_workers > 1, partitions are cut into probe-row join
-///     units sized by the output the probe pass counted for them (see
-///     StartParallelJoin).
+///     Partitions are cut into probe-row join units run by an
+///     OrderedMerge: on the fleet with exec_workers > 1, inline on the
+///     driving thread at one worker (see StartJoinUnits).
 ///
+/// Estimation in phases 1 and 2 is the shared JoinEstimation protocol.
 /// children[0] is the build input, children[1] the probe input.
 class GraceHashJoinOp : public Operator {
  public:
@@ -54,14 +53,9 @@ class GraceHashJoinOp : public Operator {
                   JoinFlavor join_type = JoinFlavor::kInner);
   ~GraceHashJoinOp() override;
 
-  /// Attach the paper's binary estimator (requires a probe input that
-  /// starts as a random stream).
-  void EnableBinaryOnceEstimation();
-
-  /// Enlist this join as member `index` of a pipeline chain; the lowest
-  /// member (`is_lowest` true) feeds driver rows to the shared estimator.
-  void EnlistInPipeline(std::shared_ptr<PipelineJoinEstimator> pipeline,
-                        size_t index, bool is_lowest);
+  /// Where the compiler attaches binary ONCE (for a probe input that
+  /// starts as a random stream) or a pipeline chain's estimator.
+  JoinEstimation& estimation() { return estimation_; }
 
   double CardinalityEstimate(EstimationMode mode) const override;
   double CurrentCardinalityHalfWidth(double confidence) const override;
@@ -75,15 +69,15 @@ class GraceHashJoinOp : public Operator {
   /// Partition count after Open's normalization to a power of two.
   size_t num_partitions() const { return num_partitions_; }
 
-  /// Join units of the running parallel join phase: 0 before its first
-  /// batch, with exec_workers == 1, and after Close.
+  /// Join units of the running join phase, at any worker count: 0 before
+  /// its first batch and after Close.
   size_t num_join_units() const { return join_units_.size(); }
 
   /// Run the (sequential, ONCE-instrumented) build and probe-partition
   /// phases now, leaving only the join phase for NextBatch. No-op if
   /// the phases already ran. Benches use this to time the join phase in
-  /// isolation; parallel join workers are only launched by the first
-  /// NextBatch, so the timed region includes their whole lifetime.
+  /// isolation; join units are only started by the first NextBatch, so
+  /// the timed region includes their whole lifetime.
   void PreparePartitions();
 
   // --- observability for benches/tests -------------------------------------
@@ -93,22 +87,15 @@ class GraceHashJoinOp : public Operator {
   uint64_t join_driver_consumed() const {
     return join_driver_consumed_.load(std::memory_order_relaxed);
   }
-  const OnceBinaryJoinEstimator* once_estimator() const { return once_.get(); }
+  const OnceBinaryJoinEstimator* once_estimator() const {
+    return estimation_.once();
+  }
   const PipelineJoinEstimator* pipeline_estimator() const {
-    return pipeline_.get();
+    return estimation_.pipeline().get();
   }
   std::shared_ptr<PipelineJoinEstimator> shared_pipeline_estimator() const {
-    return pipeline_;
+    return estimation_.pipeline();
   }
-  size_t pipeline_index() const { return pipeline_index_; }
-
-  /// dne / byte estimates regardless of the active mode (for side-by-side
-  /// comparison harnesses).
-  double DneEstimate() const;
-  double ByteEstimate() const;
-
-  /// Histogram memory consumed by estimation at this operator.
-  size_t EstimationBytesUsed() const;
 
  protected:
   Status OpenImpl() override;
@@ -116,8 +103,6 @@ class GraceHashJoinOp : public Operator {
   void CloseImpl() override;
 
  private:
-  enum class Phase { kInit, kJoin, kDone };
-
   void RunBuildPhase();
   void RunProbePartitionPhase();
 
@@ -167,66 +152,53 @@ class GraceHashJoinOp : public Operator {
   };
 
   /// One partition's build table, shared read-only by all of that
-  /// partition's parallel join units: the first unit to need it builds it
-  /// under `once`, and the unit that brings `units_left` to zero frees it.
+  /// partition's join units: the first unit to need it builds it under
+  /// `once`, and the unit that brings `units_left` to zero frees it.
   struct SharedTable {
     std::once_flag once;
     JoinTable table;
     std::atomic<size_t> units_left{0};
   };
 
-  /// Resume point of a join over one partition's probe rows
-  /// [probe_row, probe_end). The sequential join cursor (`join_cursor_`)
-  /// is one of these, walking whole partitions with a table of its own;
-  /// each parallel join unit keeps its own, probing its partition's
-  /// SharedTable, owned by whichever runner holds the unit.
+  /// Resume point of a join unit over its partition's probe rows
+  /// [probe_row, probe_end), probing the partition's SharedTable; owned
+  /// by whichever runner holds the unit.
   struct PartitionCursor {
-    /// The partition's build table, built on the first probe row (unused
-    /// when `shared` is set).
-    JoinTable table;
-    SharedTable* shared = nullptr;
-    bool table_built = false;
-    bool done = false;     ///< exhausted, or abandoned on cancel
-    size_t probe_row = 0;  ///< next probe row index
-    /// End of the probe-row range; SIZE_MAX means the partition's end.
-    size_t probe_end = SIZE_MAX;
+    bool table_built = false;  ///< the SharedTable is built
+    bool done = false;         ///< exhausted, or abandoned on cancel
+    size_t probe_row = 0;      ///< next probe row index
+    size_t probe_end = 0;      ///< end of the probe-row range
     /// Next chain entry to check for the current probe row; kNoRow while
     /// that row has not been looked up yet.
     uint32_t match = kNoRow;
   };
 
-  /// The join phase's one loop, shared by the sequential and parallel
-  /// paths: continue partition `part` from `*cursor`, filling `out` in
-  /// place until it is full, the cursor's probe range is exhausted or the
-  /// query is cancelled (either of the last two sets cursor->done;
-  /// cancellation is checked every 1K probe rows). Returns the probe rows
-  /// this call consumed; counting them, and the emitted rows, is the
-  /// caller's job.
+  /// The join phase's one loop: continue partition `part` from `*cursor`,
+  /// appending to `out` until it is full, the cursor's probe range is
+  /// exhausted or the query is cancelled (either of the last two sets
+  /// cursor->done; cancellation is checked every 1K probe rows). Returns
+  /// the probe rows this call consumed; counting them, and the emitted
+  /// rows, is the caller's job.
   uint64_t JoinPartitionInto(size_t part, PartitionCursor* cursor,
                              RowBatch* out);
 
-  /// Fan the join out through an OrderedMerge (ctx->exec_workers > 1).
-  /// The unit of work is a *join unit*: a contiguous probe-row range of
-  /// one partition, probing that partition's SharedTable. Units are cut so
+  /// Run the join through an OrderedMerge, inline at one worker. The
+  /// unit of work is a *join unit*: a contiguous probe-row range of one
+  /// partition, probing that partition's SharedTable. Units are cut so
   /// each one's estimated output (the probe pass's partition weight, see
   /// part_weight_) is about OrderedMerge::UnitTarget rows. Units are
-  /// ordered by (partition, probe range), exactly the sequential join
-  /// cursor's order, so the merged stream is bit-identical to the
-  /// sequential engine at any worker count; gnm counters were already
-  /// order-invariant, and the join phase performs no estimator
-  /// observation.
-  void StartParallelJoin();
-  /// OrderedMerge producer: run the kernel for join unit `unit` into
-  /// `out`, count its rows and driver consumption, and free the shared
-  /// table once its partition's last unit is done.
+  /// ordered by (partition, probe range), so the merged stream is the
+  /// same at any worker count; gnm counters are order-invariant, and the
+  /// join phase performs no estimator observation.
+  void StartJoinUnits();
+  /// OrderedMerge producer: run the kernel for join unit `unit`,
+  /// appending to `out`, count the rows it added and its driver
+  /// consumption, and free the shared table once its partition's last
+  /// unit is done.
   bool ProduceUnit(size_t unit, RowBatch* out);
 
   Operator* build_child() const { return child(0); }
   Operator* probe_child() const { return child(1); }
-
-  /// The ONCE-path estimate (pipeline → binary → dne fallback),
-  /// independent of ctx->mode.
-  double OnceEstimate() const;
 
   bool KeysEqual(const Value* build_row, const Value* probe_row) const;
 
@@ -235,20 +207,15 @@ class GraceHashJoinOp : public Operator {
   JoinFlavor join_type_;
   size_t num_partitions_ = 64;
 
-  Phase phase_ = Phase::kInit;
+  bool partitioned_ = false;  // the build and probe passes have run
   std::vector<Partition> build_parts_;
   std::vector<Partition> probe_parts_;
   // NULL build-side prefix of a probe-outer miss, built once at Open.
   Row null_build_row_;
 
-  // Sequential join cursor (exec_workers == 1), at partition
-  // join_emit_part_.
-  PartitionCursor join_cursor_;
-  size_t join_emit_part_ = 0;
-
   uint64_t probe_partition_consumed_ = 0;
-  // Advanced once per output batch, by the sequential join cursor or by
-  // a parallel unit's producer; read by monitor-thread estimates.
+  // Advanced by a join unit's producer per output batch; read by
+  // monitor-thread estimates.
   std::atomic<uint64_t> join_driver_consumed_{0};
 
   // Estimated join work per partition, Σ (1 + N^R(key)) over its probe
@@ -257,9 +224,9 @@ class GraceHashJoinOp : public Operator {
   // otherwise a unit's weight is its probe-row count.
   std::vector<uint64_t> part_weight_;
 
-  // Parallel join phase (see StartParallelJoin): each unit's cursor is
-  // owned by whichever runner holds the unit. The kernel writes the cursor
-  // per row, so units running side by side keep off each other's cache
+  // Join phase (see StartJoinUnits): each unit's cursor is owned by
+  // whichever runner holds the unit. The kernel writes the cursor per
+  // row, so units running side by side keep off each other's cache
   // lines.
   struct alignas(64) JoinUnit {
     size_t part = 0;
@@ -267,11 +234,7 @@ class GraceHashJoinOp : public Operator {
   };
   std::vector<JoinUnit> join_units_;
   std::vector<SharedTable> part_tables_;  // one per partition
-  // Estimation attachments.
-  std::unique_ptr<OnceBinaryJoinEstimator> once_;
-  std::shared_ptr<PipelineJoinEstimator> pipeline_;
-  size_t pipeline_index_ = 0;
-  bool pipeline_lowest_ = false;
+  JoinEstimation estimation_;
 
   // Declared last: destroying the merge waits for the unit runners, which
   // touch the partitions, units and tables above.

@@ -21,6 +21,11 @@ namespace qpi {
 /// fan-out is known the moment the tuple is *read*, before its matches are
 /// emitted, with the usual CLT interval on a random outer prefix.
 ///
+/// Its estimation is its own, not the JoinEstimation protocol of the grace
+/// and sort-merge joins: it probes per outer tuple during output, and it
+/// answers dne (not the optimizer's number) before its first probe, so
+/// shared code would have to branch on its caller.
+///
 /// children[0] is the outer (driver) input, children[1] the inner
 /// (indexed) input. Output rows are outer ⧺ inner.
 class IndexNestedLoopsJoinOp : public Operator {

@@ -1,0 +1,111 @@
+#ifndef QPI_EXEC_JOIN_ESTIMATION_H_
+#define QPI_EXEC_JOIN_ESTIMATION_H_
+
+#include <algorithm>
+#include <cstdint>
+#include <memory>
+
+#include "common/row_batch.h"
+#include "estimators/join_once.h"
+#include "estimators/pipeline_join.h"
+#include "exec/operator.h"
+
+namespace qpi {
+
+/// \brief The ONCE estimation protocol of the grace hash and sort-merge
+/// joins (paper Sections 4.1.1, 4.1.2 and the 4.1.4 push-down), owned by
+/// each. The join feeds it every build row, then the probe rows of its
+/// first probe pass: each batch's leading `random_run` rows refine the
+/// estimate and the first row outside the run freezes it (Section 4.4).
+/// Only the lowest member of a pipeline chain feeds the shared estimator
+/// its driver rows. The read side answers pipeline → binary ONCE → dne
+/// (the optimizer's number before the first probe row); dne and byte read
+/// the driver counts the join supplies. The index nested-loops join keeps
+/// its own: it probes per outer tuple during output and answers dne
+/// before its first probe, so shared code would branch on its caller.
+class JoinEstimation {
+ public:
+  /// The owning join's dne/byte inputs: driver (probe) rows its output
+  /// phase has consumed, and the driver total.
+  struct DriverCounts {
+    uint64_t consumed = 0;
+    double total = 0.0;
+  };
+
+  /// Attach binary ONCE; `probe`'s live cardinality estimate is |S|.
+  void EnableBinaryOnce(const Operator* probe, JoinFlavor flavor);
+  /// Enlist as member `index` of a pipeline chain; the lowest member
+  /// (`is_lowest`) feeds the driver rows.
+  void EnlistInPipeline(std::shared_ptr<PipelineJoinEstimator> pipeline,
+                        size_t index, bool is_lowest);
+
+  /// One batch of the build pass; `key(i)` is row i's join-key code.
+  template <typename KeyFn>
+  void ObserveBuild(const RowBatch& batch, KeyFn key);
+  void BuildComplete();
+
+  /// One batch of the probe pass. `codes(run)` returns the join-key codes
+  /// of the batch's first `run` rows; it is called only while binary ONCE
+  /// still refines.
+  template <typename CodesFn>
+  void ObserveProbe(const RowBatch& batch, CodesFn codes);
+  void ProbeComplete();
+
+  /// `join`'s estimate of its output cardinality under `mode`.
+  double Estimate(const Operator& join, EstimationMode mode,
+                  DriverCounts driver) const;
+  /// Half-width of the `confidence` interval around the ONCE estimate;
+  /// 0 outside ONCE mode (`once_mode` false), once `join` has finished,
+  /// and while no estimator has seen a probe row.
+  double HalfWidth(const Operator& join, bool once_mode,
+                   double confidence) const;
+  bool Exact(const Operator& join, bool once_mode) const;
+
+  const OnceBinaryJoinEstimator* once() const { return once_.get(); }
+  const std::shared_ptr<PipelineJoinEstimator>& pipeline() const {
+    return pipeline_;
+  }
+
+ private:
+  /// Whether the pipeline estimator answers for this join.
+  bool PipelineResolved() const {
+    return pipeline_ != nullptr && pipeline_->Resolved(pipeline_index_);
+  }
+
+  std::unique_ptr<OnceBinaryJoinEstimator> once_;
+  std::shared_ptr<PipelineJoinEstimator> pipeline_;
+  size_t pipeline_index_ = 0;
+  bool pipeline_lowest_ = false;
+};
+
+template <typename KeyFn>
+void JoinEstimation::ObserveBuild(const RowBatch& batch, KeyFn key) {
+  const size_t n = batch.size();
+  if (once_ != nullptr) {
+    for (size_t i = 0; i < n; ++i) once_->ObserveBuildKey(key(i));
+  }
+  if (pipeline_ != nullptr) {
+    for (size_t i = 0; i < n; ++i) {
+      pipeline_->ObserveBuildRow(pipeline_index_, batch.row(i));
+    }
+  }
+}
+
+template <typename CodesFn>
+void JoinEstimation::ObserveProbe(const RowBatch& batch, CodesFn codes) {
+  const size_t n = batch.size();
+  const size_t run = static_cast<size_t>(
+      std::min<uint64_t>(batch.random_run(), n));
+  if (once_ != nullptr && !once_->frozen()) {
+    once_->ObserveProbeKeys(codes(run), run);
+    if (run < n) once_->Freeze();
+  }
+  if (pipeline_lowest_ && !pipeline_->frozen()) {
+    for (size_t i = 0; i < run; ++i) pipeline_->ObserveDriverRow(batch.row(i));
+    if (run < n) pipeline_->Freeze();
+  }
+}
+
+}  // namespace qpi
+
+#endif  // QPI_EXEC_JOIN_ESTIMATION_H_

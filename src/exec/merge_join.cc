@@ -1,9 +1,8 @@
 #include "exec/merge_join.h"
 
 #include <algorithm>
+#include <utility>
 
-#include "common/check.h"
-#include "estimators/baselines.h"
 #include "stats/hash_histogram.h"
 
 namespace qpi {
@@ -27,75 +26,40 @@ MergeJoinOp::MergeJoinOp(OperatorPtr left, OperatorPtr right,
   SetSchema(Schema::Concat(child(0)->schema(), child(1)->schema()));
 }
 
-void MergeJoinOp::EnableOnceEstimation() {
-  QPI_CHECK(pipeline_ == nullptr);
-  Operator* right = child(1);
-  once_ = std::make_unique<OnceBinaryJoinEstimator>(
-      [right] { return right->CurrentCardinalityEstimate(); });
-}
-
-void MergeJoinOp::EnlistInPipeline(
-    std::shared_ptr<PipelineJoinEstimator> pipeline, size_t index,
-    bool is_lowest) {
-  QPI_CHECK(once_ == nullptr);
-  pipeline_ = std::move(pipeline);
-  pipeline_index_ = index;
-  pipeline_lowest_ = is_lowest;
-}
-
 void MergeJoinOp::RunIntakePhases() {
   RowBatch batch(ctx_->batch_size);
   // Left intake: the sort sees every left tuple, so the histogram can be
   // built before any output is produced.
   while (child(0)->NextBatch(&batch)) {
+    estimation_.ObserveBuild(batch, [&](size_t i) {
+      return HistogramKeyCode(batch.row(i)[left_key_index_]);
+    });
     for (size_t i = 0; i < batch.size(); ++i) {
-      Row& row = batch.row(i);
-      if (once_ != nullptr) {
-        once_->ObserveBuildKey(HistogramKeyCode(row[left_key_index_]));
-      }
-      if (pipeline_ != nullptr) {
-        pipeline_->ObserveBuildRow(pipeline_index_, row);
-      }
-      left_rows_.push_back(std::move(row));
+      left_rows_.push_back(std::move(batch.row(i)));
     }
   }
-  if (once_ != nullptr) once_->BuildComplete();
-  if (pipeline_ != nullptr) pipeline_->BuildComplete(pipeline_index_);
+  estimation_.BuildComplete();
   std::sort(left_rows_.begin(), left_rows_.end(), [&](const Row& a,
                                                       const Row& b) {
     return a[left_key_index_] < b[left_key_index_];
   });
 
   // Right intake: probe the left histogram while the input is still in
-  // random order, before sorting destroys that property. The batch's
-  // random_run marks the per-tuple freeze boundary.
-  bool feed_pipeline = pipeline_ != nullptr && pipeline_lowest_;
+  // random order, before sorting destroys that property.
   std::vector<uint64_t> keys;
-  keys.reserve(batch.capacity());
   while (child(1)->NextBatch(&batch)) {
-    size_t n = batch.size();
-    size_t run = static_cast<size_t>(batch.random_run());
-    if (run > n) run = n;
-    if (once_ != nullptr && !once_->frozen()) {
+    estimation_.ObserveProbe(batch, [&](size_t run) {
       keys.clear();
       for (size_t i = 0; i < run; ++i) {
         keys.push_back(HistogramKeyCode(batch.row(i)[right_key_index_]));
       }
-      once_->ObserveProbeKeys(keys.data(), run);
-      if (run < n) once_->Freeze();
-    }
-    if (feed_pipeline && !pipeline_->frozen()) {
-      for (size_t i = 0; i < run; ++i) {
-        pipeline_->ObserveDriverRow(batch.row(i));
-      }
-      if (run < n) pipeline_->Freeze();
-    }
-    for (size_t i = 0; i < n; ++i) {
+      return keys.data();
+    });
+    for (size_t i = 0; i < batch.size(); ++i) {
       right_rows_.push_back(std::move(batch.row(i)));
     }
   }
-  if (once_ != nullptr) once_->ProbeComplete();
-  if (feed_pipeline) pipeline_->DriverComplete();
+  estimation_.ProbeComplete();
   std::sort(right_rows_.begin(), right_rows_.end(), [&](const Row& a,
                                                         const Row& b) {
     return a[right_key_index_] < b[right_key_index_];
@@ -174,61 +138,18 @@ void MergeJoinOp::CloseImpl() {
   right_rows_.clear();
 }
 
-double MergeJoinOp::DneEstimate() const {
-  if (state() == OpState::kFinished) {
-    return static_cast<double>(tuples_emitted());
-  }
-  DneEstimator dne(optimizer_estimate());
-  dne.Update(merge_right_consumed_, tuples_emitted());
-  return dne.Estimate(static_cast<double>(right_rows_.size()));
-}
-
-double MergeJoinOp::ByteEstimate() const {
-  if (state() == OpState::kFinished) {
-    return static_cast<double>(tuples_emitted());
-  }
-  ByteEstimator byte(optimizer_estimate());
-  byte.Update(merge_right_consumed_, tuples_emitted());
-  return byte.Estimate(static_cast<double>(right_rows_.size()));
-}
-
-double MergeJoinOp::OnceEstimate() const {
-  if (state() == OpState::kFinished) {
-    return static_cast<double>(tuples_emitted());
-  }
-  if (pipeline_ != nullptr && pipeline_->Resolved(pipeline_index_)) {
-    if (pipeline_->driver_rows_seen() == 0) return optimizer_estimate();
-    return pipeline_->EstimateForJoin(pipeline_index_);
-  }
-  if (once_ != nullptr) {
-    if (once_->probe_tuples_seen() == 0) return optimizer_estimate();
-    return once_->Estimate();
-  }
-  return DneEstimate();
-}
-
 double MergeJoinOp::CardinalityEstimate(EstimationMode mode) const {
-  switch (mode) {
-    case EstimationMode::kOnce:
-      return OnceEstimate();
-    case EstimationMode::kDne:
-      return DneEstimate();
-    case EstimationMode::kByte:
-      return ByteEstimate();
-    case EstimationMode::kNone:
-      break;
-  }
-  return state() == OpState::kFinished ? static_cast<double>(tuples_emitted())
-                                       : optimizer_estimate();
+  return estimation_.Estimate(
+      *this, mode,
+      {merge_right_consumed_, static_cast<double>(right_rows_.size())});
+}
+
+double MergeJoinOp::CurrentCardinalityHalfWidth(double confidence) const {
+  return estimation_.HalfWidth(*this, OnceMode(), confidence);
 }
 
 bool MergeJoinOp::CardinalityExact() const {
-  if (state() == OpState::kFinished) return true;
-  if (!OnceMode()) return false;
-  if (pipeline_ != nullptr && pipeline_->Resolved(pipeline_index_)) {
-    return pipeline_->Exact();
-  }
-  return once_ != nullptr && once_->Exact();
+  return estimation_.Exact(*this, OnceMode());
 }
 
 }  // namespace qpi

@@ -4,8 +4,7 @@
 #include <memory>
 #include <vector>
 
-#include "estimators/join_once.h"
-#include "estimators/pipeline_join.h"
+#include "exec/join_estimation.h"
 #include "exec/operator.h"
 
 namespace qpi {
@@ -22,41 +21,33 @@ namespace qpi {
 ///  3. **Merge** — equal-key runs are cross-producted. The output is
 ///     ordered by join key, i.e. clustered — the dne/byte baselines refine
 ///     here and fluctuate under skew exactly as in hash joins.
+///
+/// Estimation in phases 1 and 2 is the JoinEstimation protocol the grace
+/// hash join shares: the left intake is the build pass, the right intake
+/// the probe pass, and the right rows the merge has passed are dne's and
+/// byte's driver consumption. Same-attribute merge chains share one
+/// push-down estimator, like hash-join pipelines (Section 4.1.4.3).
 class MergeJoinOp : public Operator {
  public:
   MergeJoinOp(OperatorPtr left, OperatorPtr right, size_t left_key_index,
               size_t right_key_index, std::string label);
 
-  /// Attach the ONCE estimator (requires a right input that starts random).
-  void EnableOnceEstimation();
-
-  /// Enlist in a chain of sort-merge joins sharing one push-down estimator
-  /// (Section 4.1.4.3: same-attribute merge chains estimate exactly like
-  /// hash-join pipelines — the left intakes build the histograms top-down,
-  /// the lowest right intake is the driver pass).
-  void EnlistInPipeline(std::shared_ptr<PipelineJoinEstimator> pipeline,
-                        size_t index, bool is_lowest);
+  /// Where the compiler attaches binary ONCE (for a right input that
+  /// starts random) or a merge chain's estimator.
+  JoinEstimation& estimation() { return estimation_; }
 
   size_t left_key_index() const { return left_key_index_; }
   size_t right_key_index() const { return right_key_index_; }
   const PipelineJoinEstimator* pipeline_estimator() const {
-    return pipeline_.get();
+    return estimation_.pipeline().get();
+  }
+  const OnceBinaryJoinEstimator* once_estimator() const {
+    return estimation_.once();
   }
 
   double CardinalityEstimate(EstimationMode mode) const override;
+  double CurrentCardinalityHalfWidth(double confidence) const override;
   bool CardinalityExact() const override;
-
-  double DneEstimate() const;
-  double ByteEstimate() const;
-  /// The ONCE-path estimate (pipeline → binary → dne fallback),
-  /// independent of ctx->mode.
-  double OnceEstimate() const;
-
-  uint64_t merge_right_consumed() const { return merge_right_consumed_; }
-  const OnceBinaryJoinEstimator* once_estimator() const { return once_.get(); }
-  size_t EstimationBytesUsed() const {
-    return once_ != nullptr ? once_->build_histogram().UsedBytes() : 0;
-  }
 
  protected:
   void NextBatchImpl(RowBatch* out) override;
@@ -75,8 +66,8 @@ class MergeJoinOp : public Operator {
   std::vector<Row> left_rows_;
   std::vector<Row> right_rows_;
 
-  // Merge cursor: current equal-key run [left_lo_, left_hi_) ×
-  // [right_lo_, right_hi_), emitting pair (run_left_, run_right_).
+  // Merge cursor: while in_run_, the equal-key run [left_pos_, left_hi_) ×
+  // [right_pos_, right_hi_), emitting pair (run_left_, run_right_).
   size_t left_pos_ = 0;
   size_t right_pos_ = 0;
   size_t left_hi_ = 0;
@@ -87,10 +78,7 @@ class MergeJoinOp : public Operator {
 
   uint64_t merge_right_consumed_ = 0;
 
-  std::unique_ptr<OnceBinaryJoinEstimator> once_;
-  std::shared_ptr<PipelineJoinEstimator> pipeline_;
-  size_t pipeline_index_ = 0;
-  bool pipeline_lowest_ = false;
+  JoinEstimation estimation_;
 };
 
 }  // namespace qpi

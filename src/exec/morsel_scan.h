@@ -16,6 +16,12 @@ class RowBatch;
 /// its operator for a fusable SeqScan → Filter/Project spine and, if there
 /// is one, runs the whole chain as one morsel-parallel scan driven by that
 /// operator (MorselScanDriver, morsel_scan.cc; DESIGN.md §9).
+///
+/// At one worker the chain stays sequential rather than running through
+/// OrderedMerge's inline mode: a fused chain ticks once per driving batch
+/// for all its operators, which would replace the tuple-exact tick cadence
+/// of the sequential chain at batch size 1 that ProgressMonitor and the
+/// Figure 8 trajectory rely on.
 class FusedScan {
  public:
   FusedScan();

@@ -12,12 +12,14 @@ OrderedMerge::OrderedMerge(size_t units, ExecContext* ctx, Producer produce,
     : ctx_(ctx),
       produce_(std::move(produce)),
       all_done_(std::move(all_done)),
-      sched_(ctx->scheduler()),
+      sched_(ctx->exec_workers > 1 ? ctx->scheduler() : nullptr),
       batch_size_(ctx->batch_size),
-      window_(std::min(2 * ctx->exec_workers + 2, units)),
+      window_(sched_ == nullptr ? 0
+                                : std::min(2 * ctx->exec_workers + 2, units)),
       units_(units),
       slots_(window_) {
   if (units == 0 && all_done_) all_done_();
+  if (sched_ == nullptr) return;  // inline mode
   spare_.reserve(window_ * kReadyCap);
   group_ = std::make_unique<TaskGroup>(sched_, ctx_->sched_tag());
   SubmitUpTo(window_);
@@ -25,7 +27,7 @@ OrderedMerge::OrderedMerge(size_t units, ExecContext* ctx, Producer produce,
 
 OrderedMerge::~OrderedMerge() {
   abort_.store(true, std::memory_order_relaxed);
-  group_->Wait();
+  if (group_ != nullptr) group_->Wait();
 }
 
 void OrderedMerge::SubmitUpTo(size_t limit) {
@@ -106,6 +108,14 @@ void OrderedMerge::Run(size_t u) {
 }
 
 void OrderedMerge::Fill(RowBatch* out) {
+  if (group_ == nullptr) {  // inline: the producer fills `out` itself
+    while (!out->full() && emit_unit_ < units_) {
+      if (ctx_->IsCancelled() || produce_(emit_unit_, out)) {
+        if (++emit_unit_ == units_ && all_done_) all_done_();
+      }
+    }
+    return;
+  }
   while (!out->full()) {
     // Move rows [emit_row_, end) of the merge batch, extending out's run
     // over those below the batch's random_run while the run is open.

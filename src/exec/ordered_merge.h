@@ -20,8 +20,7 @@ class TaskGroup;
 class TaskScheduler;
 
 /// \brief The ordered unit runner: the one ordered merge of intra-query
-/// parallelism, shared by the fused morsel scan and the parallel grace
-/// join phase.
+/// parallelism, shared by the fused morsel scan and the grace join phase.
 ///
 /// A caller cuts its work into `units` ordered units and supplies a
 /// producer. Subtasks on the query's TaskScheduler run units ahead of the
@@ -33,13 +32,20 @@ class TaskScheduler;
 /// (DESIGN.md §9).
 ///
 /// The producer, `produce(unit, batch) -> done`, resumes the unit from the
-/// caller's own cursor and fills `batch` (empty, capacity ctx->batch_size)
-/// in place until it is full or the unit is exhausted. It sets the
-/// batch's `random_run` and counts the rows it produced before it
-/// returns, so a monitor never sees more output than accounted input. It
-/// returns true once the unit has nothing more to produce; a call that
-/// returns false leaves the batch full. It runs on fleet threads, must
-/// not block, and never runs twice at once for one unit.
+/// caller's own cursor and appends to `batch` (capacity ctx->batch_size)
+/// until it is full or the unit is exhausted. It extends the batch's
+/// `random_run` over the in-run rows it appended and counts only those
+/// rows before it returns, so a monitor never sees more output than
+/// accounted input. It returns true once the unit has nothing more to
+/// produce; a call that returns false leaves the batch full. It must not
+/// block and never runs twice at once for one unit.
+///
+/// At ctx->exec_workers == 1 the runner is *inline*: it creates no task
+/// group and never asks the context for a scheduler, and Fill calls the
+/// producer for the unit at the merge cursor straight into the consumer's
+/// batch, checking cancellation before each call. The grace join runs
+/// this way; the fused scan stays parallel-only (see FusedScan). Only
+/// with a fleet does what follows apply:
 ///
 /// At most `2·workers+2` units (the window) run past the merge cursor.
 /// Each produced batch is pushed to its unit's `ready` deque under the
@@ -82,8 +88,8 @@ class OrderedMerge {
   OrderedMerge(const OrderedMerge&) = delete;
   OrderedMerge& operator=(const OrderedMerge&) = delete;
 
-  /// Swap rows into `out` (already cleared by the NextBatch wrapper), in
-  /// unit order, until it is full or every unit has been merged. `out`'s
+  /// Fill `out` (already cleared by the NextBatch wrapper), in unit
+  /// order, until it is full or every unit has been merged. `out`'s
   /// random_run extends over the leading rows that lie within their
   /// source batch's random_run; the first row that does not closes the
   /// run for good. Driving thread only.
@@ -116,9 +122,9 @@ class OrderedMerge {
   ExecContext* ctx_;
   Producer produce_;
   std::function<void()> all_done_;
-  TaskScheduler* sched_;
+  TaskScheduler* sched_;  ///< nullptr in inline mode
   const size_t batch_size_;
-  const size_t window_;
+  const size_t window_;  ///< 0 in inline mode
 
   std::mutex mu_;
   std::condition_variable cv_;  ///< the merge is the only waiter
@@ -136,7 +142,7 @@ class OrderedMerge {
   bool run_open_ = true;
 
   // Declared last: its destructor waits for outstanding subtasks, which
-  // touch every member above.
+  // touch every member above. Unset in inline mode.
   std::unique_ptr<TaskGroup> group_;
 };
 

@@ -1,7 +1,8 @@
-// Allocation regression test for the grace hash join's partition passes.
-// Partitions copy each row's cells into chunked storage, so partitioning
-// allocates per chunk, never per row, and the input batch keeps its slots'
-// storage for the next refill. The binary replaces the global operator
+// Allocation regression test for the grace hash join's partition passes
+// and its one-worker join phase. Partitions copy each row's cells into
+// chunked storage, so partitioning allocates per chunk, never per row, and
+// the input batch keeps its slots' storage for the next refill. The join
+// phase at one worker fills the consumer's batch in place. The binary replaces the global operator
 // new/delete (every non-aligned form, so sanitizer runtimes see matching
 // malloc/free pairs) and counts the calls made while counting is on.
 
@@ -78,6 +79,7 @@ TEST(GracePartitionAlloc, PartitionPassesAllocatePerChunkNotPerRow) {
     ExecContext ctx;
     ctx.catalog = &catalog;
     ctx.batch_size = batch_size;
+    ctx.exec_workers = 1;
     PlanNodePtr plan = HashJoinPlan(ScanPlan("b"), ScanPlan("p"), "b.k", "p.k");
     OperatorPtr root;
     ASSERT_TRUE(CompilePlan(plan.get(), &ctx, &root).ok());
@@ -94,6 +96,27 @@ TEST(GracePartitionAlloc, PartitionPassesAllocatePerChunkNotPerRow) {
 
     EXPECT_EQ(join->probe_partition_consumed(), kProbeRows);
     EXPECT_LT(news, kProbeRows / 100) << news << " allocations";
+
+    // At one worker the join units run inline, straight into the
+    // consumer's batch. The bound is what a one-worker join phase that
+    // fills the consumer's batch itself measured here, 128 + batch_size
+    // (one build table, head and next arrays, for each of the 64
+    // partitions, and each slot's row on its first fill), plus
+    // kRunnerAllocs = 8 for the runner, its unit list and its table list.
+    // Output routed through the fleet's batch pool allocates pooled
+    // batches, their rows and the ready queues: thousands more at either
+    // batch size.
+    constexpr uint64_t kRunnerAllocs = 8;
+    RowBatch batch(batch_size);
+    uint64_t rows = 0;
+    g_news.store(0);
+    g_counting.store(true);
+    while (root->NextBatch(&batch)) rows += batch.size();
+    g_counting.store(false);
+    const uint64_t join_news = g_news.load();
+    EXPECT_GT(rows, kProbeRows / 10);
+    EXPECT_LE(join_news, 128 + batch_size + kRunnerAllocs)
+        << join_news << " allocations";
     root->Close();
     ctx.EndExecution();
   }

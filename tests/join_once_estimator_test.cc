@@ -212,5 +212,37 @@ TEST(OnceBinaryEngine, SampledScanFreezesEstimateNearTruth) {
   EXPECT_LE(est->probe_tuples_seen(), 30000u / 8);
 }
 
+// A running sort-merge join whose estimate froze on a 10% sample reports
+// its ONCE interval to the query CI, as the hash join does.
+TEST(OnceBinaryEngine, SampledMergeJoinReportsConfidenceInterval) {
+  EngineFixture fx;
+  ASSERT_TRUE(
+      fx.catalog.Register(SkewedTable("l", 30000, 1.0, 100, 1, 3)).ok());
+  ASSERT_TRUE(
+      fx.catalog.Register(SkewedTable("r", 30000, 1.0, 100, 2, 4)).ok());
+  ASSERT_TRUE(fx.catalog.Analyze("l").ok());
+  ASSERT_TRUE(fx.catalog.Analyze("r").ok());
+  fx.ctx.sample_fraction = 0.1;
+
+  PlanNodePtr plan = MergeJoinPlan(ScanPlan("l"), ScanPlan("r"), "l.k", "r.k");
+  OperatorPtr root;
+  ASSERT_TRUE(CompilePlan(plan.get(), &fx.ctx, &root).ok());
+  auto* join = dynamic_cast<MergeJoinOp*>(root.get());
+  ASSERT_NE(join, nullptr);
+  const auto* est = join->once_estimator();
+  ASSERT_NE(est, nullptr);
+
+  ASSERT_TRUE(root->Open(&fx.ctx).ok());
+  RowBatch batch(fx.ctx.batch_size);
+  ASSERT_TRUE(root->NextBatch(&batch));
+  EXPECT_EQ(join->state(), OpState::kRunning);
+  EXPECT_TRUE(est->frozen());
+  EXPECT_FALSE(join->CardinalityExact());
+  const double half_width = est->ConfidenceHalfWidth(0.95);
+  EXPECT_GT(half_width, 0.0);
+  EXPECT_EQ(join->CurrentCardinalityHalfWidth(0.95), half_width);
+  root->Close();
+}
+
 }  // namespace
 }  // namespace qpi

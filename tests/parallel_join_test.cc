@@ -21,7 +21,8 @@
 // execution, including while a join unit is stalled and inside a hot
 // bucket. Morsel geometries across batch sizes, with sample boundaries
 // inside a unit, pin the fused scan's batch-by-batch (size, random_run)
-// sequence against the sequential engine.
+// sequence against the sequential engine. At one worker the join runs the
+// same units inline: it must cut them and submit no task.
 
 #include <gtest/gtest.h>
 
@@ -639,8 +640,8 @@ const Shape kHotKeyShapes[] = {
      [] { return HashJoinPlan(ScanPlan("hp"), ScanPlan("hb"), "hp.k", "hb.k"); }},
 };
 
-/// Join units the parallel join cut, read after its first output batch
-/// (the count is gone once the join closes).
+/// Join units the join cut, read after its first output batch (the count
+/// is gone once the join closes).
 size_t JoinUnitsAtFirstBatch(const Catalog& catalog, const Shape& shape,
                              size_t workers, size_t batch_size,
                              size_t partitions) {
@@ -665,6 +666,39 @@ size_t JoinUnitsAtFirstBatch(const Catalog& catalog, const Shape& shape,
   root->Close();
   ctx.EndExecution();
   return units;
+}
+
+/// At one worker the grace join runs the same join units inline, on the
+/// driving thread: it cuts units as the fleet does, yet submits no task
+/// to the scheduler it is given.
+TEST(InlineJoinRunner, OneWorkerRunsUnitsWithoutTasks) {
+  Catalog catalog;
+  BuildHotKeyCatalog(&catalog);
+  for (const Shape& shape : kHotKeyShapes) {
+    SCOPED_TRACE(shape.name);
+    EXPECT_GT(JoinUnitsAtFirstBatch(catalog, shape, /*workers=*/1,
+                                    /*batch_size=*/64, /*partitions=*/4),
+              0u);
+    TaskScheduler fleet(2);
+    ExecContext ctx;
+    ctx.catalog = &catalog;
+    ctx.sample_fraction = 0.1;
+    ctx.batch_size = 64;
+    ctx.hash_join_partitions = 4;
+    ctx.AttachScheduler(&fleet, /*tag=*/1);
+    PlanNodePtr plan = shape.make();
+    OperatorPtr root;
+    ASSERT_TRUE(CompilePlan(plan.get(), &ctx, &root).ok());
+    uint64_t rows_emitted = 0;
+    ASSERT_TRUE(
+        QueryExecutor::Run(root.get(), &ctx, nullptr, &rows_emitted).ok());
+    ctx.AttachScheduler(nullptr, 0);
+    EXPECT_EQ(rows_emitted,
+              RunQuery(catalog, shape, EstimationMode::kOnce, 4, 64, 4)
+                  .rows_emitted);
+    EXPECT_EQ(fleet.tasks_executed(TaskLane::kQuery), 0u);
+    EXPECT_EQ(fleet.tasks_executed(TaskLane::kSubtask), 0u);
+  }
 }
 
 /// Stall/resume with recycled batches, over partitions cut into many
