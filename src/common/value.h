@@ -163,6 +163,15 @@ class Value {
 
 static_assert(sizeof(Value) == 16, "Value must stay 16 bytes");
 
+/// Join-key equality, the value check behind every match a key code
+/// proposes: a string never equals a number, even one equal to its key
+/// code (Compare is only defined within those two kinds).
+inline bool JoinKeysEqual(const Value& a, const Value& b) {
+  return (a.type() == ValueType::kString) ==
+             (b.type() == ValueType::kString) &&
+         a.Compare(b) == 0;
+}
+
 }  // namespace qpi
 
 namespace std {

@@ -102,6 +102,23 @@ class ByteEstimator {
   uint64_t emitted_ = 0;
 };
 
+/// A driver input's progress: rows consumed so far and its (possibly
+/// estimated) total, what dne and byte extrapolate from.
+struct DriverCounts {
+  uint64_t consumed = 0;
+  double total = 0.0;
+};
+
+/// dne or byte (`Baseline`) for an operator whose optimizer estimate is
+/// `optimizer_estimate` and which has emitted `emitted` rows.
+template <typename Baseline>
+double DriverEstimate(double optimizer_estimate, uint64_t emitted,
+                      DriverCounts driver) {
+  Baseline baseline(optimizer_estimate);
+  baseline.Update(driver.consumed, emitted);
+  return baseline.Estimate(driver.total);
+}
+
 }  // namespace qpi
 
 #endif  // QPI_ESTIMATORS_BASELINES_H_

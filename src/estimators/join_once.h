@@ -81,7 +81,6 @@ class OnceBinaryJoinEstimator {
   bool Exact() const { return probe_complete_ && !frozen_; }
 
   uint64_t probe_tuples_seen() const { return probe_seen_; }
-  bool build_complete() const { return build_complete_; }
 
   /// The build-side histogram (shared with pipeline push-down, sort-merge
   /// reuse and aggregation push-down).

@@ -72,13 +72,6 @@ class AggregateBaseOp : public Operator {
     return estimator_.get();
   }
   uint64_t input_consumed() const { return input_consumed_; }
-  bool intake_done() const { return intake_done_; }
-
-  size_t EstimationBytesUsed() const {
-    return estimator_ != nullptr
-               ? estimator_->stats().histogram().UsedBytes()
-               : 0;
-  }
 
  protected:
   /// Called by subclasses for every intake batch (estimator bookkeeping):

@@ -8,8 +8,8 @@
 #include "exec/aggregate.h"
 #include "exec/filter.h"
 #include "exec/grace_hash_join.h"
-#include "exec/index_nl_join.h"
 #include "exec/merge_join.h"
+#include "exec/nl_join.h"
 #include "exec/seq_scan.h"
 #include "exec/sort.h"
 #include "plan/optimizer.h"
@@ -101,13 +101,10 @@ Status CompileNode(const PlanNode& node, ExecContext* ctx, OperatorPtr* out) {
       } else if (node.kind == PlanKind::kMergeJoin) {
         *out = std::make_unique<MergeJoinOp>(std::move(left), std::move(right),
                                              lidx, ridx, std::move(label));
-      } else if (node.kind == PlanKind::kIndexNestedLoopsJoin) {
-        *out = std::make_unique<IndexNestedLoopsJoinOp>(
-            std::move(left), std::move(right), lidx, ridx, std::move(label));
       } else {
         *out = std::make_unique<NestedLoopsJoinOp>(
             std::move(left), std::move(right), lidx, ridx, std::move(label),
-            node.theta_op);
+            node.theta_op, node.kind == PlanKind::kIndexNestedLoopsJoin);
       }
       break;
     }
@@ -294,17 +291,11 @@ void WireOnceEstimation(Operator* op) {
     WireOnceEstimation(chain.back()->child(1));
     return;
   }
-  if (auto* inlj = dynamic_cast<IndexNestedLoopsJoinOp*>(op)) {
-    if (inlj->child(0)->ProducesRandomStream()) {
-      inlj->EnableOnceEstimation();
-    }
-  } else if (auto* nlj = dynamic_cast<NestedLoopsJoinOp*>(op)) {
-    // Inequality NL joins have a usable preprocessing pass (the inner
-    // materialization); equijoin NL stays on dne (Section 4.1.3).
-    if (nlj->join_op() != CompareOp::kEq &&
-        nlj->child(0)->ProducesRandomStream()) {
-      nlj->EnableThetaOnceEstimation();
-    }
+  if (auto* nlj = dynamic_cast<NestedLoopsJoinOp*>(op)) {
+    // The index build and an inequality's sorted inner are usable
+    // preprocessing passes; an equality rescan stays on dne (Section
+    // 4.1.3), which the join decides.
+    if (nlj->child(0)->ProducesRandomStream()) nlj->EnableOnceEstimation();
   } else if (auto* agg = dynamic_cast<AggregateBaseOp*>(op)) {
     if (agg->child(0)->ProducesRandomStream()) {
       agg->EnableOnceEstimation();

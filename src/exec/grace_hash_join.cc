@@ -93,12 +93,8 @@ GraceHashJoinOp::GraceHashJoinOp(OperatorPtr build, OperatorPtr probe,
 bool GraceHashJoinOp::KeysEqual(const Value* build_row,
                                 const Value* probe_row) const {
   for (size_t i = 0; i < build_key_indices_.size(); ++i) {
-    const Value& b = build_row[build_key_indices_[i]];
-    const Value& p = probe_row[probe_key_indices_[i]];
-    // A string never equals a number, even one equal to its key code
-    // (Compare is only defined within those two kinds).
-    if ((b.type() == ValueType::kString) != (p.type() == ValueType::kString) ||
-        b.Compare(p) != 0) {
+    if (!JoinKeysEqual(build_row[build_key_indices_[i]],
+                       probe_row[probe_key_indices_[i]])) {
       return false;
     }
   }

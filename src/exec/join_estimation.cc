@@ -3,22 +3,8 @@
 #include <utility>
 
 #include "common/check.h"
-#include "estimators/baselines.h"
 
 namespace qpi {
-
-namespace {
-
-/// dne or byte (Baseline) from the join's driver counts.
-template <typename Baseline>
-double DriverEstimate(const Operator& join,
-                      JoinEstimation::DriverCounts driver) {
-  Baseline baseline(join.optimizer_estimate());
-  baseline.Update(driver.consumed, join.tuples_emitted());
-  return baseline.Estimate(driver.total);
-}
-
-}  // namespace
 
 void JoinEstimation::EnableBinaryOnce(const Operator* probe,
                                       JoinFlavor flavor) {
@@ -64,11 +50,13 @@ double JoinEstimation::Estimate(const Operator& join, EstimationMode mode,
       }
       // No preprocessing-phase estimator applies: default to dne (paper
       // Sections 4.1.3 / 4.3).
-      return DriverEstimate<DneEstimator>(join, driver);
+      [[fallthrough]];
     case EstimationMode::kDne:
-      return DriverEstimate<DneEstimator>(join, driver);
+      return DriverEstimate<DneEstimator>(join.optimizer_estimate(),
+                                          join.tuples_emitted(), driver);
     case EstimationMode::kByte:
-      return DriverEstimate<ByteEstimator>(join, driver);
+      return DriverEstimate<ByteEstimator>(join.optimizer_estimate(),
+                                           join.tuples_emitted(), driver);
     case EstimationMode::kNone:
       break;
   }

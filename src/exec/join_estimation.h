@@ -6,6 +6,7 @@
 #include <memory>
 
 #include "common/row_batch.h"
+#include "estimators/baselines.h"
 #include "estimators/join_once.h"
 #include "estimators/pipeline_join.h"
 #include "exec/operator.h"
@@ -20,18 +21,12 @@ namespace qpi {
 /// Only the lowest member of a pipeline chain feeds the shared estimator
 /// its driver rows. The read side answers pipeline → binary ONCE → dne
 /// (the optimizer's number before the first probe row); dne and byte read
-/// the driver counts the join supplies. The index nested-loops join keeps
-/// its own: it probes per outer tuple during output and answers dne
-/// before its first probe, so shared code would branch on its caller.
+/// the driver counts the join supplies. The nested-loops join
+/// (`nl_join.h`) does not use it: its estimator reads each outer tuple
+/// during output and answers dne before the first, so it shares only the
+/// dne/byte helper (`DriverEstimate`).
 class JoinEstimation {
  public:
-  /// The owning join's dne/byte inputs: driver (probe) rows its output
-  /// phase has consumed, and the driver total.
-  struct DriverCounts {
-    uint64_t consumed = 0;
-    double total = 0.0;
-  };
-
   /// Attach binary ONCE; `probe`'s live cardinality estimate is |S|.
   void EnableBinaryOnce(const Operator* probe, JoinFlavor flavor);
   /// Enlist as member `index` of a pipeline chain; the lowest member
@@ -51,7 +46,9 @@ class JoinEstimation {
   void ObserveProbe(const RowBatch& batch, CodesFn codes);
   void ProbeComplete();
 
-  /// `join`'s estimate of its output cardinality under `mode`.
+  /// `join`'s estimate of its output cardinality under `mode`; `driver`
+  /// holds the dne/byte inputs, the driver (probe) rows the join's output
+  /// phase has consumed and the driver total.
   double Estimate(const Operator& join, EstimationMode mode,
                   DriverCounts driver) const;
   /// Half-width of the `confidence` interval around the ONCE estimate;

@@ -51,22 +51,7 @@ class BoundComparison : public BoundPredicate {
   bool Evaluate(const Row& row) const override {
     const Value& v = row[index_];
     if (v.is_null()) return false;  // SQL semantics: NULL comparisons fail
-    int cmp = v.Compare(literal_);
-    switch (op_) {
-      case CompareOp::kEq:
-        return cmp == 0;
-      case CompareOp::kNe:
-        return cmp != 0;
-      case CompareOp::kLt:
-        return cmp < 0;
-      case CompareOp::kLe:
-        return cmp <= 0;
-      case CompareOp::kGt:
-        return cmp > 0;
-      case CompareOp::kGe:
-        return cmp >= 0;
-    }
-    return false;
+    return CompareOpHolds(op_, v.Compare(literal_));
   }
 
  private:

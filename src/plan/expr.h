@@ -16,6 +16,26 @@ enum class CompareOp { kEq, kNe, kLt, kLe, kGt, kGe };
 
 const char* CompareOpName(CompareOp op);
 
+/// Whether `op` holds for a Value::Compare result `cmp` (a <op> b for
+/// cmp = a.Compare(b)).
+inline bool CompareOpHolds(CompareOp op, int cmp) {
+  switch (op) {
+    case CompareOp::kEq:
+      return cmp == 0;
+    case CompareOp::kNe:
+      return cmp != 0;
+    case CompareOp::kLt:
+      return cmp < 0;
+    case CompareOp::kLe:
+      return cmp <= 0;
+    case CompareOp::kGt:
+      return cmp > 0;
+    case CompareOp::kGe:
+      return cmp >= 0;
+  }
+  return false;
+}
+
 class BoundPredicate;
 
 /// \brief An unbound selection predicate over named columns.

@@ -2,8 +2,8 @@
 
 #include "exec/aggregate.h"
 #include "exec/grace_hash_join.h"
-#include "exec/index_nl_join.h"
 #include "exec/merge_join.h"
+#include "exec/nl_join.h"
 #include "exec/sort.h"
 
 namespace qpi {
@@ -36,8 +36,7 @@ void Assign(Operator* op, size_t pipeline_id,
     Assign(op->child(1), new_pipeline(), pipelines);
     return;
   }
-  if (dynamic_cast<NestedLoopsJoinOp*>(op) != nullptr ||
-      dynamic_cast<IndexNestedLoopsJoinOp*>(op) != nullptr) {
+  if (dynamic_cast<NestedLoopsJoinOp*>(op) != nullptr) {
     Assign(op->child(0), pipeline_id, pipelines);     // outer streams
     Assign(op->child(1), new_pipeline(), pipelines);  // inner materializes
     return;

@@ -13,9 +13,8 @@
 #include "exec/compiler.h"
 #include "exec/executor.h"
 #include "exec/grace_hash_join.h"
-#include "exec/index_nl_join.h"
 #include "exec/merge_join.h"
-#include "exec/sort.h"
+#include "exec/nl_join.h"
 #include "storage/catalog.h"
 
 namespace qpi {
@@ -272,16 +271,16 @@ SweepRun RunAtBatchSize(Catalog* catalog, const SweepShape& shape,
       once = j->once_estimator();
     }
     if (auto* j = dynamic_cast<MergeJoinOp*>(op)) once = j->once_estimator();
-    if (auto* j = dynamic_cast<IndexNestedLoopsJoinOp*>(op)) {
+    const OnceInequalityJoinEstimator* theta = nullptr;
+    if (auto* j = dynamic_cast<NestedLoopsJoinOp*>(op)) {
       once = j->once_estimator();
+      theta = j->theta_estimator();
     }
     if (once != nullptr) {
       out.estimators.push_back({once->frozen(), once->probe_tuples_seen()});
     }
-    if (auto* j = dynamic_cast<NestedLoopsJoinOp*>(op)) {
-      if (const OnceInequalityJoinEstimator* theta = j->theta_estimator()) {
-        out.estimators.push_back({theta->frozen(), theta->outer_tuples_seen()});
-      }
+    if (theta != nullptr) {
+      out.estimators.push_back({theta->frozen(), theta->outer_tuples_seen()});
     }
   });
   return out;

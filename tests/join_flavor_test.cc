@@ -2,7 +2,8 @@
 // extension): operator correctness vs set-based and nested-loops oracles
 // (sequential and partition-parallel join phase), the value check behind
 // colliding key codes, schema shapes, ONCE estimation exactness per
-// flavour, and optimizer sanity.
+// flavour, and optimizer sanity. CodeCollision also runs the index
+// nested-loops join, whose index proposes matches by key code as well.
 
 #include <gtest/gtest.h>
 
@@ -328,6 +329,15 @@ TEST_P(CodeCollision, ValueCheckRejectsCollidingCodes) {
       FlavoredHashJoinPlan(ScanPlan("b"), ScanPlan("p"), "b.k", "p.k", flavor));
   EXPECT_EQ(EmittedIds(rows, flavor),
             NestedLoopsOracle(*build, *probe, flavor));
+  // The index nested-loops join looks its matches up by key code too.
+  // With the build table as its outer input it emits the same build ⧺
+  // probe rows (it has the inner flavor only).
+  if (flavor == JoinFlavor::kInner) {
+    std::vector<Row> nl_rows = fx.Run(IndexNestedLoopsJoinPlan(
+        ScanPlan("b"), ScanPlan("p"), "b.k", "p.k"));
+    EXPECT_EQ(EmittedIds(nl_rows, flavor),
+              NestedLoopsOracle(*build, *probe, flavor));
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

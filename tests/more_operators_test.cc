@@ -1,6 +1,7 @@
 // Coverage for the extended operator set: index nested-loops joins with
-// hash-join-style estimation (Section 4.1.3) and sort-merge join pipelines
-// sharing a push-down estimator (Section 4.1.4.3).
+// hash-join-style estimation (Section 4.1.3), cancellation of both
+// nested-loops lookups, and sort-merge join pipelines sharing a push-down
+// estimator (Section 4.1.4.3).
 
 #include <gtest/gtest.h>
 
@@ -10,8 +11,8 @@
 #include "datagen/table_builder.h"
 #include "exec/compiler.h"
 #include "exec/executor.h"
-#include "exec/index_nl_join.h"
 #include "exec/merge_join.h"
+#include "exec/nl_join.h"
 #include "storage/catalog.h"
 
 namespace qpi {
@@ -67,7 +68,7 @@ TEST_P(IndexNlSweep, MatchesHashJoinAndEstimatesExactly) {
 
   EXPECT_EQ(inl_rows.size(), hash_rows.size());
 
-  auto* join = dynamic_cast<IndexNestedLoopsJoinOp*>(inl_root.get());
+  auto* join = dynamic_cast<NestedLoopsJoinOp*>(inl_root.get());
   ASSERT_NE(join, nullptr);
   ASSERT_NE(join->once_estimator(), nullptr);
   EXPECT_TRUE(join->once_estimator()->Exact());
@@ -86,7 +87,7 @@ TEST(IndexNl, EstimateAvailableMidOuterScanWithinCI) {
       ScanPlan("outer_t"), ScanPlan("inner_t"), "outer_t.k", "inner_t.k");
   OperatorPtr root;
   ASSERT_TRUE(CompilePlan(plan.get(), &fx.ctx, &root).ok());
-  auto* join = dynamic_cast<IndexNestedLoopsJoinOp*>(root.get());
+  auto* join = dynamic_cast<NestedLoopsJoinOp*>(root.get());
 
   // Tuple-granular drive: the estimate is sampled at an exact outer index.
   fx.ctx.batch_size = 1;
@@ -163,19 +164,66 @@ TEST(IndexNl, DneEstimateCoincidesWithOnceInExpectation) {
       ScanPlan("outer_t"), ScanPlan("inner_t"), "outer_t.k", "inner_t.k");
   OperatorPtr root;
   ASSERT_TRUE(CompilePlan(plan.get(), &fx.ctx, &root).ok());
-  auto* join = dynamic_cast<IndexNestedLoopsJoinOp*>(root.get());
+  auto* join = dynamic_cast<NestedLoopsJoinOp*>(root.get());
   fx.ctx.batch_size = 1;  // sampled at an exact outer index
   ASSERT_TRUE(root->Open(&fx.ctx).ok());
   RowBatch batch(fx.ctx.batch_size);
   while (root->NextBatch(&batch)) {
     if (join->outer_consumed() == 2500) {
       double once_est = join->once_estimator()->Estimate();
-      double dne_est = join->DneEstimate();
+      double dne_est = join->CardinalityEstimate(EstimationMode::kDne);
       EXPECT_NEAR(dne_est, once_est, 0.1 * once_est + 100.0);
     }
   }
   root->Close();
 }
+
+/// A nested-loops join's outer-tuple lookup: the rescan or the index.
+class NlCancel : public ::testing::TestWithParam<PlanKind> {};
+
+TEST_P(NlCancel, StopsAtTheNextOuterTuple) {
+  // A cancel requested as the outer scan emits its first batch stops the
+  // join at its next outer tuple. Nothing matches, so a join that checked
+  // only between outer batches would work through the whole first batch
+  // (a full inner rescan per tuple on the rescan path).
+  Fixture fx;
+  TableBuilder outer_b("outer_t");
+  outer_b.AddColumn("k", std::make_unique<SequentialSpec>(0));
+  fx.Add(outer_b.Build(4096, 1));
+  TableBuilder inner_b("inner_t");
+  inner_b.AddColumn("k", std::make_unique<SequentialSpec>(1000000));
+  fx.Add(inner_b.Build(2000, 2));
+  PlanNodePtr plan =
+      GetParam() == PlanKind::kIndexNestedLoopsJoin
+          ? IndexNestedLoopsJoinPlan(ScanPlan("outer_t"), ScanPlan("inner_t"),
+                                     "outer_t.k", "inner_t.k")
+          : NestedLoopsJoinPlan(ScanPlan("outer_t"), ScanPlan("inner_t"),
+                                "outer_t.k", "inner_t.k");
+  OperatorPtr root;
+  ASSERT_TRUE(CompilePlan(plan.get(), &fx.ctx, &root).ok());
+  auto* join = dynamic_cast<NestedLoopsJoinOp*>(root.get());
+  ASSERT_NE(join, nullptr);
+  const Operator* outer_scan = join->child(0);
+  FunctionTickObserver cancel([&](uint64_t) {
+    if (outer_scan->tuples_emitted() > 0) fx.ctx.RequestCancel();
+  });
+  fx.ctx.AddTickObserver(&cancel);
+  std::vector<Row> rows;
+  ASSERT_TRUE(QueryExecutor::Run(root.get(), &fx.ctx, &rows, nullptr).ok());
+  fx.ctx.RemoveTickObserver(&cancel);
+  ASSERT_GT(outer_scan->tuples_emitted(), 1u);
+  EXPECT_TRUE(rows.empty());
+  EXPECT_EQ(join->state(), OpState::kFinished);
+  EXPECT_LE(join->outer_consumed(), 1u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Lookups, NlCancel,
+    ::testing::Values(PlanKind::kNestedLoopsJoin,
+                      PlanKind::kIndexNestedLoopsJoin),
+    [](const ::testing::TestParamInfo<PlanKind>& info) {
+      return std::string(PlanKindName(info.param));
+    });
 
 }  // namespace
 }  // namespace qpi

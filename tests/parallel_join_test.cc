@@ -38,11 +38,10 @@
 #include "exec/compiler.h"
 #include "exec/executor.h"
 #include "exec/grace_hash_join.h"
-#include "exec/index_nl_join.h"
 #include "exec/merge_join.h"
+#include "exec/nl_join.h"
 #include "exec/ordered_merge.h"
 #include "exec/seq_scan.h"
-#include "exec/sort.h"
 #include "progress/concurrent_multi_query.h"
 #include "storage/catalog.h"
 
@@ -208,10 +207,8 @@ RunResult RunQuery(const Catalog& catalog, const Shape& shape,
     if (auto* j = dynamic_cast<MergeJoinOp*>(op)) {
       out.once.push_back(ObserveOnce(j->once_estimator()));
     }
-    if (auto* j = dynamic_cast<IndexNestedLoopsJoinOp*>(op)) {
-      out.once.push_back(ObserveOnce(j->once_estimator()));
-    }
     if (auto* j = dynamic_cast<NestedLoopsJoinOp*>(op)) {
+      out.once.push_back(ObserveOnce(j->once_estimator()));
       out.once.push_back(ObserveOnce(j->theta_estimator()));
     }
   });

@@ -11,7 +11,7 @@
 #include "estimators/theta_join.h"
 #include "exec/compiler.h"
 #include "exec/executor.h"
-#include "exec/sort.h"
+#include "exec/nl_join.h"
 #include "stats/bucket_histogram.h"
 #include "storage/catalog.h"
 
