@@ -79,8 +79,8 @@ uint64_t Value::Hash() const {
       // Hash integral doubles like the equal int64 so cross-type equality
       // implies equal hashes.
       double d = AsDouble();
-      int64_t as_int = static_cast<int64_t>(d);
-      if (static_cast<double>(as_int) == d) {
+      int64_t as_int;
+      if (DoubleAsInt64(d, &as_int)) {
         return Mix64(static_cast<uint64_t>(as_int));
       }
       uint64_t bits;

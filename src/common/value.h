@@ -118,6 +118,7 @@ class Value {
   bool operator>=(const Value& other) const { return Compare(other) >= 0; }
 
   /// Stable 64-bit hash (used by hash joins, aggregation and histograms).
+  /// An integral DOUBLE hashes like the equal INT64.
   uint64_t Hash() const;
 
   std::string ToString() const;
@@ -162,6 +163,15 @@ class Value {
 };
 
 static_assert(sizeof(Value) == 16, "Value must stay 16 bytes");
+
+/// The INT64 equal to `d`, if there is one. False for fractions, NaN,
+/// infinities and values outside int64_t's range, whose cast would be
+/// undefined.
+inline bool DoubleAsInt64(double d, int64_t* out) {
+  if (!(d >= -0x1p63 && d < 0x1p63)) return false;
+  *out = static_cast<int64_t>(d);
+  return static_cast<double>(*out) == d;
+}
 
 /// Join-key equality, the value check behind every match a key code
 /// proposes: a string never equals a number, even one equal to its key

@@ -207,7 +207,7 @@ void GraceHashJoinOp::StartJoinUnits() {
     }
   }
   merge_ = std::make_unique<OrderedMerge>(
-      num_units, ctx_,
+      num_units, ctx_, OrderedMerge::Boundaries::kUnit,
       [this](size_t unit, RowBatch* out) { return ProduceUnit(unit, out); });
 }
 

@@ -33,7 +33,13 @@ class OrderedMerge;
 ///     measured here, as in the original systems) fluctuate under skew.
 ///     Partitions are cut into probe-row join units run by an
 ///     OrderedMerge: on the fleet with exec_workers > 1, inline on the
-///     driving thread at one worker (see StartJoinUnits).
+///     driving thread at one worker (see StartJoinUnits). The row stream
+///     is the same at any worker count; the batches are not. At one
+///     worker every output batch but the last is full; on the fleet the
+///     merge hands each unit's batches to the consumer whole, so a batch
+///     may end short at the end of a unit. No estimator reads join batch
+///     boundaries: the phase observes nothing and its output carries a
+///     random_run of 0.
 ///
 /// Estimation in phases 1 and 2 is the shared JoinEstimation protocol.
 /// children[0] is the build input, children[1] the probe input.
@@ -187,9 +193,10 @@ class GraceHashJoinOp : public Operator {
   /// partition, probing that partition's SharedTable. Units are cut so
   /// each one's estimated output (the probe pass's partition weight, see
   /// part_weight_) is about OrderedMerge::UnitTarget rows. Units are
-  /// ordered by (partition, probe range), so the merged stream is the
+  /// ordered by (partition, probe range), so the merged row stream is the
   /// same at any worker count; gnm counters are order-invariant, and the
-  /// join phase performs no estimator observation.
+  /// join phase performs no estimator observation. The merge takes unit
+  /// batches whole (OrderedMerge::Boundaries::kUnit).
   void StartJoinUnits();
   /// OrderedMerge producer: run the kernel for join unit `unit`,
   /// appending to `out`, count the rows it added and its driver

@@ -35,9 +35,11 @@ struct MorselStage {
 /// block row into the batch's next slot, runs the whole fused chain on it
 /// there — the same per-row predicate and projection FilterOp and ProjectOp
 /// use — and commits survivors only; the merge delivers the batches in
-/// morsel order, so the emitted row stream, every batch boundary and every
-/// batch's `random_run` are bit-identical to the sequential engine at any
-/// worker count (see OrderedMerge and DESIGN.md §9).
+/// morsel order with sequential boundaries (a morsel's full batch goes out
+/// whole only where a consumer batch starts anyway), so the emitted row
+/// stream, every batch boundary and every batch's `random_run` are
+/// bit-identical to the sequential engine at any worker count (see
+/// OrderedMerge and DESIGN.md §9).
 ///
 /// Counter accounting: producers attribute the captured (non-driving)
 /// operators' output counts via Operator::CountEmitted for every batch,
@@ -152,7 +154,7 @@ MorselScanDriver::MorselScanDriver(SeqScanOp* scan,
     op->state_.store(OpState::kRunning, std::memory_order_relaxed);
   }
   merge_ = std::make_unique<OrderedMerge>(
-      morsels, ctx_,
+      morsels, ctx_, OrderedMerge::Boundaries::kSequential,
       [this](size_t m, RowBatch* out) { return Produce(m, out); },
       [this] {
         for (Operator* op : captured_) {

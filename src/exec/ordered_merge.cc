@@ -2,17 +2,20 @@
 
 #include <utility>
 
+#include "common/check.h"
 #include "common/task_scheduler.h"
 #include "exec/exec_context.h"
 
 namespace qpi {
 
-OrderedMerge::OrderedMerge(size_t units, ExecContext* ctx, Producer produce,
+OrderedMerge::OrderedMerge(size_t units, ExecContext* ctx,
+                           Boundaries boundaries, Producer produce,
                            std::function<void()> all_done)
     : ctx_(ctx),
       produce_(std::move(produce)),
       all_done_(std::move(all_done)),
       sched_(ctx->exec_workers > 1 ? ctx->scheduler() : nullptr),
+      boundaries_(boundaries),
       batch_size_(ctx->batch_size),
       window_(sched_ == nullptr ? 0
                                 : std::min(2 * ctx->exec_workers + 2, units)),
@@ -108,6 +111,7 @@ void OrderedMerge::Run(size_t u) {
 }
 
 void OrderedMerge::Fill(RowBatch* out) {
+  QPI_DCHECK(out->capacity() == batch_size_);
   if (group_ == nullptr) {  // inline: the producer fills `out` itself
     while (!out->full() && emit_unit_ < units_) {
       if (ctx_->IsCancelled() || produce_(emit_unit_, out)) {
@@ -121,13 +125,21 @@ void OrderedMerge::Fill(RowBatch* out) {
     // over those below the batch's random_run while the run is open.
     const size_t end = std::min(merge_batch_.size(),
                                 emit_row_ + out->capacity() - out->size());
+    uint64_t out_run = out->random_run();
     if (run_open_ && emit_row_ < end) {
       const size_t run = std::min<uint64_t>(merge_batch_.random_run(), end);
-      if (run > emit_row_) {
-        out->set_random_run(out->random_run() + (run - emit_row_));
-      }
+      if (run > emit_row_) out_run += run - emit_row_;
       run_open_ = run == end;
     }
+    // A fresh batch that may end the consumer's batch goes out whole; the
+    // consumer's empty batch takes its place as the drained merge batch.
+    if (out->empty() && emit_row_ == 0 && !merge_batch_.empty() &&
+        (boundaries_ == Boundaries::kUnit || merge_batch_.full())) {
+      std::swap(*out, merge_batch_);
+      out->set_random_run(out_run);
+      return;
+    }
+    out->set_random_run(out_run);
     for (; emit_row_ < end; ++emit_row_) {
       std::swap(*out->NextSlot(), merge_batch_.row(emit_row_));
       out->CommitSlot();
@@ -144,7 +156,7 @@ void OrderedMerge::Fill(RowBatch* out) {
       RecycleLocked(&drained);
       if (!unit.ready.empty()) {
         merge_batch_ = std::move(unit.ready.front());
-        unit.ready.pop_front();
+        unit.ready.erase(unit.ready.begin());
         emit_row_ = 0;
         next = Next::kBatch;
       } else {

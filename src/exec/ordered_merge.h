@@ -5,7 +5,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -25,11 +24,12 @@ class TaskScheduler;
 /// A caller cuts its work into `units` ordered units and supplies a
 /// producer. Subtasks on the query's TaskScheduler run units ahead of the
 /// merge; the driving thread merges their output **strictly in unit
-/// order** (Fill), so the row stream, every batch boundary and every
-/// batch's `random_run` are those of the sequential engine at any worker
-/// count, and the estimators, which only see the merged stream on the
-/// driving thread, freeze exactly where they would sequentially
-/// (DESIGN.md §9).
+/// order** (Fill), so the row stream and its `random_run` are those of the
+/// sequential engine at any worker count, and the estimators, which only
+/// see the merged stream on the driving thread, freeze exactly where they
+/// would sequentially (DESIGN.md §9). Where a consumer batch may end is
+/// the caller's choice (Boundaries): only where the sequential engine
+/// ends it, or also at the end of every unit.
 ///
 /// The producer, `produce(unit, batch) -> done`, resumes the unit from the
 /// caller's own cursor and appends to `batch` (capacity ctx->batch_size)
@@ -48,18 +48,36 @@ class TaskScheduler;
 /// with a fleet does what follows apply:
 ///
 /// At most `2·workers+2` units (the window) run past the merge cursor.
-/// Each produced batch is pushed to its unit's `ready` deque under the
+/// Each produced batch is pushed to its unit's `ready` list under the
 /// runner's mutex — never a wait on the consumer, which keeps the
 /// subtask-never-blocks contract the fleet's helping protocol relies on.
 /// The push that leaves kReadyCap batches unmerged stalls the unit: its
 /// runner returns to the fleet, and the merge requeues the unit once it
 /// has drained it below the cap, so in-flight output stays within
 /// window × kReadyCap batches however much one unit produces. The merge
-/// swaps rows into the consumer's slots and returns drained batches to a
-/// spare pool of the same bound, from which runners take their next
-/// batch: a steady-state run fills recycled slots in place.
+/// hands a produced batch to the consumer whole, with one batch swap,
+/// wherever the consumer's batch may end with it, and swaps rows into the
+/// consumer's slots only where it may not. The batch the consumer gave up,
+/// or the one drained, goes back to a spare pool of the same bound, from
+/// which runners take their next batch: a steady-state run fills recycled
+/// slots in place.
 class OrderedMerge {
  public:
+  /// Where a consumer batch may end before it is full.
+  enum class Boundaries : unsigned char {
+    /// Only at the end of the stream, as in the sequential engine. A
+    /// produced batch goes out whole only if it is full and starts the
+    /// consumer's batch; any other is merged row by row. The fused scan
+    /// uses this: its batch boundaries place the sample's random run.
+    kSequential,
+    /// Also at the end of each unit: every produced batch goes out whole,
+    /// so a unit's short last batch ends a consumer batch. For output
+    /// whose batch boundaries no estimator reads (the grace join phase,
+    /// random_run 0). The inline runner fills the consumer's batch across
+    /// unit ends either way.
+    kUnit,
+  };
+
   /// Output batches a unit may publish ahead of the merge before it
   /// stalls.
   static constexpr size_t kReadyCap = 8;
@@ -78,8 +96,8 @@ class OrderedMerge {
   /// Starts running units at once. `all_done`, if set, runs once, on the
   /// thread that finishes the last unit (in this constructor when `units`
   /// is 0). Construct on the query's driving thread.
-  OrderedMerge(size_t units, ExecContext* ctx, Producer produce,
-               std::function<void()> all_done = nullptr);
+  OrderedMerge(size_t units, ExecContext* ctx, Boundaries boundaries,
+               Producer produce, std::function<void()> all_done = nullptr);
 
   /// Stops outstanding units at their next batch and waits for their
   /// subtasks (helping the fleet meanwhile).
@@ -88,11 +106,13 @@ class OrderedMerge {
   OrderedMerge(const OrderedMerge&) = delete;
   OrderedMerge& operator=(const OrderedMerge&) = delete;
 
-  /// Fill `out` (already cleared by the NextBatch wrapper), in unit
-  /// order, until it is full or every unit has been merged. `out`'s
-  /// random_run extends over the leading rows that lie within their
-  /// source batch's random_run; the first row that does not closes the
-  /// run for good. Driving thread only.
+  /// Fill `out` (already cleared by the NextBatch wrapper; capacity
+  /// ctx->batch_size), in unit order, until it is full, a unit's last
+  /// batch ends it (Boundaries::kUnit) or every unit has been merged: it
+  /// comes back empty only in the last case. `out`'s random_run extends
+  /// over the leading rows that lie within their source batch's
+  /// random_run; the first row that does not closes the run for good.
+  /// Driving thread only.
   void Fill(RowBatch* out);
 
  private:
@@ -105,8 +125,12 @@ class OrderedMerge {
       kStalled,  ///< paused at the ready cap; the merge requeues it
       kDone,     ///< nothing more will be produced
     };
-    std::deque<RowBatch> ready;    ///< produced, not yet merged
+    /// Produced, not yet merged, oldest first. At most kReadyCap, so
+    /// with its capacity reserved up front publishing and merging a
+    /// batch allocate nothing.
+    std::vector<RowBatch> ready;
     State state = State::kQueued;
+    Unit() { ready.reserve(kReadyCap); }
   };
 
   void SubmitUpTo(size_t limit);
@@ -123,6 +147,7 @@ class OrderedMerge {
   Producer produce_;
   std::function<void()> all_done_;
   TaskScheduler* sched_;  ///< nullptr in inline mode
+  const Boundaries boundaries_;
   const size_t batch_size_;
   const size_t window_;  ///< 0 in inline mode
 

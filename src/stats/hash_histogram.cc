@@ -8,6 +8,10 @@ uint64_t HistogramKeyCode(const Value& v) {
   if (v.type() == ValueType::kInt64) {
     return static_cast<uint64_t>(v.AsInt64());
   }
+  int64_t as_int;
+  if (v.type() == ValueType::kDouble && DoubleAsInt64(v.AsDouble(), &as_int)) {
+    return static_cast<uint64_t>(as_int);
+  }
   return v.Hash();
 }
 

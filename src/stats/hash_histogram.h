@@ -12,8 +12,10 @@ namespace qpi {
 /// \brief Map a Value to the 64-bit key code the estimation histograms use.
 ///
 /// INT64 values map to themselves so counts are exact for the key/grouping
-/// columns every reproduced experiment uses; other types map to their hash
-/// (collisions are possible but astronomically unlikely at these scales).
+/// columns every reproduced experiment uses, and an integral DOUBLE maps to
+/// the equal INT64, so keys that Compare equal share a code; other values
+/// map to their hash (collisions are possible but astronomically unlikely
+/// at these scales).
 uint64_t HistogramKeyCode(const Value& v);
 
 /// Fold another column's key code into a running composite key code

@@ -1,13 +1,15 @@
 // Allocation regression test for the grace hash join's partition passes
-// and its one-worker join phase. Partitions copy each row's cells into
-// chunked storage, so partitioning allocates per chunk, never per row, and
-// the input batch keeps its slots' storage for the next refill. The join
-// phase at one worker fills the consumer's batch in place. The binary replaces the global operator
-// new/delete (every non-aligned form, so sanitizer runtimes see matching
-// malloc/free pairs) and counts the calls made while counting is on.
+// and its join phase. Partitions copy each row's cells into chunked
+// storage, so partitioning allocates per chunk, never per row, and the
+// input batch keeps its slots' storage for the next refill. The join phase
+// fills the consumer's batch in place at one worker and recycles pooled
+// batches with a fleet. The binary replaces the global operator new/delete
+// (every non-aligned form, so sanitizer runtimes see matching malloc/free
+// pairs) and counts the calls made while counting is on.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -16,6 +18,7 @@
 #include "datagen/table_builder.h"
 #include "exec/compiler.h"
 #include "exec/grace_hash_join.h"
+#include "exec/ordered_merge.h"
 #include "storage/catalog.h"
 
 namespace {
@@ -117,6 +120,64 @@ TEST(GracePartitionAlloc, PartitionPassesAllocatePerChunkNotPerRow) {
     EXPECT_GT(rows, kProbeRows / 10);
     EXPECT_LE(join_news, 128 + batch_size + kRunnerAllocs)
         << join_news << " allocations";
+    root->Close();
+    ctx.EndExecution();
+  }
+}
+
+// With a fleet the join phase runs its units through the ordered merge's
+// batch pool, and the merge hands each produced batch to the consumer
+// whole. Batches then circulate between the pool, the units' ready rings
+// and the consumer, so the phase allocates at most the pool's batches,
+// window × kReadyCap of them with a row each per slot, plus the tables
+// (two arrays per partition) and a couple of allocations per join unit
+// (its task and the scheduler's queue), however many batches it emits. At
+// batch size 1 the 256-row unit floor makes a unit stall and requeue every
+// kReadyCap batches, each requeue a task: that size is left out.
+TEST(GracePartitionAlloc, FleetJoinPhaseAllocatesWithinThePool) {
+  constexpr uint64_t kProbeRows = 800000;
+  constexpr size_t kWorkers = 4;
+  Catalog catalog;
+  for (TablePtr t : {KeyedTable("b", 1000, 5000, 1),
+                     KeyedTable("p", kProbeRows, 5000, 2)}) {
+    ASSERT_TRUE(catalog.Register(t).ok());
+    ASSERT_TRUE(catalog.Analyze(t->name()).ok());
+  }
+  for (size_t batch_size : {size_t{1024}, size_t{7}}) {
+    SCOPED_TRACE(batch_size);
+    ExecContext ctx;
+    ctx.catalog = &catalog;
+    ctx.batch_size = batch_size;
+    ctx.exec_workers = kWorkers;
+    PlanNodePtr plan = HashJoinPlan(ScanPlan("b"), ScanPlan("p"), "b.k", "p.k");
+    OperatorPtr root;
+    ASSERT_TRUE(CompilePlan(plan.get(), &ctx, &root).ok());
+    auto* join = dynamic_cast<GraceHashJoinOp*>(root.get());
+    ASSERT_NE(join, nullptr);
+    ASSERT_TRUE(root->Open(&ctx).ok());
+    ctx.BeginExecution();
+    join->PreparePartitions();
+    RowBatch batch(batch_size);
+    uint64_t rows = 0;
+    uint64_t batches = 0;
+    size_t units = 0;
+    g_news.store(0);
+    g_counting.store(true);
+    while (root->NextBatch(&batch)) {
+      rows += batch.size();
+      if (batches++ == 0) units = join->num_join_units();
+    }
+    g_counting.store(false);
+    const uint64_t join_news = g_news.load();
+    EXPECT_GT(rows, kProbeRows / 10);
+    const uint64_t pool_batches =
+        std::min<uint64_t>(2 * kWorkers + 2, units) * OrderedMerge::kReadyCap;
+    const uint64_t bound = pool_batches * (1 + batch_size) +
+                           2 * join->num_partitions() + 2 * units;
+    EXPECT_LE(join_news, bound) << join_news << " allocations, " << batches
+                                << " batches, " << units << " units";
+    // The pool bound is below one allocation per emitted row slot.
+    EXPECT_LT(bound, batches * batch_size);
     root->Close();
     ctx.EndExecution();
   }

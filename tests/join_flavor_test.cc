@@ -349,6 +349,81 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(size_t{1}, size_t{1024}),
                        ::testing::Values(size_t{1}, size_t{64})));
 
+/// (plan kind, exec_workers, estimation mode).
+class IntDoubleKeys
+    : public ::testing::TestWithParam<
+          std::tuple<PlanKind, size_t, EstimationMode>> {};
+
+/// An INT64 key equals the integral DOUBLE key of the same value (Compare
+/// reads both as doubles), so every join kind must match them. The hash
+/// join and the index nested-loops join find candidates by key code, so
+/// the two must share one. The double side also holds fractions and
+/// values outside int64_t's range, which match nothing.
+TEST_P(IntDoubleKeys, EveryJoinKindMatchesEqualNumbers) {
+  auto [kind, workers, mode] = GetParam();
+  auto make = [](const std::string& name, ValueType type,
+                 const std::vector<Value>& keys) {
+    auto t = std::make_shared<Table>(
+        name, Schema({Column{name, "k", type},
+                      Column{name, "id", ValueType::kInt64}}));
+    int64_t id = 0;
+    for (const Value& k : keys) {
+      EXPECT_TRUE(t->Append({k, Value(id++)}).ok());
+    }
+    return t;
+  };
+  TablePtr a = make("a", ValueType::kInt64,
+                    {Value(int64_t{1}), Value(int64_t{2}), Value(int64_t{3}),
+                     Value(int64_t{-7}), Value(int64_t{0}),
+                     Value(int64_t{1} << 40), Value(int64_t{3})});
+  TablePtr b = make("b", ValueType::kDouble,
+                    {Value(1.0), Value(2.5), Value(3.0), Value(-7.0),
+                     Value(-0.0), Value(0x1p40), Value(1e19), Value(-1e19),
+                     Value(0.5)});
+  const std::vector<IdPair> oracle =
+      NestedLoopsOracle(*a, *b, JoinFlavor::kInner);
+  ASSERT_EQ(oracle.size(), 6u);
+
+  Fixture fx;
+  fx.ctx.exec_workers = workers;
+  fx.ctx.mode = mode;
+  fx.ctx.batch_size = 2;
+  fx.Add(a);
+  fx.Add(b);
+  PlanNodePtr plan;
+  switch (kind) {
+    case PlanKind::kHashJoin:
+      plan = HashJoinPlan(ScanPlan("a"), ScanPlan("b"), "a.k", "b.k");
+      break;
+    case PlanKind::kMergeJoin:
+      plan = MergeJoinPlan(ScanPlan("a"), ScanPlan("b"), "a.k", "b.k");
+      break;
+    case PlanKind::kNestedLoopsJoin:
+      plan = NestedLoopsJoinPlan(ScanPlan("a"), ScanPlan("b"), "a.k", "b.k");
+      break;
+    default:
+      plan = IndexNestedLoopsJoinPlan(ScanPlan("a"), ScanPlan("b"), "a.k",
+                                      "b.k");
+      break;
+  }
+  EXPECT_EQ(EmittedIds(fx.Run(std::move(plan)), JoinFlavor::kInner), oracle);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    JoinKinds, IntDoubleKeys,
+    ::testing::Combine(::testing::Values(PlanKind::kHashJoin,
+                                         PlanKind::kMergeJoin,
+                                         PlanKind::kNestedLoopsJoin,
+                                         PlanKind::kIndexNestedLoopsJoin),
+                       ::testing::Values(size_t{1}, size_t{4}),
+                       ::testing::Values(EstimationMode::kNone,
+                                         EstimationMode::kOnce)),
+    [](const auto& info) {
+      return std::string(PlanKindName(std::get<0>(info.param))) + "_w" +
+             std::to_string(std::get<1>(info.param)) + "_" +
+             EstimationModeName(std::get<2>(info.param));
+    });
+
 TEST(JoinFlavor, SemiAndOuterOptimizerEstimatesAreConsistent) {
   Fixture fx;
   fx.Add(MakeSkewed("b", 1000, 0.0, 100, 1, 7));

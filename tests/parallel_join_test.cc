@@ -22,7 +22,9 @@
 // bucket. Morsel geometries across batch sizes, with sample boundaries
 // inside a unit, pin the fused scan's batch-by-batch (size, random_run)
 // sequence against the sequential engine. At one worker the join runs the
-// same units inline: it must cut them and submit no task.
+// same units inline: it must cut them and submit no task. With a fleet the
+// join hands each unit's batches to the consumer whole: the hand-off test
+// pins what may and may not change about join output batches.
 
 #include <gtest/gtest.h>
 
@@ -611,6 +613,15 @@ void BuildHotKeyCatalog(Catalog* catalog) {
   make("hp", probe, "-");
   make("lb", build, "-a-long-string-payload-");
   make("lp", probe, "-a-long-string-payload-");
+  // Sparse builds: sb holds two of hp's spread keys, ab every key of hp
+  // but four spread ones, so a semi join with sb and an anti join with ab
+  // each emit a handful of rows and most join units emit nothing.
+  make("sb", {10, 12}, "-");
+  std::vector<int64_t> most = {1, 2};
+  for (int64_t k = 0; k < 400; ++k) {
+    if (k % 100 != 0) most.push_back(10 + 2 * k);
+  }
+  make("ab", most, "-");
 }
 
 const Shape kHotKeyShapes[] = {
@@ -636,6 +647,98 @@ const Shape kHotKeyShapes[] = {
     {"hot_build",
      [] { return HashJoinPlan(ScanPlan("hp"), ScanPlan("hb"), "hp.k", "hb.k"); }},
 };
+
+/// Everything a consumer sees of one join's output, batch by batch.
+struct JoinDrain {
+  std::vector<std::pair<size_t, uint64_t>> batches;  ///< (size, random_run)
+  std::vector<std::string> rows;                     ///< emitted order
+  size_t units = 0;  ///< join units, read after the first batch
+};
+
+JoinDrain DrainJoin(const Catalog& catalog, const Shape& shape,
+                    size_t workers, size_t batch_size) {
+  ExecContext ctx;
+  ctx.catalog = const_cast<Catalog*>(&catalog);
+  ctx.mode = EstimationMode::kOnce;
+  ctx.sample_fraction = 0.1;
+  ctx.batch_size = batch_size;
+  ctx.exec_workers = workers;
+  ctx.hash_join_partitions = 4;
+  PlanNodePtr plan = shape.make();
+  OperatorPtr root;
+  JoinDrain out;
+  EXPECT_TRUE(CompilePlan(plan.get(), &ctx, &root).ok());
+  auto* join = dynamic_cast<GraceHashJoinOp*>(root.get());
+  EXPECT_NE(join, nullptr);
+  if (join == nullptr) return out;
+  EXPECT_TRUE(root->Open(&ctx).ok());
+  ctx.BeginExecution();
+  RowBatch batch(batch_size);
+  while (root->NextBatch(&batch)) {
+    if (out.batches.empty()) out.units = join->num_join_units();
+    out.batches.emplace_back(batch.size(), batch.random_run());
+    for (size_t i = 0; i < batch.size(); ++i) {
+      out.rows.push_back(RowToString(batch.row(i)));
+    }
+  }
+  root->Close();
+  ctx.EndExecution();
+  return out;
+}
+
+const Shape kSparseShapes[] = {
+    {"sparse_semi",
+     [] {
+       return FlavoredHashJoinPlan(ScanPlan("sb"), ScanPlan("hp"), "sb.k",
+                                   "hp.k", JoinFlavor::kSemi);
+     }},
+    {"sparse_anti",
+     [] {
+       return FlavoredHashJoinPlan(ScanPlan("ab"), ScanPlan("hp"), "ab.k",
+                                   "hp.k", JoinFlavor::kAnti);
+     }},
+};
+
+/// The hand-off contract of the parallel join phase: the merge hands each
+/// join unit's batches to the consumer whole, so with a fleet a batch may
+/// end short at the end of a unit, but never empty before the end of the
+/// stream, never with a random run (join output is clustered by
+/// partition), at most once per unit, and the ordered row stream is the
+/// one-worker stream. At one worker the inline runner fills every batch
+/// but the last across unit ends.
+TEST(ParallelJoinHandOff, UnitBatchesKeepTheOneWorkerStream) {
+  Catalog catalog;
+  BuildHotKeyCatalog(&catalog);
+  std::vector<Shape> shapes(std::begin(kHotKeyShapes), std::end(kHotKeyShapes));
+  shapes.insert(shapes.end(), std::begin(kSparseShapes),
+                std::end(kSparseShapes));
+  for (const Shape& shape : shapes) {
+    for (size_t batch_size : {size_t{1}, size_t{7}, size_t{1024}}) {
+      SCOPED_TRACE(std::string(shape.name) + " batch " +
+                   std::to_string(batch_size));
+      const JoinDrain reference = DrainJoin(catalog, shape, 1, batch_size);
+      ASSERT_FALSE(reference.rows.empty());
+      for (size_t i = 0; i + 1 < reference.batches.size(); ++i) {
+        ASSERT_EQ(reference.batches[i].first, batch_size) << "batch " << i;
+      }
+      for (size_t workers : {size_t{2}, size_t{4}}) {
+        SCOPED_TRACE("workers " + std::to_string(workers));
+        const JoinDrain parallel =
+            DrainJoin(catalog, shape, workers, batch_size);
+        EXPECT_TRUE(parallel.rows == reference.rows)
+            << "emitted row sequence differs";
+        EXPECT_GT(parallel.units, 0u);
+        size_t short_batches = 0;
+        for (const auto& [size, random_run] : parallel.batches) {
+          EXPECT_GT(size, 0u);
+          EXPECT_EQ(random_run, 0u);
+          short_batches += size < batch_size;
+        }
+        EXPECT_LE(short_batches, parallel.units);
+      }
+    }
+  }
+}
 
 /// Join units the join cut, read after its first output batch (the count
 /// is gone once the join closes).

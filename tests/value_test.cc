@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <thread>
 #include <unordered_set>
@@ -178,7 +179,7 @@ TEST(Value, HashAndHistogramCodesAreStable) {
       {Value::Null(), 0x9e3779b97f4a7c15ULL, 0x9e3779b97f4a7c15ULL},
       {Value(int64_t{123456789}), 0x8f7c29206384f886ULL,
        0x00000000075bcd15ULL},
-      {Value(42.0), 0x810879608e4259ccULL, 0x810879608e4259ccULL},
+      {Value(42.0), 0x810879608e4259ccULL, 0x000000000000002aULL},
       {Value(2.5), 0x7d2e9498d5985f4aULL, 0x7d2e9498d5985f4aULL},
       {Value(std::string("abcdefghijkl")), 0xf5c5b5d61a00b286ULL,
        0xf5c5b5d61a00b286ULL},
@@ -188,6 +189,33 @@ TEST(Value, HashAndHistogramCodesAreStable) {
     SCOPED_TRACE(g.value.ToString());
     EXPECT_EQ(g.value.Hash(), g.hash);
     EXPECT_EQ(HistogramKeyCode(g.value), g.code);
+  }
+}
+
+// An integral double equals the int64 of the same value, so the two share
+// a hash and a key code; NaN, infinities and doubles outside int64_t's range
+// have no equal int64 and key by their hash (the cast would be undefined;
+// the undefined-behaviour sanitizer preset checks that none happens).
+TEST(Value, IntegralDoublesKeyLikeTheEqualInt) {
+  for (int64_t i : {int64_t{0}, int64_t{42}, int64_t{-7}, int64_t{1} << 40,
+                    std::numeric_limits<int64_t>::min()}) {
+    SCOPED_TRACE(i);
+    const Value d(static_cast<double>(i));
+    int64_t as_int = 0;
+    EXPECT_TRUE(DoubleAsInt64(d.AsDouble(), &as_int));
+    EXPECT_EQ(as_int, i);
+    EXPECT_EQ(d.Hash(), Value(i).Hash());
+    EXPECT_EQ(HistogramKeyCode(d), HistogramKeyCode(Value(i)));
+  }
+  EXPECT_EQ(HistogramKeyCode(Value(-0.0)), 0u);
+  for (double d : {std::numeric_limits<double>::quiet_NaN(),
+                   std::numeric_limits<double>::infinity(),
+                   -std::numeric_limits<double>::infinity(), 0x1p63, -0x1p64,
+                   1e300, 0.5, -2.5}) {
+    SCOPED_TRACE(d);
+    int64_t as_int = 0;
+    EXPECT_FALSE(DoubleAsInt64(d, &as_int));
+    EXPECT_EQ(HistogramKeyCode(Value(d)), Value(d).Hash());
   }
 }
 
