@@ -74,6 +74,10 @@ void TaskScheduler::Notify(bool all) {
 
 void TaskScheduler::Submit(TaskLane lane, uint64_t tag,
                            std::function<void()> task) {
+  Enqueue(lane, tag, Task{std::move(task), nullptr});
+}
+
+void TaskScheduler::Enqueue(TaskLane lane, uint64_t tag, Task task) {
   if (lane == TaskLane::kQuery) {
     {
       std::unique_lock<std::mutex> lock(query_mu_);
@@ -122,8 +126,7 @@ void TaskScheduler::Submit(TaskLane lane, uint64_t tag,
   Notify(false);
 }
 
-bool TaskScheduler::PopSubtask(size_t self, std::function<void()>* task,
-                               bool* stolen) {
+bool TaskScheduler::PopSubtask(size_t self, Task* task, bool* stolen) {
   *stolen = false;
   if (self != kNotAWorker) {
     WorkerQueue& own = *queues_[self];
@@ -160,7 +163,7 @@ bool TaskScheduler::PopSubtask(size_t self, std::function<void()>* task,
   return false;
 }
 
-bool TaskScheduler::PopQueryTask(std::function<void()>* task) {
+bool TaskScheduler::PopQueryTask(Task* task) {
   std::lock_guard<std::mutex> lock(query_mu_);
   if (query_pending_ == 0) return false;
   // Fair-share pick: fewest dispatches first, arrival order on ties. A
@@ -186,20 +189,21 @@ bool TaskScheduler::PopQueryTask(std::function<void()>* task) {
   return true;
 }
 
-void TaskScheduler::RunTask(TaskLane lane, std::function<void()>* task,
-                            bool stolen) {
+void TaskScheduler::RunTask(TaskLane lane, Task* task, bool stolen) {
   if (stolen) stolen_.fetch_add(1, std::memory_order_relaxed);
-  // Count before the body runs: completion signals (TaskGroup notify,
-  // result cv) fire inside the body, so counting after it would let a
+  // Count before the body runs: completion signals (the result cv inside
+  // the body, the TaskGroup notify right after it) would otherwise let a
   // waiter observe "all work done" with the counter still one short.
   executed_[static_cast<size_t>(lane)].fetch_add(1,
                                                  std::memory_order_relaxed);
-  (*task)();
-  *task = nullptr;  // release captures before the next dispatch
+  task->fn();
+  task->fn = nullptr;  // release captures before the next dispatch
+  // Last: once notified, the group's owner may destroy it.
+  if (task->group != nullptr) task->group->FinishOne();
 }
 
 bool TaskScheduler::RunOneTask(size_t self) {
-  std::function<void()> task;
+  Task task;
   bool stolen = false;
   if (PopSubtask(self, &task, &stolen)) {
     depth_.fetch_sub(1, std::memory_order_relaxed);
@@ -217,7 +221,7 @@ bool TaskScheduler::RunOneTask(size_t self) {
 bool TaskScheduler::HelpOneSubtask() {
   size_t self =
       t_worker.sched == this ? t_worker.index : kNotAWorker;
-  std::function<void()> task;
+  Task task;
   bool stolen = false;
   if (!PopSubtask(self, &task, &stolen)) return false;
   depth_.fetch_sub(1, std::memory_order_relaxed);
@@ -260,11 +264,12 @@ void TaskGroup::Submit(TaskLane lane, uint64_t tag,
     std::lock_guard<std::mutex> lock(mu_);
     ++outstanding_;
   }
-  sched_->Submit(lane, tag, [this, task = std::move(task)] {
-    task();
-    std::lock_guard<std::mutex> lock(mu_);
-    if (--outstanding_ == 0) done_cv_.notify_all();
-  });
+  sched_->Enqueue(lane, tag, TaskScheduler::Task{std::move(task), this});
+}
+
+void TaskGroup::FinishOne() {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (--outstanding_ == 0) done_cv_.notify_all();
 }
 
 void TaskGroup::Wait() {
@@ -272,11 +277,6 @@ void TaskGroup::Wait() {
   // and is what makes waiting on the shared fleet deadlock-free (subtask
   // bodies never block).
   sched_->HelpUntil(mu_, done_cv_, [this] { return outstanding_ == 0; });
-}
-
-size_t TaskGroup::outstanding() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return outstanding_;
 }
 
 }  // namespace qpi

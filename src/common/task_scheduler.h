@@ -26,6 +26,8 @@ enum class TaskLane : unsigned char {
 
 inline constexpr size_t kNumTaskLanes = 2;
 
+class TaskGroup;
+
 /// Stable lane names for metrics labels ("query" / "morsel").
 const char* TaskLaneName(TaskLane lane);
 
@@ -142,24 +144,35 @@ class TaskScheduler {
   }
 
  private:
+  friend class TaskGroup;
+
+  /// A queued task and the group, if any, to notify once it has run (a
+  /// wrapper closure would cost an allocation per submission).
+  struct Task {
+    std::function<void()> fn;
+    TaskGroup* group = nullptr;
+  };
+
   struct alignas(64) WorkerQueue {
     std::mutex mu;
-    std::deque<std::function<void()>> tasks;  ///< back = newest (LIFO pop)
+    std::deque<Task> tasks;  ///< back = newest (LIFO pop)
   };
 
   struct TagQueue {
-    std::deque<std::pair<uint64_t, std::function<void()>>> pending;
+    std::deque<std::pair<uint64_t, Task>> pending;
     uint64_t dispatched = 0;  ///< fair-share balance count
   };
+
+  void Enqueue(TaskLane lane, uint64_t tag, Task task);
 
   void WorkerLoop(size_t self);
   /// One dispatch: subtask lane first, then the query lane's fair pick.
   bool RunOneTask(size_t self);
   /// Pop a subtask: own deque back (when `self` < fleet size), injection
   /// front, then steal other fronts. Sets `*stolen` on a cross-deque pop.
-  bool PopSubtask(size_t self, std::function<void()>* task, bool* stolen);
-  bool PopQueryTask(std::function<void()>* task);
-  void RunTask(TaskLane lane, std::function<void()>* task, bool stolen);
+  bool PopSubtask(size_t self, Task* task, bool* stolen);
+  bool PopQueryTask(Task* task);
+  void RunTask(TaskLane lane, Task* task, bool stolen);
   void Notify(bool all);
 
   Options options_;
@@ -167,7 +180,7 @@ class TaskScheduler {
 
   std::mutex inject_mu_;
   std::condition_variable inject_space_cv_;
-  std::deque<std::function<void()>> inject_;
+  std::deque<Task> inject_;
 
   std::mutex query_mu_;
   std::condition_variable query_space_cv_;
@@ -192,12 +205,14 @@ class TaskScheduler {
 
 /// \brief A waitable group of tasks on a shared TaskScheduler.
 ///
-/// Same contract as the old pool's TaskGroup — Submit wraps each task
-/// with completion bookkeeping, Wait blocks only on this group's
-/// outstanding work with a happens-before edge from every task body, the
-/// destructor waits — plus the scheduler's helping protocol: Wait runs
-/// pending subtasks instead of parking, so a fleet worker waiting on its
-/// own fan-out makes progress rather than wedging the fleet.
+/// Same contract as the old pool's TaskGroup — each submitted task counts
+/// as outstanding until the scheduler, having run it, notifies the group
+/// (the queued task carries the group, so submitting builds no wrapper);
+/// Wait blocks only on this group's outstanding work with a
+/// happens-before edge from every task body; the destructor waits — plus
+/// the scheduler's helping protocol: Wait runs pending subtasks instead of
+/// parking, so a fleet worker waiting on its own fan-out makes progress
+/// rather than wedging the fleet.
 class TaskGroup {
  public:
   /// Tasks submitted through the one-argument Submit go to `lane` under
@@ -222,14 +237,16 @@ class TaskGroup {
   /// subtask lane while any remain.
   void Wait();
 
-  /// Tasks submitted but not yet finished (advisory; racy by nature).
-  size_t outstanding() const;
-
  private:
+  friend class TaskScheduler;
+
+  /// Called by the scheduler after one of this group's tasks has run.
+  void FinishOne();
+
   TaskScheduler* sched_;
   uint64_t tag_;
   TaskLane lane_;
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable done_cv_;
   size_t outstanding_ = 0;
 };

@@ -1,5 +1,6 @@
 #include "common/value.h"
 
+#include <cmath>
 #include <new>
 
 namespace qpi {
@@ -36,6 +37,25 @@ void Value::FreeLongString(LongString* s) {
   ::operator delete(s);
 }
 
+namespace {
+
+/// Exact int64 ⋚ double: converting the int64 to double would round any
+/// magnitude above 2^53, so 2^53 + 1 would equal 2^53 as a double and the
+/// order would not be transitive. NaN compares equal to everything, as
+/// the double-double comparison below treats it.
+int CompareIntDouble(int64_t a, double b) {
+  if (b != b) return 0;
+  if (b >= 0x1p63) return -1;
+  if (b < -0x1p63) return 1;
+  // b lies in int64's range, so its truncation converts exactly.
+  const double whole = std::trunc(b);
+  const int64_t t = static_cast<int64_t>(whole);
+  if (a != t) return a < t ? -1 : 1;
+  return whole < b ? -1 : (whole > b ? 1 : 0);
+}
+
+}  // namespace
+
 int Value::Compare(const Value& other) const {
   if (is_null() || other.is_null()) {
     // NULL sorts first; two NULLs are equal for grouping purposes.
@@ -49,6 +69,12 @@ int Value::Compare(const Value& other) const {
     int64_t a = AsInt64();
     int64_t b = other.AsInt64();
     return (a < b) ? -1 : (a > b ? 1 : 0);
+  }
+  if (type() == ValueType::kInt64) {
+    return CompareIntDouble(AsInt64(), other.AsDouble());
+  }
+  if (other.type() == ValueType::kInt64) {
+    return -CompareIntDouble(other.AsInt64(), AsDouble());
   }
   double a = AsDouble();
   double b = other.AsDouble();

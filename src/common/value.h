@@ -106,8 +106,9 @@ class Value {
     return {rep_.data, rep_.size};
   }
 
-  /// Total ordering (NULL < everything; cross numeric types compare as
-  /// doubles). Returns <0, 0, >0.
+  /// Total ordering (NULL < everything; an INT64 and a DOUBLE compare by
+  /// exact value, not after rounding the INT64 to a double). Returns <0,
+  /// 0, >0.
   int Compare(const Value& other) const;
 
   bool operator==(const Value& other) const { return Compare(other) == 0; }

@@ -143,9 +143,9 @@ struct ExecContext {
   /// ceiling of the partition-parallel join phase.
   size_t hash_join_partitions = 64;
 
-  /// Intra-query worker threads (morsel-parallel scans, partition-parallel
-  /// join phases). 1 (the default) runs the exact sequential engine — no
-  /// pool is created, no task is spawned. The driving thread merges worker
+  /// Intra-query worker threads (morsel scans, grace join units). 1 (the
+  /// default) runs the same units inline on the driving thread — no pool
+  /// is created, no task is spawned. The driving thread merges worker
   /// output and is not counted here.
   size_t exec_workers = 1;
 
@@ -234,11 +234,12 @@ struct ExecContext {
   }
 
   /// Ends the execution window. Ticks still banked by workers are folded
-  /// into one final observer delivery first (a run whose trailing morsels
-  /// emit no rows would otherwise strand them); call after every operator
-  /// has Closed — the task-group joins make all banked ticks visible.
+  /// into one final observer delivery first (units that ran ahead of an
+  /// undrained merge, as in a cancelled query, would otherwise strand
+  /// them); call after every operator has Closed — the task-group joins
+  /// make all banked ticks visible.
   void EndExecution() {
-    if (has_concurrent_ticks_.load(std::memory_order_relaxed)) Tick(0);
+    DeliverBankedTicks();
     executing_.store(false, std::memory_order_relaxed);
     phase_.store(QueryPhase::kFinished, std::memory_order_relaxed);
   }
@@ -263,6 +264,12 @@ struct ExecContext {
       n += DrainConcurrentTicks();
     }
     for (TickObserver* observer : tick_observers_) observer->OnTick(n);
+  }
+
+  /// Deliver the ticks banked by TickConcurrent, if any, in one observer
+  /// call. Driving thread only; OrderedMerge calls it as it merges units.
+  void DeliverBankedTicks() {
+    if (has_concurrent_ticks_.load(std::memory_order_relaxed)) Tick(0);
   }
 
   /// Bank `n` ticks from an intra-query worker thread. Safe for any number
@@ -307,8 +314,8 @@ struct ExecContext {
   /// execution (AttachScheduler); otherwise a private fleet of
   /// exec_workers workers is created lazily on first use and destroyed
   /// with the context, after every operator has closed and waited for its
-  /// task groups. Never called when exec_workers == 1: scans stay
-  /// sequential and OrderedMerge runs join units inline.
+  /// task groups. Never called when exec_workers == 1: OrderedMerge then
+  /// runs scan morsels and join units inline.
   TaskScheduler* scheduler();
 
   /// Borrow a shared fleet for this query's subtasks; `tag` names the

@@ -37,8 +37,8 @@ class FilterOp : public Operator {
   size_t in_pos_ = 0;
   bool in_valid_ = false;
   bool random_over_ = false;
-  // Runs when this operator tops a fusable scan chain and
-  // ctx->exec_workers > 1.
+  // Runs whenever this operator tops a fusable scan chain; the loop in
+  // NextBatchImpl serves every other child (a join, an aggregate).
   FusedScan fused_;
 };
 

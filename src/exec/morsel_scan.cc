@@ -6,7 +6,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/check.h"
 #include "exec/exec_context.h"
 #include "exec/filter.h"
 #include "exec/operator.h"
@@ -26,8 +25,8 @@ struct MorselStage {
   const ProjectOp* project = nullptr;
 };
 
-/// \brief Morsel-parallel executor for a fused SeqScan → Filter/Project
-/// chain.
+/// \brief Morsel executor for a fused SeqScan → Filter/Project chain, at
+/// every worker count.
 ///
 /// The scan order (random-sample prefix first, then the remaining blocks)
 /// is cut into morsels of OrderedMerge::UnitTarget(batch_size) virtual
@@ -37,17 +36,20 @@ struct MorselStage {
 /// use — and commits survivors only; the merge delivers the batches in
 /// morsel order with sequential boundaries (a morsel's full batch goes out
 /// whole only where a consumer batch starts anyway), so the emitted row
-/// stream, every batch boundary and every batch's `random_run` are
-/// bit-identical to the sequential engine at any worker count (see
-/// OrderedMerge and DESIGN.md §9).
+/// stream, every batch boundary and every batch's `random_run` are the
+/// same at every worker count (see OrderedMerge and DESIGN.md §9). This
+/// producer is the only place the scan order and its post-emission
+/// random-run rule are implemented.
 ///
 /// Counter accounting: producers attribute the captured (non-driving)
-/// operators' output counts via Operator::CountEmitted for every batch,
-/// and bank the matching progress ticks with ExecContext::TickConcurrent;
+/// operators' output counts via Operator::CountEmitted for every batch (a
+/// captured scan's in whole batches, ScanCountAt), and bank the matching
+/// progress ticks with ExecContext::TickConcurrent, which the merge hands
+/// to the observers after each unit's call or batch;
 /// the driving operator's own rows are counted by its NextBatchImpl and
-/// ticked by the ordinary wrapper. Totals are therefore identical to
-/// sequential execution — gnm progress is a sum of per-operator counters
-/// and is invariant under the order in which threads contribute.
+/// ticked by the ordinary wrapper. Totals are therefore the same at every
+/// worker count — gnm progress is a sum of per-operator counters and is
+/// invariant under the order in which threads contribute.
 class MorselScanDriver {
  public:
   /// `stages` is the fused chain bottom-up; the last stage (or the scan
@@ -79,6 +81,16 @@ class MorselScanDriver {
   /// OrderedMerge producer: fill `out` from morsel `m`.
   bool Produce(size_t m, RowBatch* out);
 
+  /// A captured scan's emitted count once the chain has read its first
+  /// `rows` rows. A scan hands its parent whole batches, so the count is
+  /// `rows` rounded up to a batch_size multiple (capped at the table): the
+  /// count a parent pulling batch by batch sees, which the estimators
+  /// above (a filter's pass rate) read between batches.
+  uint64_t ScanCountAt(uint64_t rows) const {
+    const uint64_t batch = ctx_->batch_size;
+    return std::min(total_rows_, (rows + batch - 1) / batch * batch);
+  }
+
   SeqScanOp* scan_;
   std::vector<MorselStage> stages_;
   ExecContext* ctx_;
@@ -88,6 +100,9 @@ class MorselScanDriver {
   // Captured operators: every chain member except the driving one. Their
   // counters/states are attributed by the producers (friend of Operator).
   std::vector<Operator*> captured_;
+  // Leading projection stages: they pass the scan's rows one for one, in
+  // its batches, so they count as the scan does (ScanCountAt).
+  size_t scan_aligned_ = 0;
 
   // Rows of the leading random prefix: UINT64_MAX for an unsampled scan,
   // whose whole stream is random.
@@ -110,7 +125,6 @@ MorselScanDriver::MorselScanDriver(SeqScanOp* scan,
                                    std::vector<MorselStage> stages,
                                    ExecContext* ctx)
     : scan_(scan), stages_(std::move(stages)), ctx_(ctx) {
-  QPI_CHECK(ctx_ != nullptr && ctx_->exec_workers > 1);
   table_ = &scan_->scan_table();
   order_ = &scan_->scan_order();
 
@@ -141,6 +155,10 @@ MorselScanDriver::MorselScanDriver(SeqScanOp* scan,
   stage_stride_ = stages_.size() + 64 / sizeof(uint64_t);
   stage_rows_.resize(morsels * stage_stride_);
 
+  while (scan_aligned_ < stages_.size() &&
+         stages_[scan_aligned_].project != nullptr) {
+    ++scan_aligned_;
+  }
   if (!stages_.empty()) {
     captured_.push_back(scan_);
     for (size_t s = 0; s + 1 < stages_.size(); ++s) {
@@ -203,11 +221,13 @@ bool MorselScanDriver::Produce(size_t m, RowBatch* out) {
   // Attribute the captured operators' counters and bank the matching
   // progress ticks; the driving operator's rows are counted on delivery.
   if (!captured_.empty()) {
-    uint64_t ticks = c.row - first;
-    scan_->CountEmitted(ticks);
+    const uint64_t scan_rows = ScanCountAt(c.row) - ScanCountAt(first);
+    scan_->CountEmitted(scan_rows);
+    uint64_t ticks = scan_rows;
     for (size_t s = 0; s + 1 < stages_.size(); ++s) {
-      stages_[s].op->CountEmitted(stage_rows[s]);
-      ticks += stage_rows[s];
+      const uint64_t n = s < scan_aligned_ ? scan_rows : stage_rows[s];
+      stages_[s].op->CountEmitted(n);
+      ticks += n;
     }
     ctx_->TickConcurrent(ticks);
   }
@@ -218,10 +238,10 @@ FusedScan::FusedScan() = default;
 FusedScan::~FusedScan() = default;
 
 bool FusedScan::Fill(Operator* op, ExecContext* ctx, RowBatch* out) {
-  if (!checked_ && ctx->exec_workers > 1) {
+  if (!checked_) {
     // Walk the chain below (and including) `op`, top-down, for a fusable
     // SeqScan → Filter/Project spine; anything else (a join, a non-scan
-    // leaf) leaves `op` on its sequential path.
+    // leaf) leaves `op` on its own loop.
     std::vector<MorselStage> stages;
     Operator* cur = op;
     while (driver_ == nullptr) {

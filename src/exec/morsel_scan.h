@@ -10,28 +10,28 @@ class MorselScanDriver;
 class Operator;
 class RowBatch;
 
-/// \brief The morsel-parallel path of SeqScanOp, FilterOp and ProjectOp.
+/// \brief The one scan path of SeqScanOp, and of FilterOp and ProjectOp
+/// over a scan.
 ///
-/// With ctx->exec_workers > 1, the first Fill looks below (and including)
-/// its operator for a fusable SeqScan → Filter/Project spine and, if there
-/// is one, runs the whole chain as one morsel-parallel scan driven by that
-/// operator (MorselScanDriver, morsel_scan.cc; DESIGN.md §9).
-///
-/// At one worker the chain stays sequential rather than running through
-/// OrderedMerge's inline mode: a fused chain ticks once per driving batch
-/// for all its operators, which would replace the tuple-exact tick cadence
-/// of the sequential chain at batch size 1 that ProgressMonitor and the
-/// Figure 8 trajectory rely on.
+/// The first Fill looks below (and including) its operator for a fusable
+/// SeqScan → Filter/Project spine and, if there is one, runs the whole
+/// chain as one morsel scan driven by that operator (MorselScanDriver,
+/// morsel_scan.cc; DESIGN.md §9). At every worker count the chain runs
+/// through OrderedMerge: inline on the driving thread at one worker, on
+/// the fleet above. The merge hands the ticks the captured operators bank
+/// to the observers as it goes (ExecContext::DeliverBankedTicks), so a
+/// selective filter delays a scan's ticks by at most one unit of input
+/// (with a fleet, one window of units), never by the whole scan.
 class FusedScan {
  public:
   FusedScan();
   ~FusedScan();
 
   /// Fill `out` (already cleared by the NextBatch wrapper) through the
-  /// fused scan driven by `op` and return true, or return false when `op`
-  /// runs sequentially: one worker, or a chain that a join or a non-scan
-  /// leaf interrupts. The caller counts `out`'s rows either way. Driving
-  /// thread only.
+  /// fused scan driven by `op` and return true, or return false when a
+  /// join or a non-scan leaf interrupts the chain below `op`, which then
+  /// runs its own loop. Always true for a SeqScanOp. The caller counts
+  /// `out`'s rows either way. Driving thread only.
   bool Fill(Operator* op, ExecContext* ctx, RowBatch* out);
 
   /// Stop the fused scan, waiting for its subtasks, and re-arm the

@@ -117,6 +117,7 @@ void OrderedMerge::Fill(RowBatch* out) {
       if (ctx_->IsCancelled() || produce_(emit_unit_, out)) {
         if (++emit_unit_ == units_ && all_done_) all_done_();
       }
+      ctx_->DeliverBankedTicks();
     }
     return;
   }
@@ -172,6 +173,7 @@ void OrderedMerge::Fill(RowBatch* out) {
       const size_t u = emit_unit_;
       group_->Submit([this, u] { Run(u); });
     }
+    if (next != Next::kWait) ctx_->DeliverBankedTicks();
     if (next == Next::kAdvance) {
       ++emit_unit_;
       SubmitUpTo(emit_unit_ + window_);

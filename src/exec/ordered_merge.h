@@ -24,12 +24,12 @@ class TaskScheduler;
 /// A caller cuts its work into `units` ordered units and supplies a
 /// producer. Subtasks on the query's TaskScheduler run units ahead of the
 /// merge; the driving thread merges their output **strictly in unit
-/// order** (Fill), so the row stream and its `random_run` are those of the
-/// sequential engine at any worker count, and the estimators, which only
-/// see the merged stream on the driving thread, freeze exactly where they
-/// would sequentially (DESIGN.md §9). Where a consumer batch may end is
-/// the caller's choice (Boundaries): only where the sequential engine
-/// ends it, or also at the end of every unit.
+/// order** (Fill), so the row stream and its `random_run` are those of
+/// the one-worker (inline) run at any worker count, and the estimators,
+/// which only see the merged stream on the driving thread, freeze exactly
+/// where they would at one worker (DESIGN.md §9). Where a consumer batch
+/// may end is the caller's choice (Boundaries): only where a full batch
+/// ends, or also at the end of every unit.
 ///
 /// The producer, `produce(unit, batch) -> done`, resumes the unit from the
 /// caller's own cursor and appends to `batch` (capacity ctx->batch_size)
@@ -40,12 +40,17 @@ class TaskScheduler;
 /// produce; a call that returns false leaves the batch full. It must not
 /// block and never runs twice at once for one unit.
 ///
+/// Fill hands the ticks producers bank (ExecContext::TickConcurrent) to
+/// the observers after each inline producer call and, with a fleet, each
+/// time it takes a unit's batch or moves past a finished unit, so a unit
+/// that emits nothing still shows its input's progress.
+///
 /// At ctx->exec_workers == 1 the runner is *inline*: it creates no task
 /// group and never asks the context for a scheduler, and Fill calls the
 /// producer for the unit at the merge cursor straight into the consumer's
-/// batch, checking cancellation before each call. The grace join runs
-/// this way; the fused scan stays parallel-only (see FusedScan). Only
-/// with a fleet does what follows apply:
+/// batch, checking cancellation before each call. The fused scan and the
+/// grace join both run this way at one worker. Only with a fleet does
+/// what follows apply:
 ///
 /// At most `2·workers+2` units (the window) run past the merge cursor.
 /// Each produced batch is pushed to its unit's `ready` list under the
@@ -65,7 +70,7 @@ class OrderedMerge {
  public:
   /// Where a consumer batch may end before it is full.
   enum class Boundaries : unsigned char {
-    /// Only at the end of the stream, as in the sequential engine. A
+    /// Only at the end of the stream, as in the inline runner. A
     /// produced batch goes out whole only if it is full and starts the
     /// consumer's batch; any other is merged row by row. The fused scan
     /// uses this: its batch boundaries place the sample's random run.

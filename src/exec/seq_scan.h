@@ -19,6 +19,11 @@ namespace qpi {
 /// the stream can be treated as a uniform random prefix: the sample part,
 /// or the whole scan when no sampling was requested (generated tables store
 /// rows in random order).
+///
+/// The rows come from the fused morsel scan (FusedScan, morsel_scan.h) at
+/// every worker count; when a Filter or Project above captures this scan,
+/// the chain is driven from there and this operator's NextBatch is never
+/// called.
 class SeqScanOp : public Operator {
  public:
   SeqScanOp(TablePtr table, double sample_fraction);
@@ -29,11 +34,8 @@ class SeqScanOp : public Operator {
   bool CardinalityExact() const override { return true; }
   bool ProducesRandomStream() const override;
 
-  /// Rows in the leading random prefix (table size when unsampled).
-  uint64_t random_prefix_rows() const;
-
-  /// Morsel-parallel scan support: the resolved scan order and backing
-  /// table (valid after Open).
+  /// The resolved scan order and backing table (valid after Open), which
+  /// the fused morsel scan walks.
   const ScanOrder& scan_order() const { return order_; }
   const Table& scan_table() const { return *table_; }
 
@@ -46,10 +48,6 @@ class SeqScanOp : public Operator {
   TablePtr table_;
   double sample_fraction_;
   ScanOrder order_;
-  size_t block_pos_ = 0;
-  size_t row_pos_ = 0;
-  // Runs when ctx->exec_workers > 1 and no fused ancestor captured this
-  // scan (their NextBatch then never reaches us).
   FusedScan fused_;
 };
 

@@ -1,9 +1,10 @@
 #ifndef QPI_OLA_OLA_SNAPSHOT_H_
 #define QPI_OLA_OLA_SNAPSHOT_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
+
+#include "common/seqlock.h"
 
 namespace qpi {
 
@@ -13,8 +14,9 @@ namespace qpi {
 /// the estimate (draws behind it, group-count estimate, whether the random
 /// prefix ended, whether intake finished and the answer is exact).
 ///
-/// Fixed-size POD so the seqlock slot below can publish it field-by-field
-/// through atomics; kMaxAggregates bounds the select list OLA accepts.
+/// Fixed-size and trivially copyable so the seqlock cell below can publish
+/// it word by word through atomics; kMaxAggregates bounds the select list
+/// OLA accepts.
 struct OlaSnapshot {
   static constexpr size_t kMaxAggregates = 8;
 
@@ -28,66 +30,9 @@ struct OlaSnapshot {
   double half_width[kMaxAggregates] = {};
 };
 
-/// \brief Seqlock cell for the latest OlaSnapshot — same single-writer
-/// protocol as SnapshotSlot (odd sequence while a write is in flight,
-/// readers retry on a torn read), extended to the fixed-size arrays.
-class OlaSnapshotSlot {
- public:
-  OlaSnapshotSlot() = default;
-  OlaSnapshotSlot(const OlaSnapshotSlot&) = delete;
-  OlaSnapshotSlot& operator=(const OlaSnapshotSlot&) = delete;
-
-  /// Publish `snap`. Must only be called from one thread at a time.
-  void Store(const OlaSnapshot& snap) {
-    uint64_t seq = seq_.load(std::memory_order_relaxed);
-    seq_.store(seq + 1, std::memory_order_relaxed);  // odd: write in flight
-    std::atomic_thread_fence(std::memory_order_release);
-    tick_.store(snap.tick, std::memory_order_relaxed);
-    num_aggregates_.store(snap.num_aggregates, std::memory_order_relaxed);
-    draws_.store(snap.draws, std::memory_order_relaxed);
-    groups_.store(snap.groups, std::memory_order_relaxed);
-    frozen_.store(snap.frozen, std::memory_order_relaxed);
-    exact_.store(snap.exact, std::memory_order_relaxed);
-    for (size_t i = 0; i < OlaSnapshot::kMaxAggregates; ++i) {
-      estimate_[i].store(snap.estimate[i], std::memory_order_relaxed);
-      half_width_[i].store(snap.half_width[i], std::memory_order_relaxed);
-    }
-    seq_.store(seq + 2, std::memory_order_release);  // even: stable
-  }
-
-  /// Read the latest published snapshot; retries only during a write.
-  OlaSnapshot Load() const {
-    while (true) {
-      uint64_t before = seq_.load(std::memory_order_acquire);
-      if (before & 1) continue;
-      OlaSnapshot snap;
-      snap.tick = tick_.load(std::memory_order_relaxed);
-      snap.num_aggregates = num_aggregates_.load(std::memory_order_relaxed);
-      snap.draws = draws_.load(std::memory_order_relaxed);
-      snap.groups = groups_.load(std::memory_order_relaxed);
-      snap.frozen = frozen_.load(std::memory_order_relaxed);
-      snap.exact = exact_.load(std::memory_order_relaxed);
-      for (size_t i = 0; i < OlaSnapshot::kMaxAggregates; ++i) {
-        snap.estimate[i] = estimate_[i].load(std::memory_order_relaxed);
-        snap.half_width[i] = half_width_[i].load(std::memory_order_relaxed);
-      }
-      std::atomic_thread_fence(std::memory_order_acquire);
-      uint64_t after = seq_.load(std::memory_order_relaxed);
-      if (before == after) return snap;
-    }
-  }
-
- private:
-  std::atomic<uint64_t> seq_{0};
-  std::atomic<uint64_t> tick_{0};
-  std::atomic<uint32_t> num_aggregates_{0};
-  std::atomic<uint64_t> draws_{0};
-  std::atomic<double> groups_{0.0};
-  std::atomic<bool> frozen_{false};
-  std::atomic<bool> exact_{false};
-  std::atomic<double> estimate_[OlaSnapshot::kMaxAggregates] = {};
-  std::atomic<double> half_width_[OlaSnapshot::kMaxAggregates] = {};
-};
+/// The latest OlaSnapshot of a running query, published like
+/// SnapshotSlot through one SeqlockCell.
+using OlaSnapshotSlot = SeqlockCell<OlaSnapshot>;
 
 }  // namespace qpi
 

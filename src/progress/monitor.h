@@ -45,9 +45,10 @@ class ProgressMonitor : public TickObserver {
   /// progress was overestimated at snapshot i. Valid after Finalize.
   double RatioErrorAt(size_t i) const;
 
-  /// Ticks may arrive in batch-sized jumps; a snapshot is taken whenever
-  /// the count crosses an interval boundary (at most one per batch, so the
-  /// sampling lag is bounded by one batch).
+  /// Ticks may arrive in batch-sized jumps, or unit-sized ones from a
+  /// fused scan chain (DESIGN.md §8); a snapshot is taken whenever the
+  /// count crosses an interval boundary (at most one per delivery, so the
+  /// sampling lag is bounded by one delivery).
   void OnTick(uint64_t n) override;
 
  private:

@@ -1,64 +1,15 @@
 #ifndef QPI_PROGRESS_SNAPSHOT_SLOT_H_
 #define QPI_PROGRESS_SNAPSHOT_SLOT_H_
 
-#include <atomic>
-
+#include "common/seqlock.h"
 #include "progress/gnm.h"
 
 namespace qpi {
 
-/// \brief Lock-free single-writer "latest snapshot" cell (a seqlock).
-///
-/// The executing worker publishes full GnmSnapshots here from its tick
-/// path (estimator internals are only safe to read on the thread running
-/// the query); monitor and UI threads read the latest value at any time
-/// without blocking the query. The sequence counter is odd while a write
-/// is in flight; readers retry until they observe the same even sequence
-/// on both sides of the field reads, so a snapshot is never torn across
-/// fields. Every field is an atomic, so the protocol is data-race-free
-/// under ThreadSanitizer as well as the memory model.
-class SnapshotSlot {
- public:
-  SnapshotSlot() = default;
-  SnapshotSlot(const SnapshotSlot&) = delete;
-  SnapshotSlot& operator=(const SnapshotSlot&) = delete;
-
-  /// Publish `snap`. Must only be called from one thread at a time.
-  void Store(const GnmSnapshot& snap) {
-    uint64_t seq = seq_.load(std::memory_order_relaxed);
-    seq_.store(seq + 1, std::memory_order_relaxed);  // odd: write in flight
-    std::atomic_thread_fence(std::memory_order_release);
-    tick_.store(snap.tick, std::memory_order_relaxed);
-    calls_.store(snap.current_calls, std::memory_order_relaxed);
-    total_.store(snap.total_estimate, std::memory_order_relaxed);
-    ci_.store(snap.ci_half_width, std::memory_order_relaxed);
-    seq_.store(seq + 2, std::memory_order_release);  // even: stable
-  }
-
-  /// Read the latest published snapshot. Wait-free for the writer; the
-  /// reader retries only while a write is in flight.
-  GnmSnapshot Load() const {
-    while (true) {
-      uint64_t before = seq_.load(std::memory_order_acquire);
-      if (before & 1) continue;
-      GnmSnapshot snap;
-      snap.tick = tick_.load(std::memory_order_relaxed);
-      snap.current_calls = calls_.load(std::memory_order_relaxed);
-      snap.total_estimate = total_.load(std::memory_order_relaxed);
-      snap.ci_half_width = ci_.load(std::memory_order_relaxed);
-      std::atomic_thread_fence(std::memory_order_acquire);
-      uint64_t after = seq_.load(std::memory_order_relaxed);
-      if (before == after) return snap;
-    }
-  }
-
- private:
-  std::atomic<uint64_t> seq_{0};
-  std::atomic<uint64_t> tick_{0};
-  std::atomic<double> calls_{0.0};
-  std::atomic<double> total_{0.0};
-  std::atomic<double> ci_{0.0};
-};
+/// The latest GnmSnapshot of a running query: the executing worker
+/// publishes from its tick path, monitor and UI threads read at any time
+/// (see SeqlockCell and DESIGN.md, "Threading model").
+using SnapshotSlot = SeqlockCell<GnmSnapshot>;
 
 }  // namespace qpi
 

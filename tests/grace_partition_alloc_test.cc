@@ -5,7 +5,9 @@
 // fills the consumer's batch in place at one worker and recycles pooled
 // batches with a fleet. The binary replaces the global operator new/delete
 // (every non-aligned form, so sanitizer runtimes see matching malloc/free
-// pairs) and counts the calls made while counting is on.
+// pairs) and counts the calls made while counting is on. The same counter
+// checks that a task group's submissions allocate per queue node, not per
+// task.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +18,7 @@
 #include <new>
 
 #include "datagen/table_builder.h"
+#include "common/task_scheduler.h"
 #include "exec/compiler.h"
 #include "exec/grace_hash_join.h"
 #include "exec/ordered_merge.h"
@@ -181,6 +184,33 @@ TEST(GracePartitionAlloc, FleetJoinPhaseAllocatesWithinThePool) {
     root->Close();
     ctx.EndExecution();
   }
+}
+
+// A task group's submission allocates nothing of its own: the queued task
+// carries the group to notify, so a task whose captures fit
+// std::function's small buffer (here 16 bytes) costs no allocation. Only
+// the scheduler's queue nodes allocate, one per several tasks. A wrapper
+// closure around the task would cost one allocation per submission.
+TEST(TaskGroupAlloc, SubmissionsDoNotAllocatePerTask) {
+  constexpr uint64_t kTasks = 4096;
+  TaskScheduler sched(2);
+  std::atomic<uint64_t> sum{0};
+  uint64_t news = 0;
+  {
+    TaskGroup group(&sched);
+    g_news.store(0);
+    g_counting.store(true);
+    for (uint64_t i = 0; i < kTasks; ++i) {
+      group.Submit(
+          [&sum, i] { sum.fetch_add(i, std::memory_order_relaxed); });
+    }
+    group.Wait();
+    g_counting.store(false);
+    news = g_news.load();
+  }
+  RecordProperty("allocations", static_cast<int>(news));
+  EXPECT_EQ(sum.load(), kTasks * (kTasks - 1) / 2);
+  EXPECT_LT(news, kTasks / 4) << news << " allocations";
 }
 
 }  // namespace

@@ -354,11 +354,13 @@ class IntDoubleKeys
     : public ::testing::TestWithParam<
           std::tuple<PlanKind, size_t, EstimationMode>> {};
 
-/// An INT64 key equals the integral DOUBLE key of the same value (Compare
-/// reads both as doubles), so every join kind must match them. The hash
-/// join and the index nested-loops join find candidates by key code, so
-/// the two must share one. The double side also holds fractions and
-/// values outside int64_t's range, which match nothing.
+/// An INT64 key equals the integral DOUBLE key of the same value, so every
+/// join kind must match them. The hash join and the index nested-loops
+/// join find candidates by key code, so the two must share one. The double
+/// side also holds fractions and values outside int64_t's range, which
+/// match nothing, and 2^53, which int 2^53 matches and int 2^53 + 1 does
+/// not, although it rounds to 2^53 as a double: Compare is exact, so the
+/// merge and rescan joins must drop that pair as the code lookups do.
 TEST_P(IntDoubleKeys, EveryJoinKindMatchesEqualNumbers) {
   auto [kind, workers, mode] = GetParam();
   auto make = [](const std::string& name, ValueType type,
@@ -375,14 +377,15 @@ TEST_P(IntDoubleKeys, EveryJoinKindMatchesEqualNumbers) {
   TablePtr a = make("a", ValueType::kInt64,
                     {Value(int64_t{1}), Value(int64_t{2}), Value(int64_t{3}),
                      Value(int64_t{-7}), Value(int64_t{0}),
-                     Value(int64_t{1} << 40), Value(int64_t{3})});
+                     Value(int64_t{1} << 40), Value(int64_t{3}),
+                     Value((int64_t{1} << 53) + 1), Value(int64_t{1} << 53)});
   TablePtr b = make("b", ValueType::kDouble,
                     {Value(1.0), Value(2.5), Value(3.0), Value(-7.0),
                      Value(-0.0), Value(0x1p40), Value(1e19), Value(-1e19),
-                     Value(0.5)});
+                     Value(0.5), Value(0x1p53)});
   const std::vector<IdPair> oracle =
       NestedLoopsOracle(*a, *b, JoinFlavor::kInner);
-  ASSERT_EQ(oracle.size(), 6u);
+  ASSERT_EQ(oracle.size(), 7u);
 
   Fixture fx;
   fx.ctx.exec_workers = workers;

@@ -21,15 +21,19 @@
 // execution, including while a join unit is stalled and inside a hot
 // bucket. Morsel geometries across batch sizes, with sample boundaries
 // inside a unit, pin the fused scan's batch-by-batch (size, random_run)
-// sequence against the sequential engine. At one worker the join runs the
-// same units inline: it must cut them and submit no task. With a fleet the
-// join hands each unit's batches to the consumer whole: the hand-off test
-// pins what may and may not change about join output batches.
+// sequence at 1, 2 and 4 workers against a stream the test builds from the
+// scan order itself, and a filter that passes one row of a large table
+// pins that banked scan ticks reach the observers unit by unit. At one
+// worker the join runs the same units inline: it must cut them and submit
+// no task. With a fleet the join hands each unit's batches to the
+// consumer whole: the hand-off test pins what may and may not change about
+// join output batches.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
+#include <functional>
 #include <iterator>
 #include <string>
 #include <thread>
@@ -286,7 +290,41 @@ struct DrainedRun {
   std::vector<std::pair<size_t, uint64_t>> batches;
   std::vector<std::string> rows;  // emitted order
   uint64_t prefix_rows = 0;       // the scan's random prefix
+  ScanOrder order;                // the scan's resolved block order
 };
+
+/// What a scan → filter → project chain over `table` must emit, built
+/// without the engine: walk `order` over the table's blocks, keep the rows
+/// `keep` passes, project them onto `columns` (all columns when empty),
+/// mark output row j (from input row v) in-run iff v + 1 < prefix, and cut
+/// the stream into batch_size batches.
+DrainedRun ExpectedChainRun(const Table& table, const ScanOrder& order,
+                            size_t batch_size,
+                            const std::function<bool(const Row&)>& keep,
+                            const std::vector<size_t>& columns) {
+  DrainedRun out;
+  out.order = order;
+  const bool sampled = order.sample_block_count != 0;
+  out.prefix_rows = sampled ? order.sample_row_count : table.num_rows();
+  const uint64_t prefix = sampled ? order.sample_row_count : UINT64_MAX;
+  uint64_t v = 0;
+  for (uint32_t block_id : order.block_order) {
+    const Block& block = table.block(block_id);
+    for (size_t i = 0; i < block.num_rows(); ++i, ++v) {
+      const Row& row = block.row(i);
+      if (!keep(row)) continue;
+      Row emitted = columns.empty() ? row : Row();
+      for (size_t c : columns) emitted.push_back(row[c]);
+      if (out.batches.empty() || out.batches.back().first == batch_size) {
+        out.batches.emplace_back(0, 0);
+      }
+      out.batches.back().first++;
+      if (v + 1 < prefix) out.batches.back().second++;
+      out.rows.push_back(RowToString(emitted));
+    }
+  }
+  return out;
+}
 
 DrainedRun DrainSampled(const Catalog& catalog, PlanNodePtr plan,
                         size_t workers, size_t batch_size) {
@@ -313,7 +351,10 @@ DrainedRun DrainSampled(const Catalog& catalog, PlanNodePtr plan,
   ctx.EndExecution();
   root->Visit([&](Operator* op) {
     if (auto* scan = dynamic_cast<SeqScanOp*>(op)) {
-      out.prefix_rows = scan->random_prefix_rows();
+      out.order = scan->scan_order();
+      out.prefix_rows = out.order.sample_block_count != 0
+                            ? out.order.sample_row_count
+                            : scan->scan_table().num_rows();
     }
   });
   return out;
@@ -323,7 +364,8 @@ DrainedRun DrainSampled(const Catalog& catalog, PlanNodePtr plan,
 /// units (OrderedMerge::UnitTarget rows each), units of 256 rows do not
 /// divide batch sizes 7 and 33, and with 400- and 4000-row units the
 /// sample boundary falls inside a unit. No row, batch boundary or
-/// random-run boundary may move.
+/// random-run boundary may move from the chain's expected stream
+/// (ExpectedChainRun) at 1, 2 or 4 workers.
 TEST(ParallelMorselGeometry, BatchSizesMatchSequential) {
   for (size_t batch_size :
        {size_t{1}, size_t{7}, size_t{33}, size_t{100}, size_t{1000}}) {
@@ -338,66 +380,143 @@ TEST(ParallelMorselGeometry, BatchSizesMatchSequential) {
                      MakeCompare("v", CompareOp::kLe, Value(int64_t{25}))),
           {"s", "id"});
     };
-    DrainedRun reference = DrainSampled(catalog, make(), 1, batch_size);
-    ASSERT_GT(reference.prefix_rows, 0u);
-    if (unit % kRowsPerBlock != 0) {
-      EXPECT_NE(reference.prefix_rows % unit, 0u)
-          << "sample boundary on a unit edge";
-    }
-    DrainedRun parallel = DrainSampled(catalog, make(), 4, batch_size);
-    EXPECT_EQ(parallel.prefix_rows, reference.prefix_rows);
-    EXPECT_TRUE(parallel.batches == reference.batches)
-        << "batch sizes or random runs differ";
-    // The ordered merge reproduces the exact sequential row ORDER, not
-    // just the multiset.
-    ASSERT_EQ(parallel.rows.size(), reference.rows.size());
-    for (size_t i = 0; i < parallel.rows.size(); ++i) {
-      EXPECT_EQ(parallel.rows[i], reference.rows[i]) << "row " << i;
+    const Table& table = *catalog.Find(name);
+    DrainedRun expected;
+    for (size_t workers : {size_t{1}, size_t{2}, size_t{4}}) {
+      SCOPED_TRACE("workers " + std::to_string(workers));
+      DrainedRun run = DrainSampled(catalog, make(), workers, batch_size);
+      if (workers == 1) {
+        expected = ExpectedChainRun(
+            table, run.order, batch_size,
+            [](const Row& row) { return row[1].AsInt64() <= 25; }, {2, 0});
+        ASSERT_GT(expected.prefix_rows, 0u);
+        if (unit % kRowsPerBlock != 0) {
+          EXPECT_NE(expected.prefix_rows % unit, 0u)
+              << "sample boundary on a unit edge";
+        }
+      }
+      EXPECT_EQ(run.order.block_order, expected.order.block_order);
+      EXPECT_EQ(run.prefix_rows, expected.prefix_rows);
+      EXPECT_TRUE(run.batches == expected.batches)
+          << "batch sizes or random runs differ";
+      // The exact row ORDER, not just the multiset.
+      ASSERT_EQ(run.rows.size(), expected.rows.size());
+      for (size_t i = 0; i < run.rows.size(); ++i) {
+        EXPECT_EQ(run.rows[i], expected.rows[i]) << "row " << i;
+      }
     }
   }
 }
 
 /// The per-batch random run of a sampled scan chain — a plain scan, a
 /// filter that rejects the rows at the sample boundary, and
-/// filter→project — is the sequential one at every worker count: the
-/// same (size, random_run) for every emitted batch, and the same rows in
-/// the same order.
+/// filter→project — is the expected one (ExpectedChainRun) at every
+/// worker count: the same (size, random_run) for every emitted batch, and
+/// the same rows in the same order.
 TEST(ParallelMorselGeometry, PerBatchRandomRunMatchesSequential) {
   Catalog catalog;
   BuildBlockEdgeTable(&catalog, "e", 20000);
-  const Shape shapes[] = {
-      {"scan", [] { return ScanPlan("e"); }},
+  const Table& table = *catalog.Find("e");
+  struct ChainShape {
+    const char* name;
+    PlanNodePtr (*make)();
+    bool filtered;                // keeps rows with v >= 1
+    std::vector<size_t> columns;  // projection (empty: every column)
+  };
+  const ChainShape shapes[] = {
+      {"scan", [] { return ScanPlan("e"); }, false, {}},
       {"filter",
        [] {
          return FilterPlan(ScanPlan("e"), MakeCompare("v", CompareOp::kGe,
                                                       Value(int64_t{1})));
-       }},
+       },
+       true,
+       {}},
       {"filter_project",
        [] {
          return ProjectPlan(
              FilterPlan(ScanPlan("e"), MakeCompare("v", CompareOp::kGe,
                                                    Value(int64_t{1}))),
              {"id", "v"});
-       }},
+       },
+       true,
+       {0, 1}},
   };
-  for (const Shape& shape : shapes) {
+  for (const ChainShape& shape : shapes) {
+    const bool filtered = shape.filtered;
     for (size_t batch_size : {size_t{1}, size_t{7}, size_t{1024}}) {
-      DrainedRun reference = DrainSampled(catalog, shape.make(), 1,
-                                          batch_size);
-      // The run ends inside the stream, not at its start or end.
-      ASSERT_GT(reference.prefix_rows, 0u);
-      ASSERT_LT(reference.prefix_rows, 20000u);
-      for (size_t workers : {size_t{2}, size_t{4}}) {
+      DrainedRun expected;
+      for (size_t workers : {size_t{1}, size_t{2}, size_t{4}}) {
         SCOPED_TRACE(std::string(shape.name) + " batch " +
                      std::to_string(batch_size) + " workers " +
                      std::to_string(workers));
-        DrainedRun parallel =
+        DrainedRun run =
             DrainSampled(catalog, shape.make(), workers, batch_size);
-        EXPECT_TRUE(parallel.batches == reference.batches)
+        if (workers == 1) {
+          expected = ExpectedChainRun(
+              table, run.order, batch_size,
+              [filtered](const Row& row) {
+                return !filtered || row[1].AsInt64() >= 1;
+              },
+              shape.columns);
+          // The run ends inside the stream, not at its start or end.
+          ASSERT_GT(expected.prefix_rows, 0u);
+          ASSERT_LT(expected.prefix_rows, 20000u);
+        }
+        EXPECT_EQ(run.order.block_order, expected.order.block_order);
+        EXPECT_EQ(run.prefix_rows, expected.prefix_rows);
+        EXPECT_TRUE(run.batches == expected.batches)
             << "batch sizes or random runs differ";
-        EXPECT_TRUE(parallel.rows == reference.rows)
+        EXPECT_TRUE(run.rows == expected.rows)
             << "emitted row sequence differs";
       }
+    }
+  }
+}
+
+/// Observers hear a scan's getnext calls as the scan advances, however
+/// selective the filter above it. The filter passes only the table's last
+/// row, so the driving operator emits one batch in the whole run: every
+/// tick the scan banks must still reach the observers within about one
+/// window of units, and the observers' total must be the run's getnext
+/// total.
+TEST(ParallelTickDelivery, SelectiveFilterDeliversBankedTicksPerUnit) {
+  const uint64_t rows = 100 * OrderedMerge::UnitTarget(1024) + 17;
+  Catalog catalog;
+  TableBuilder b("t");
+  b.AddColumn("id", std::make_unique<SequentialSpec>(0));
+  ASSERT_TRUE(catalog.Register(b.Build(rows, 3)).ok());
+  ASSERT_TRUE(catalog.Analyze("t").ok());
+  for (size_t workers : {size_t{1}, size_t{2}, size_t{4}}) {
+    for (size_t batch_size : {size_t{7}, size_t{1024}}) {
+      SCOPED_TRACE("workers " + std::to_string(workers) + " batch " +
+                   std::to_string(batch_size));
+      ExecContext ctx;
+      ctx.catalog = &catalog;
+      ctx.exec_workers = workers;
+      ctx.batch_size = batch_size;
+      PlanNodePtr plan = FilterPlan(
+          ScanPlan("t"), MakeCompare("id", CompareOp::kGe,
+                                     Value(static_cast<int64_t>(rows - 1))));
+      OperatorPtr root;
+      ASSERT_TRUE(CompilePlan(plan.get(), &ctx, &root).ok());
+      uint64_t delivered = 0;
+      uint64_t largest = 0;
+      FunctionTickObserver observer([&](uint64_t n) {
+        delivered += n;
+        largest = std::max(largest, n);
+      });
+      ctx.AddTickObserver(&observer);
+      std::vector<Row> out;
+      ASSERT_TRUE(QueryExecutor::Run(root.get(), &ctx, &out).ok());
+      ctx.RemoveTickObserver(&observer);
+      ASSERT_EQ(out.size(), 1u);
+      uint64_t getnext = 0;
+      root->Visit([&](Operator* op) { getnext += op->tuples_emitted(); });
+      EXPECT_EQ(getnext, rows + 1);
+      EXPECT_EQ(delivered, getnext);
+      EXPECT_LE(largest,
+                (2 * workers + 3) * OrderedMerge::UnitTarget(batch_size) * 2);
     }
   }
 }

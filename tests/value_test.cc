@@ -192,6 +192,58 @@ TEST(Value, HashAndHistogramCodesAreStable) {
   }
 }
 
+// An INT64 and a DOUBLE compare by exact value: rounding the INT64 to a
+// double would make int 2^53+1 equal double 2^53, which equals int 2^53,
+// while the two ints differ, and std::sort over such keys is undefined.
+TEST(Value, CompareIntAndDoubleExactly) {
+  constexpr int64_t k53 = int64_t{1} << 53;
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  EXPECT_GT(Value(k53 + 1), Value(0x1p53));
+  EXPECT_EQ(Value(k53), Value(0x1p53));
+  EXPECT_LT(Value(k53 - 1), Value(0x1p53));
+  EXPECT_LT(Value(-k53 - 1), Value(-0x1p53));
+  EXPECT_EQ(Value(-k53), Value(-0x1p53));
+  EXPECT_GT(Value(-k53 + 1), Value(-0x1p53));
+  EXPECT_LT(Value(k53), Value(0x1p53 + 2.0));
+  EXPECT_LT(Value(kMax), Value(0x1p63));
+  EXPECT_GT(Value(0x1p63), Value(kMax));
+  EXPECT_EQ(Value(kMin), Value(-0x1p63));
+  EXPECT_GT(Value(kMin + 1), Value(-0x1p63));
+  EXPECT_GT(Value(kMin), Value(-0x1p64));
+  EXPECT_LT(Value(kMax), Value(std::numeric_limits<double>::infinity()));
+  EXPECT_GT(Value(kMin), Value(-std::numeric_limits<double>::infinity()));
+  EXPECT_LT(Value(int64_t{-3}), Value(-2.5));
+  EXPECT_GT(Value(int64_t{-2}), Value(-2.5));
+  EXPECT_LT(Value(int64_t{2}), Value(2.5));
+  EXPECT_GT(Value(int64_t{3}), Value(2.5));
+  // NaN keeps comparing equal to every number.
+  const Value nan(std::numeric_limits<double>::quiet_NaN());
+  EXPECT_EQ(Value(int64_t{1}).Compare(nan), 0);
+  EXPECT_EQ(nan.Compare(Value(int64_t{1})), 0);
+  EXPECT_EQ(nan.Compare(Value(1.0)), 0);
+
+  // Antisymmetric and transitive over mixed keys around ±2^53 and ±2^63.
+  const std::vector<Value> keys = {
+      Value(k53 - 1),   Value(k53),        Value(k53 + 1),  Value(0x1p53),
+      Value(0x1p53 + 2.0), Value(-k53 - 1), Value(-k53),    Value(-0x1p53),
+      Value(kMax),      Value(kMin),       Value(kMin + 1), Value(0x1p63),
+      Value(-0x1p63),   Value(-0x1p64),    Value(0.5),      Value(int64_t{0})};
+  auto sign = [](int c) { return (c > 0) - (c < 0); };
+  for (const Value& a : keys) {
+    for (const Value& b : keys) {
+      EXPECT_EQ(sign(a.Compare(b)), -sign(b.Compare(a)))
+          << a.ToString() << " vs " << b.ToString();
+      for (const Value& c : keys) {
+        if (a.Compare(b) <= 0 && b.Compare(c) <= 0) {
+          EXPECT_LE(a.Compare(c), 0) << a.ToString() << " <= "
+                                     << b.ToString() << " <= " << c.ToString();
+        }
+      }
+    }
+  }
+}
+
 // An integral double equals the int64 of the same value, so the two share
 // a hash and a key code; NaN, infinities and doubles outside int64_t's range
 // have no equal int64 and key by their hash (the cast would be undefined;
