@@ -32,20 +32,14 @@ const char* TaskLaneName(TaskLane lane) {
   return "?";
 }
 
-TaskScheduler::TaskScheduler(size_t num_workers)
-    : TaskScheduler(Options{num_workers, 256, 1024, 4096}) {}
-
-TaskScheduler::TaskScheduler(const Options& options) : options_(options) {
-  if (options_.num_workers == 0) options_.num_workers = 1;
-  if (options_.worker_queue_capacity == 0) options_.worker_queue_capacity = 1;
-  if (options_.inject_capacity == 0) options_.inject_capacity = 1;
-  if (options_.query_lane_capacity == 0) options_.query_lane_capacity = 1;
-  queues_.reserve(options_.num_workers);
-  for (size_t i = 0; i < options_.num_workers; ++i) {
+TaskScheduler::TaskScheduler(size_t num_workers) {
+  if (num_workers == 0) num_workers = 1;
+  queues_.reserve(num_workers);
+  for (size_t i = 0; i < num_workers; ++i) {
     queues_.push_back(std::make_unique<WorkerQueue>());
   }
-  workers_.reserve(options_.num_workers);
-  for (size_t i = 0; i < options_.num_workers; ++i) {
+  workers_.reserve(num_workers);
+  for (size_t i = 0; i < num_workers; ++i) {
     workers_.emplace_back([this, i] { WorkerLoop(i); });
   }
 }
@@ -72,20 +66,17 @@ void TaskScheduler::Notify(bool all) {
   }
 }
 
-void TaskScheduler::Submit(TaskLane lane, uint64_t tag,
-                           std::function<void()> task) {
-  Enqueue(lane, tag, Task{std::move(task), nullptr});
+void TaskScheduler::Submit(TaskLane lane, std::function<void()> task) {
+  Enqueue(lane, Task{std::move(task), nullptr});
 }
 
-void TaskScheduler::Enqueue(TaskLane lane, uint64_t tag, Task task) {
+void TaskScheduler::Enqueue(TaskLane lane, Task task) {
   if (lane == TaskLane::kQuery) {
     {
       std::unique_lock<std::mutex> lock(query_mu_);
-      query_space_cv_.wait(lock, [this] {
-        return query_pending_ < options_.query_lane_capacity;
-      });
-      query_tags_[tag].pending.emplace_back(query_seq_++, std::move(task));
-      ++query_pending_;
+      query_space_cv_.wait(
+          lock, [this] { return query_.size() < kQueryLaneCapacity; });
+      query_.push_back(std::move(task));
     }
     depth_.fetch_add(1, std::memory_order_relaxed);
     Notify(false);
@@ -97,7 +88,7 @@ void TaskScheduler::Enqueue(TaskLane lane, uint64_t tag, Task task) {
     bool run_inline = false;
     {
       std::lock_guard<std::mutex> lock(q.mu);
-      if (q.tasks.size() >= options_.worker_queue_capacity) {
+      if (q.tasks.size() >= kWorkerQueueCapacity) {
         // Full local deque: run the new task inline. LIFO would pop it
         // next anyway, and inline execution is the backpressure — the
         // submitter pays instead of growing an unbounded queue.
@@ -117,9 +108,8 @@ void TaskScheduler::Enqueue(TaskLane lane, uint64_t tag, Task task) {
 
   {
     std::unique_lock<std::mutex> lock(inject_mu_);
-    inject_space_cv_.wait(lock, [this] {
-      return inject_.size() < options_.inject_capacity;
-    });
+    inject_space_cv_.wait(
+        lock, [this] { return inject_.size() < kInjectCapacity; });
     inject_.push_back(std::move(task));
   }
   depth_.fetch_add(1, std::memory_order_relaxed);
@@ -165,26 +155,9 @@ bool TaskScheduler::PopSubtask(size_t self, Task* task, bool* stolen) {
 
 bool TaskScheduler::PopQueryTask(Task* task) {
   std::lock_guard<std::mutex> lock(query_mu_);
-  if (query_pending_ == 0) return false;
-  // Fair-share pick: fewest dispatches first, arrival order on ties. A
-  // single active tag degenerates to exact FIFO.
-  auto best = query_tags_.end();
-  for (auto it = query_tags_.begin(); it != query_tags_.end(); ++it) {
-    if (it->second.pending.empty()) continue;
-    if (best == query_tags_.end() ||
-        it->second.dispatched < best->second.dispatched ||
-        (it->second.dispatched == best->second.dispatched &&
-         it->second.pending.front().first <
-             best->second.pending.front().first)) {
-      best = it;
-    }
-  }
-  if (best == query_tags_.end()) return false;
-  *task = std::move(best->second.pending.front().second);
-  best->second.pending.pop_front();
-  ++best->second.dispatched;
-  --query_pending_;
-  if (best->second.pending.empty()) query_tags_.erase(best);
+  if (query_.empty()) return false;
+  *task = std::move(query_.front());
+  query_.pop_front();
   query_space_cv_.notify_one();
   return true;
 }
@@ -258,13 +231,12 @@ void TaskScheduler::WorkerLoop(size_t self) {
   t_worker.sched = nullptr;
 }
 
-void TaskGroup::Submit(TaskLane lane, uint64_t tag,
-                       std::function<void()> task) {
+void TaskGroup::Submit(TaskLane lane, std::function<void()> task) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     ++outstanding_;
   }
-  sched_->Enqueue(lane, tag, TaskScheduler::Task{std::move(task), this});
+  sched_->Enqueue(lane, TaskScheduler::Task{std::move(task), this});
 }
 
 void TaskGroup::FinishOne() {

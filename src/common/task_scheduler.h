@@ -8,11 +8,9 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <utility>
 #include <vector>
 
 namespace qpi {
@@ -44,10 +42,10 @@ const char* TaskLaneName(TaskLane lane);
 ///    (a query's driving thread that is not itself a fleet worker) submit
 ///    through a bounded central injection queue. Subtasks always run
 ///    before query-lane tasks: they finish work already admitted.
-///  - **Query lane**: per-tag FIFOs with a fair-share pick — among tags
-///    with pending tasks, the one with the fewest dispatches wins, ties
-///    broken by arrival order, so a tenant hammering SUBMIT cannot starve
-///    another; a single tag degenerates to exact FIFO.
+///  - **Query lane**: one FIFO. Every query runs as a single query-lane
+///    task, so there is nothing to balance at this level; fairness across
+///    clients is the server's admission policy, decided before a query
+///    reaches the fleet.
 ///
 /// Every submission path is **bounded with backpressure** (the unbounded
 /// ThreadPool::Submit hazard is gone): a fleet worker whose own deque is
@@ -69,15 +67,12 @@ const char* TaskLaneName(TaskLane lane);
 /// relies on queued work terminalizing, never vanishing.
 class TaskScheduler {
  public:
-  struct Options {
-    size_t num_workers = 1;           ///< fleet size (clamped to >= 1)
-    size_t worker_queue_capacity = 256;  ///< per-worker deque bound
-    size_t inject_capacity = 1024;       ///< central subtask queue bound
-    size_t query_lane_capacity = 4096;   ///< pending query tasks bound
-  };
+  static constexpr size_t kWorkerQueueCapacity = 256;  ///< per-worker deque
+  static constexpr size_t kInjectCapacity = 1024;  ///< central subtask queue
+  static constexpr size_t kQueryLaneCapacity = 4096;  ///< pending query tasks
 
+  /// `num_workers` is the fleet size (clamped to >= 1).
   explicit TaskScheduler(size_t num_workers);
-  explicit TaskScheduler(const Options& options);
 
   /// Drains every queued task (both lanes), then joins the fleet.
   ~TaskScheduler();
@@ -85,13 +80,10 @@ class TaskScheduler {
   TaskScheduler(const TaskScheduler&) = delete;
   TaskScheduler& operator=(const TaskScheduler&) = delete;
 
-  /// Enqueue a task. `tag` identifies the submitting query/tenant: the
-  /// query lane's fair-share pick balances across tags, and subtask tags
-  /// keep accounting attributable. May block (bounded queues, see class
-  /// comment); a fleet worker submitting to its own full deque runs the
-  /// task inline instead. Tasks must not throw; subtask bodies must not
-  /// block.
-  void Submit(TaskLane lane, uint64_t tag, std::function<void()> task);
+  /// Enqueue a task. May block (bounded queues, see class comment); a
+  /// fleet worker submitting to its own full deque runs the task inline
+  /// instead. Tasks must not throw; subtask bodies must not block.
+  void Submit(TaskLane lane, std::function<void()> task);
 
   /// Run one pending subtask if any is queued (own deque first on a fleet
   /// worker, then the injection queue, then stealing). Safe from any
@@ -158,15 +150,10 @@ class TaskScheduler {
     std::deque<Task> tasks;  ///< back = newest (LIFO pop)
   };
 
-  struct TagQueue {
-    std::deque<std::pair<uint64_t, Task>> pending;
-    uint64_t dispatched = 0;  ///< fair-share balance count
-  };
-
-  void Enqueue(TaskLane lane, uint64_t tag, Task task);
+  void Enqueue(TaskLane lane, Task task);
 
   void WorkerLoop(size_t self);
-  /// One dispatch: subtask lane first, then the query lane's fair pick.
+  /// One dispatch: subtask lane first, then the query lane's oldest task.
   bool RunOneTask(size_t self);
   /// Pop a subtask: own deque back (when `self` < fleet size), injection
   /// front, then steal other fronts. Sets `*stolen` on a cross-deque pop.
@@ -175,7 +162,6 @@ class TaskScheduler {
   void RunTask(TaskLane lane, Task* task, bool stolen);
   void Notify(bool all);
 
-  Options options_;
   std::vector<std::unique_ptr<WorkerQueue>> queues_;
 
   std::mutex inject_mu_;
@@ -184,9 +170,7 @@ class TaskScheduler {
 
   std::mutex query_mu_;
   std::condition_variable query_space_cv_;
-  std::map<uint64_t, TagQueue> query_tags_;
-  size_t query_pending_ = 0;
-  uint64_t query_seq_ = 0;
+  std::deque<Task> query_;
 
   // Sleep/wake: workers that found nothing re-check under sleep_mu_ that
   // no enqueue bumped the epoch since their scan began, so a task can
@@ -215,23 +199,20 @@ class TaskScheduler {
 /// rather than wedging the fleet.
 class TaskGroup {
  public:
-  /// Tasks submitted through the one-argument Submit go to `lane` under
-  /// `tag` (the owning query's id).
-  explicit TaskGroup(TaskScheduler* sched, uint64_t tag = 0,
-                     TaskLane lane = TaskLane::kSubtask)
-      : sched_(sched), tag_(tag), lane_(lane) {}
+  explicit TaskGroup(TaskScheduler* sched) : sched_(sched) {}
   ~TaskGroup() { Wait(); }
 
   TaskGroup(const TaskGroup&) = delete;
   TaskGroup& operator=(const TaskGroup&) = delete;
 
+  /// Enqueue a subtask.
   void Submit(std::function<void()> task) {
-    Submit(lane_, tag_, std::move(task));
+    Submit(TaskLane::kSubtask, std::move(task));
   }
 
-  /// Enqueue under an explicit lane/tag (a multi-query driver groups
-  /// query-lane tasks with per-entry tags).
-  void Submit(TaskLane lane, uint64_t tag, std::function<void()> task);
+  /// Enqueue on an explicit lane (a multi-query driver groups its
+  /// query-lane tasks).
+  void Submit(TaskLane lane, std::function<void()> task);
 
   /// Block until every task submitted to this group finished, helping the
   /// subtask lane while any remain.
@@ -244,8 +225,6 @@ class TaskGroup {
   void FinishOne();
 
   TaskScheduler* sched_;
-  uint64_t tag_;
-  TaskLane lane_;
   std::mutex mu_;
   std::condition_variable done_cv_;
   size_t outstanding_ = 0;

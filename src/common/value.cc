@@ -61,8 +61,12 @@ int Value::Compare(const Value& other) const {
     // NULL sorts first; two NULLs are equal for grouping purposes.
     return static_cast<int>(!is_null()) - static_cast<int>(!other.is_null());
   }
-  if (type() == ValueType::kString || other.type() == ValueType::kString) {
-    QPI_DCHECK(type() == other.type());
+  const bool is_string = type() == ValueType::kString;
+  if (is_string || other.type() == ValueType::kString) {
+    // Every number sorts before every string.
+    if (is_string != (other.type() == ValueType::kString)) {
+      return is_string ? 1 : -1;
+    }
     return AsString().compare(other.AsString());
   }
   if (type() == ValueType::kInt64 && other.type() == ValueType::kInt64) {

@@ -106,9 +106,9 @@ class Value {
     return {rep_.data, rep_.size};
   }
 
-  /// Total ordering (NULL < everything; an INT64 and a DOUBLE compare by
-  /// exact value, not after rounding the INT64 to a double). Returns <0,
-  /// 0, >0.
+  /// Total ordering: NULL first, then every number, then every string. An
+  /// INT64 and a DOUBLE compare by exact value, not after rounding the
+  /// INT64 to a double. Returns <0, 0, >0.
   int Compare(const Value& other) const;
 
   bool operator==(const Value& other) const { return Compare(other) == 0; }
@@ -175,12 +175,11 @@ inline bool DoubleAsInt64(double d, int64_t* out) {
 }
 
 /// Join-key equality, the value check behind every match a key code
-/// proposes: a string never equals a number, even one equal to its key
-/// code (Compare is only defined within those two kinds).
+/// proposes. SQL semantics: a NULL key matches nothing, not even another
+/// NULL (Compare calls two NULLs equal, which is right for grouping only).
+/// A string never equals a number, even one equal to its key code.
 inline bool JoinKeysEqual(const Value& a, const Value& b) {
-  return (a.type() == ValueType::kString) ==
-             (b.type() == ValueType::kString) &&
-         a.Compare(b) == 0;
+  return !a.is_null() && !b.is_null() && a.Compare(b) == 0;
 }
 
 }  // namespace qpi

@@ -41,15 +41,15 @@ double MleEstimate(const FrequencyStats& stats, double total_size) {
 }
 
 AdaptiveGroupEstimator::AdaptiveGroupEstimator(
-    std::function<double()> total_size_provider, AdaptiveGroupConfig config)
-    : total_provider_(std::move(total_size_provider)), config_(config) {
+    std::function<double()> total_size_provider, GroupPolicy policy)
+    : total_provider_(std::move(total_size_provider)), policy_(policy) {
   QPI_CHECK(total_provider_ != nullptr);
 }
 
 void AdaptiveGroupEstimator::Observe(uint64_t key) {
   stats_.Observe(key);
   // GEE-only runs never pay the MLE recomputation cost.
-  if (config_.policy != GroupPolicy::kGee) MaybeRecomputeMle();
+  if (policy_ != GroupPolicy::kGee) MaybeRecomputeMle();
 }
 
 void AdaptiveGroupEstimator::MaybeRecomputeMle() {
@@ -58,7 +58,7 @@ void AdaptiveGroupEstimator::MaybeRecomputeMle() {
     // First tuple: derive the interval bounds from the input size.
     double total = std::max(total_provider_(), 1.0);
     uint64_t lower = static_cast<uint64_t>(
-        std::max(1.0, config_.lower_interval_fraction * total));
+        std::max(1.0, kMleLowerIntervalFraction * total));
     interval_ = lower;
     next_recompute_ = lower;
   }
@@ -72,12 +72,12 @@ void AdaptiveGroupEstimator::MaybeRecomputeMle() {
   // Algorithm 3: double the interval while estimates are stable (and below
   // the upper bound); reset to the lower bound when they move.
   uint64_t lower = static_cast<uint64_t>(
-      std::max(1.0, config_.lower_interval_fraction * total));
+      std::max(1.0, kMleLowerIntervalFraction * total));
   uint64_t upper = static_cast<uint64_t>(
-      std::max(1.0, config_.upper_interval_fraction * total));
+      std::max(1.0, kMleUpperIntervalFraction * total));
   bool stable = cached_mle_ > 0.0 &&
-                old_estimate / cached_mle_ > 1.0 - config_.stability_k &&
-                old_estimate / cached_mle_ < 1.0 + config_.stability_k;
+                old_estimate / cached_mle_ > 1.0 - kMleStabilityK &&
+                old_estimate / cached_mle_ < 1.0 + kMleStabilityK;
   if (stable && interval_ * 2 <= upper) {
     interval_ *= 2;
   } else if (!stable) {
@@ -97,7 +97,7 @@ double AdaptiveGroupEstimator::Estimate() const {
 }
 
 std::string AdaptiveGroupEstimator::ChosenEstimator() const {
-  switch (config_.policy) {
+  switch (policy_) {
     case GroupPolicy::kGee:
       return "GEE";
     case GroupPolicy::kMle:
@@ -105,7 +105,7 @@ std::string AdaptiveGroupEstimator::ChosenEstimator() const {
     case GroupPolicy::kAdaptive:
       break;
   }
-  return Gamma2() < config_.gamma2_threshold ? "MLE" : "GEE";
+  return Gamma2() < kGamma2Threshold ? "MLE" : "GEE";
 }
 
 }  // namespace qpi

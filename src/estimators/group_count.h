@@ -45,20 +45,16 @@ enum class GroupPolicy {
   kMle,       ///< always MLE
 };
 
-/// Configuration for AdaptiveGroupEstimator (paper Algorithm 3 + the γ²
-/// chooser; defaults are the paper's published operating points).
-struct AdaptiveGroupConfig {
-  GroupPolicy policy = GroupPolicy::kAdaptive;
-  /// Recomputation interval bounds as fractions of the input size
-  /// (Section 5.2.3: l = 0.1%, u = 3.2%).
-  double lower_interval_fraction = 0.001;
-  double upper_interval_fraction = 0.032;
-  /// Double the interval when the new estimate is within ±k of the old one
-  /// (paper: 1%).
-  double stability_k = 0.01;
-  /// Use MLE when γ² < tau, GEE otherwise (Section 5.1.4: τ = 10).
-  double gamma2_threshold = 10.0;
-};
+/// The paper's published operating points for the group-count estimators.
+/// MLE recomputation interval bounds as fractions of the input size
+/// (Section 5.2.3: l = 0.1%, u = 3.2%).
+constexpr double kMleLowerIntervalFraction = 0.001;
+constexpr double kMleUpperIntervalFraction = 0.032;
+/// Algorithm 3 doubles the interval when the new MLE is within ±k of the
+/// old one (paper: 1%).
+constexpr double kMleStabilityK = 0.01;
+/// The γ² chooser uses MLE when γ² < τ, GEE otherwise (Section 5.1.4).
+constexpr double kGamma2Threshold = 10.0;
 
 /// \brief Online distinct-group estimator combining GEE and MLE.
 ///
@@ -71,7 +67,7 @@ class AdaptiveGroupEstimator {
   /// \param total_size_provider returns the (possibly still-estimated) size
   ///        |T| of the full input stream.
   AdaptiveGroupEstimator(std::function<double()> total_size_provider,
-                         AdaptiveGroupConfig config = {});
+                         GroupPolicy policy = GroupPolicy::kAdaptive);
 
   /// Observe one input tuple's grouping key.
   void Observe(uint64_t key);
@@ -99,7 +95,7 @@ class AdaptiveGroupEstimator {
   void MaybeRecomputeMle();
 
   std::function<double()> total_provider_;
-  AdaptiveGroupConfig config_;
+  GroupPolicy policy_;
   FrequencyStats stats_;
   double cached_mle_ = 0.0;
   uint64_t interval_ = 0;      // current recomputation interval I (tuples)

@@ -20,27 +20,21 @@ void OnceBinaryJoinEstimator::ObserveProbeKeys(const uint64_t* keys,
   QPI_DCHECK(build_complete_);
   double sum = contribution_sum_;
   for (size_t i = 0; i < n; ++i) {
-    double matches = static_cast<double>(build_hist_.Count(keys[i]));
-    double c = 0.0;
-    switch (flavor_) {
-      case JoinFlavor::kInner:
-        c = matches;
-        break;
-      case JoinFlavor::kSemi:
-        c = matches > 0 ? 1.0 : 0.0;
-        break;
-      case JoinFlavor::kAnti:
-        c = matches > 0 ? 0.0 : 1.0;
-        break;
-      case JoinFlavor::kProbeOuter:
-        c = matches > 0 ? matches : 1.0;
-        break;
-    }
+    double c = Contribution(static_cast<double>(build_hist_.Count(keys[i])));
     sum += c;
     contribution_moments_.Observe(c);
   }
   contribution_sum_ = sum;
   probe_seen_ += n;
+}
+
+void OnceBinaryJoinEstimator::ObserveNullProbeKey() {
+  if (frozen_) return;
+  guard_.Check();
+  double c = Contribution(0.0);
+  contribution_sum_ += c;
+  contribution_moments_.Observe(c);
+  ++probe_seen_;
 }
 
 double OnceBinaryJoinEstimator::Estimate() const {

@@ -43,7 +43,8 @@ class OnceBinaryJoinEstimator {
       std::function<double()> probe_total_provider,
       JoinFlavor flavor = JoinFlavor::kInner);
 
-  /// One build-input tuple's join key.
+  /// One build-input tuple's join key. Callers skip NULL keys: they match
+  /// nothing.
   void ObserveBuildKey(uint64_t key) { build_hist_.Increment(key); }
 
   /// Mark the build pass finished (histogram is now exact).
@@ -60,6 +61,10 @@ class OnceBinaryJoinEstimator {
   /// loads across the batch — the hot path of the batch-at-a-time probe
   /// partitioning phase.
   void ObserveProbeKeys(const uint64_t* keys, size_t n);
+
+  /// One probe tuple whose join key is NULL: it matches no build row, so
+  /// it contributes as a key with N^R_i = 0 under the flavor rule.
+  void ObserveNullProbeKey();
 
   /// Mark the probe partitioning pass finished: the estimate is now exact
   /// provided estimation was never frozen early.
@@ -92,6 +97,22 @@ class OnceBinaryJoinEstimator {
   /// nobody moves observation onto a worker thread. Checked once per
   /// observed batch, not per tuple.
   ThreadAffinityGuard guard_;
+
+  /// The flavor rule: the output a probe key with `matches` build rows
+  /// contributes.
+  double Contribution(double matches) const {
+    switch (flavor_) {
+      case JoinFlavor::kInner:
+        return matches;
+      case JoinFlavor::kSemi:
+        return matches > 0 ? 1.0 : 0.0;
+      case JoinFlavor::kAnti:
+        return matches > 0 ? 0.0 : 1.0;
+      case JoinFlavor::kProbeOuter:
+        return matches > 0 ? matches : 1.0;
+    }
+    return 0.0;
+  }
 
   std::function<double()> probe_total_provider_;
   JoinFlavor flavor_;

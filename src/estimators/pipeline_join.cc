@@ -67,6 +67,8 @@ void PipelineJoinEstimator::ResolveLocators() {
 void PipelineJoinEstimator::ObserveBuildRow(size_t k, const Row& row) {
   QPI_DCHECK(k < joins_.size());
   const JoinSpec& spec = joins_[k];
+  // A NULL build key matches nothing: neither histogram counts the row.
+  if (row[spec.build_key_index].is_null()) return;
   uint64_t key = HistogramKeyCode(row[spec.build_key_index]);
   own_hist_[k].Increment(key);
 
@@ -77,8 +79,10 @@ void PipelineJoinEstimator::ObserveBuildRow(size_t k, const Row& row) {
     for (size_t dep : pending_[k]) {
       QPI_DCHECK(build_complete_[dep]);  // builds run top-down
       const Locator& dep_loc = locators_[dep];
-      uint64_t attr_key = HistogramKeyCode(row[dep_loc.build_attr_col]);
-      w *= own_hist_[dep].Count(attr_key);
+      // A NULL attribute matches nothing at the dependent join.
+      const Value& attr = row[dep_loc.build_attr_col];
+      if (attr.is_null()) break;
+      w *= own_hist_[dep].Count(HistogramKeyCode(attr));
       if (w == 0) break;
       derived_[k].try_emplace(dep).first->second.Increment(key, w);
     }
@@ -105,8 +109,11 @@ void PipelineJoinEstimator::ObserveDriverRow(const Row& row) {
     const Locator& loc = locators_[k];
     if (loc.kind == Locator::kNone) break;
     if (loc.kind == Locator::kDriverDirect) {
-      uint64_t v = HistogramKeyCode(row[loc.driver_col]);
-      double f = static_cast<double>(own_hist_[k].Count(v));
+      // A NULL driver key matches nothing at this join.
+      const Value& attr = row[loc.driver_col];
+      uint64_t v = HistogramKeyCode(attr);
+      double f =
+          attr.is_null() ? 0.0 : static_cast<double>(own_hist_[k].Count(v));
       product *= f;
       last_factor[k] = f;
       driver_key[k] = v;
@@ -150,15 +157,14 @@ void PipelineJoinEstimator::EnableGroupPushDown(size_t driver_column) {
   group_driver_column_ = driver_column;
 }
 
-double PipelineJoinEstimator::GroupCountEstimate(
-    double gamma2_threshold) const {
+double PipelineJoinEstimator::GroupCountEstimate() const {
   QPI_CHECK(group_pushdown_);
   if (output_stats_.num_observed() == 0) return 0.0;
   if (Exact()) {
     return static_cast<double>(output_stats_.num_distinct());
   }
   double total = EstimateForJoin(joins_.size() - 1);
-  if (output_stats_.SquaredCoefficientOfVariation() < gamma2_threshold) {
+  if (output_stats_.SquaredCoefficientOfVariation() < kGamma2Threshold) {
     return MleEstimate(output_stats_, total);
   }
   return GeeEstimate(output_stats_, total);

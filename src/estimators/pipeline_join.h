@@ -113,8 +113,9 @@ class PipelineJoinEstimator {
 
   /// Estimated number of distinct groups in the top join's output (exact
   /// once the driver pass completes un-frozen). Chooses GEE or MLE by the
-  /// γ² of the output distribution, as in Section 5.1.4.
-  double GroupCountEstimate(double gamma2_threshold = 10.0) const;
+  /// γ² of the output distribution against kGamma2Threshold, as in
+  /// Section 5.1.4.
+  double GroupCountEstimate() const;
 
   /// The join-output frequency distribution accumulated so far.
   const FrequencyStats& output_stats() const { return output_stats_; }

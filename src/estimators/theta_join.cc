@@ -15,6 +15,7 @@ OnceInequalityJoinEstimator::OnceInequalityJoinEstimator(
 
 void OnceInequalityJoinEstimator::ObserveInnerKey(const Value& key) {
   QPI_DCHECK(!inner_complete_);
+  if (key.is_null()) return;
   sorted_inner_.push_back(key);
 }
 
@@ -25,6 +26,8 @@ void OnceInequalityJoinEstimator::InnerComplete() {
 
 uint64_t OnceInequalityJoinEstimator::MatchCount(const Value& key) const {
   QPI_DCHECK(inner_complete_);
+  // SQL semantics: a comparison with NULL holds for no inner key.
+  if (key.is_null()) return 0;
   auto lower = std::lower_bound(sorted_inner_.begin(), sorted_inner_.end(),
                                 key);
   auto upper = std::upper_bound(lower, sorted_inner_.end(), key);

@@ -30,7 +30,8 @@ class OnceInequalityJoinEstimator {
   OnceInequalityJoinEstimator(CompareOp op,
                               std::function<double()> outer_total_provider);
 
-  /// One inner-input tuple's join key (preprocessing pass).
+  /// One inner-input tuple's join key (preprocessing pass). A NULL key
+  /// matches nothing and is not kept.
   void ObserveInnerKey(const Value& key);
   /// Mark the inner pass finished; sorts the collected keys.
   void InnerComplete();

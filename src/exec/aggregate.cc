@@ -26,12 +26,10 @@ AggregateBaseOp::AggregateBaseOp(OperatorPtr child,
   SetSchema(std::move(output_schema));
 }
 
-void AggregateBaseOp::EnableOnceEstimation(GroupPolicy policy,
-                                           AdaptiveGroupConfig config) {
-  config.policy = policy;
+void AggregateBaseOp::EnableOnceEstimation(GroupPolicy policy) {
   Operator* input = child(0);
   estimator_ = std::make_unique<AdaptiveGroupEstimator>(
-      [input] { return input->CurrentCardinalityEstimate(); }, config);
+      [input] { return input->CurrentCardinalityEstimate(); }, policy);
 }
 
 void AggregateBaseOp::EnableJoinPushDownEstimation(

@@ -47,8 +47,7 @@ class AggregateBaseOp : public Operator {
                   std::string label);
 
   /// Attach the paper's group-count estimation with the given policy.
-  void EnableOnceEstimation(GroupPolicy policy = GroupPolicy::kAdaptive,
-                            AdaptiveGroupConfig config = {});
+  void EnableOnceEstimation(GroupPolicy policy = GroupPolicy::kAdaptive);
 
   /// Attach push-down estimation through the join pipeline feeding this
   /// aggregate (Section 4.2, last paragraph): the pipeline accumulates the

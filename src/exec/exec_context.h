@@ -124,11 +124,12 @@ struct OlaOptions {
 struct ExecContext {
   Catalog* catalog = nullptr;
   EstimationMode mode = EstimationMode::kOnce;
-  double confidence = kDefaultConfidence;
 
-  /// Query-level CI combination rule used wherever this context's
-  /// snapshots are published (qpi-serve, trace sampling).
-  CiCombine ci_combine = CiCombine::kRootSumSquare;
+  /// Confidence level and query-level CI combination rule of every
+  /// published snapshot (qpi-serve, trace sampling). Constants: nothing
+  /// varies them per query.
+  static constexpr double confidence = kDefaultConfidence;
+  static constexpr CiCombine ci_combine = CiCombine::kRootSumSquare;
 
   /// Fraction of each base table emitted as a leading block-level random
   /// sample. 0 means plain scans, whose streams are treated as randomly
@@ -318,18 +319,14 @@ struct ExecContext {
   /// runs scan morsels and join units inline.
   TaskScheduler* scheduler();
 
-  /// Borrow a shared fleet for this query's subtasks; `tag` names the
-  /// query in the scheduler's accounting (fair-share, stealing
-  /// attribution). The scheduler must outlive the query's execution;
-  /// detach (nullptr) before it is destroyed. Not thread-safe: call
-  /// between executions only.
-  void AttachScheduler(TaskScheduler* scheduler, uint64_t tag) {
+  /// Borrow a shared fleet for this query's subtasks. The scheduler must
+  /// outlive the query's execution; detach (nullptr) before it is
+  /// destroyed. Not thread-safe: call between executions only. The second
+  /// parameter is unused; it stays until the benchmark harness, which
+  /// passes it, stops doing so (ROADMAP item 8).
+  void AttachScheduler(TaskScheduler* scheduler, uint64_t /*unused*/) {
     attached_sched_ = scheduler;
-    sched_tag_ = scheduler == nullptr ? 0 : tag;
   }
-
-  /// This query's tag on the attached (or owned) scheduler.
-  uint64_t sched_tag() const { return sched_tag_; }
 
   ExecContext();
   ~ExecContext();
@@ -352,7 +349,6 @@ struct ExecContext {
   std::atomic<bool> has_concurrent_ticks_{false};
   TickShard tick_shards_[kTickShards];
   TaskScheduler* attached_sched_ = nullptr;
-  uint64_t sched_tag_ = 0;
   std::unique_ptr<TaskScheduler> owned_sched_;
 };
 

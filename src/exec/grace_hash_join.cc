@@ -132,7 +132,11 @@ void GraceHashJoinOp::RunBuildPhase() {
     for (size_t i = 0; i < n; ++i) {
       keys.push_back(RowKeyCode(batch.row(i), build_key_indices_));
     }
-    estimation_.ObserveBuild(batch, [&](size_t i) { return keys[i]; });
+    estimation_.ObserveBuild(
+        batch, [&](size_t i) { return keys[i]; },
+        [&](size_t i) {
+          return RowKeyHasNull(batch.row(i), build_key_indices_);
+        });
     for (size_t i = 0; i < n; ++i) {
       size_t part = PartitionMix(keys[i]) & (num_partitions_ - 1);
       build_parts_[part].Append(batch.row(i), keys[i]);
@@ -162,7 +166,11 @@ void GraceHashJoinOp::RunProbePartitionPhase() {
       keys.push_back(RowKeyCode(batch.row(i), probe_key_indices_));
     }
     probe_partition_consumed_ += n;
-    estimation_.ObserveProbe(batch, [&](size_t) { return keys.data(); });
+    estimation_.ObserveProbe(
+        batch, [&](size_t) { return keys.data(); },
+        [&](size_t i) {
+          return RowKeyHasNull(batch.row(i), probe_key_indices_);
+        });
     for (size_t i = 0; i < n; ++i) {
       size_t part = PartitionMix(keys[i]) & (num_partitions_ - 1);
       probe_parts_[part].Append(batch.row(i), keys[i]);

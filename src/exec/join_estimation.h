@@ -34,16 +34,19 @@ class JoinEstimation {
   void EnlistInPipeline(std::shared_ptr<PipelineJoinEstimator> pipeline,
                         size_t index, bool is_lowest);
 
-  /// One batch of the build pass; `key(i)` is row i's join-key code.
-  template <typename KeyFn>
-  void ObserveBuild(const RowBatch& batch, KeyFn key);
+  /// One batch of the build pass; `key(i)` is row i's join-key code and
+  /// `null_key(i)` whether that key has a NULL component. A NULL key
+  /// matches nothing, so no statistic counts it.
+  template <typename KeyFn, typename NullFn>
+  void ObserveBuild(const RowBatch& batch, KeyFn key, NullFn null_key);
   void BuildComplete();
 
   /// One batch of the probe pass. `codes(run)` returns the join-key codes
-  /// of the batch's first `run` rows; it is called only while binary ONCE
-  /// still refines.
-  template <typename CodesFn>
-  void ObserveProbe(const RowBatch& batch, CodesFn codes);
+  /// of the batch's first `run` rows and `null_key(i)` whether row i's key
+  /// has a NULL component; both are called only while binary ONCE still
+  /// refines. A NULL probe key counts as a key with no build match.
+  template <typename CodesFn, typename NullFn>
+  void ObserveProbe(const RowBatch& batch, CodesFn codes, NullFn null_key);
   void ProbeComplete();
 
   /// `join`'s estimate of its output cardinality under `mode`; `driver`
@@ -75,11 +78,14 @@ class JoinEstimation {
   bool pipeline_lowest_ = false;
 };
 
-template <typename KeyFn>
-void JoinEstimation::ObserveBuild(const RowBatch& batch, KeyFn key) {
+template <typename KeyFn, typename NullFn>
+void JoinEstimation::ObserveBuild(const RowBatch& batch, KeyFn key,
+                                  NullFn null_key) {
   const size_t n = batch.size();
   if (once_ != nullptr) {
-    for (size_t i = 0; i < n; ++i) once_->ObserveBuildKey(key(i));
+    for (size_t i = 0; i < n; ++i) {
+      if (!null_key(i)) once_->ObserveBuildKey(key(i));
+    }
   }
   if (pipeline_ != nullptr) {
     for (size_t i = 0; i < n; ++i) {
@@ -88,13 +94,23 @@ void JoinEstimation::ObserveBuild(const RowBatch& batch, KeyFn key) {
   }
 }
 
-template <typename CodesFn>
-void JoinEstimation::ObserveProbe(const RowBatch& batch, CodesFn codes) {
+template <typename CodesFn, typename NullFn>
+void JoinEstimation::ObserveProbe(const RowBatch& batch, CodesFn codes,
+                                  NullFn null_key) {
   const size_t n = batch.size();
   const size_t run = static_cast<size_t>(
       std::min<uint64_t>(batch.random_run(), n));
   if (once_ != nullptr && !once_->frozen()) {
-    once_->ObserveProbeKeys(codes(run), run);
+    // Observe in row order: the keys between NULL keys in one call each.
+    const uint64_t* keys = codes(run);
+    size_t start = 0;
+    for (size_t i = 0; i < run; ++i) {
+      if (!null_key(i)) continue;
+      once_->ObserveProbeKeys(keys + start, i - start);
+      once_->ObserveNullProbeKey();
+      start = i + 1;
+    }
+    once_->ObserveProbeKeys(keys + start, run - start);
     if (run < n) once_->Freeze();
   }
   if (pipeline_lowest_ && !pipeline_->frozen()) {

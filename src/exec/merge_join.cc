@@ -31,9 +31,12 @@ void MergeJoinOp::RunIntakePhases() {
   // Left intake: the sort sees every left tuple, so the histogram can be
   // built before any output is produced.
   while (child(0)->NextBatch(&batch)) {
-    estimation_.ObserveBuild(batch, [&](size_t i) {
-      return HistogramKeyCode(batch.row(i)[left_key_index_]);
-    });
+    estimation_.ObserveBuild(
+        batch,
+        [&](size_t i) {
+          return HistogramKeyCode(batch.row(i)[left_key_index_]);
+        },
+        [&](size_t i) { return batch.row(i)[left_key_index_].is_null(); });
     for (size_t i = 0; i < batch.size(); ++i) {
       left_rows_.push_back(std::move(batch.row(i)));
     }
@@ -48,13 +51,16 @@ void MergeJoinOp::RunIntakePhases() {
   // random order, before sorting destroys that property.
   std::vector<uint64_t> keys;
   while (child(1)->NextBatch(&batch)) {
-    estimation_.ObserveProbe(batch, [&](size_t run) {
-      keys.clear();
-      for (size_t i = 0; i < run; ++i) {
-        keys.push_back(HistogramKeyCode(batch.row(i)[right_key_index_]));
-      }
-      return keys.data();
-    });
+    estimation_.ObserveProbe(
+        batch,
+        [&](size_t run) {
+          keys.clear();
+          for (size_t i = 0; i < run; ++i) {
+            keys.push_back(HistogramKeyCode(batch.row(i)[right_key_index_]));
+          }
+          return keys.data();
+        },
+        [&](size_t i) { return batch.row(i)[right_key_index_].is_null(); });
     for (size_t i = 0; i < batch.size(); ++i) {
       right_rows_.push_back(std::move(batch.row(i)));
     }
@@ -106,6 +112,17 @@ bool MergeJoinOp::AdvanceMerge(Row* out) {
     }
     const Value& lk = left_rows_[left_pos_][left_key_index_];
     const Value& rk = right_rows_[right_pos_][right_key_index_];
+    // NULL keys sort first and match nothing, not even each other: step
+    // over them instead of forming a run.
+    if (lk.is_null()) {
+      ++left_pos_;
+      continue;
+    }
+    if (rk.is_null()) {
+      ++right_pos_;
+      ++merge_right_consumed_;
+      continue;
+    }
     int cmp = lk.Compare(rk);
     if (cmp < 0) {
       ++left_pos_;

@@ -54,7 +54,9 @@ void NestedLoopsJoinOp::MaterializeInner() {
     for (size_t i = 0; i < batch.size(); ++i) {
       Row& row = batch.row(i);
       const Value& key = row[inner_key_index_];
-      if (indexed_) {
+      // A NULL inner key matches nothing: it gets no index entry and no
+      // estimator counts it.
+      if (indexed_ && !key.is_null()) {
         uint64_t code = HistogramKeyCode(key);
         if (once_ != nullptr) once_->ObserveBuildKey(code);
         index_[code].push_back(inner_rows_.size());
@@ -73,13 +75,16 @@ void NestedLoopsJoinOp::TakeOuter() {
   // processed outer tuple, so they match batch size 1 exactly.
   ++outer_consumed_;
   const Value& key = outer_.row(outer_pos_)[outer_key_index_];
+  const bool null_key = key.is_null();
   bool in_run = outer_pos_ < outer_.random_run();
   uint64_t code = indexed_ ? HistogramKeyCode(key) : 0;
   if (once_ != nullptr && !once_->frozen()) {
-    if (in_run) {
-      once_->ObserveProbeKey(code);
-    } else {
+    if (!in_run) {
       once_->Freeze();
+    } else if (null_key) {
+      once_->ObserveNullProbeKey();
+    } else {
+      once_->ObserveProbeKey(code);
     }
   }
   if (theta_ != nullptr && !theta_->frozen()) {
@@ -90,8 +95,9 @@ void NestedLoopsJoinOp::TakeOuter() {
     }
   }
   match_pos_ = 0;
-  match_end_ = inner_rows_.size();
-  if (indexed_) {
+  // A NULL outer key matches no inner row: it has no candidates.
+  match_end_ = null_key ? 0 : inner_rows_.size();
+  if (indexed_ && !null_key) {
     auto it = index_.find(code);
     bucket_ = it == index_.end() ? nullptr : it->second.data();
     match_end_ = it == index_.end() ? 0 : it->second.size();
@@ -125,7 +131,8 @@ void NestedLoopsJoinOp::NextBatchImpl(RowBatch* out) {
       const Value& inner_key = inner_row[inner_key_index_];
       if (join_op_ == CompareOp::kEq
               ? JoinKeysEqual(outer_key, inner_key)
-              : CompareOpHolds(join_op_, outer_key.Compare(inner_key))) {
+              : !inner_key.is_null() &&
+                    CompareOpHolds(join_op_, outer_key.Compare(inner_key))) {
         AssignConcat(out->NextSlot(), outer_row, inner_row);
         out->CommitSlot();
       }

@@ -24,7 +24,7 @@ OrderedMerge::OrderedMerge(size_t units, ExecContext* ctx,
   if (units == 0 && all_done_) all_done_();
   if (sched_ == nullptr) return;  // inline mode
   spare_.reserve(window_ * kReadyCap);
-  group_ = std::make_unique<TaskGroup>(sched_, ctx_->sched_tag());
+  group_ = std::make_unique<TaskGroup>(sched_);
   SubmitUpTo(window_);
 }
 

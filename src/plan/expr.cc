@@ -102,6 +102,18 @@ Status ComparisonPredicate::Bind(const Schema& schema,
                                  std::unique_ptr<BoundPredicate>* out) const {
   size_t index = 0;
   QPI_RETURN_NOT_OK(ResolveColumn(schema, column_, &index));
+  // A string never compares with a number: reject the mix here instead of
+  // ordering the two kinds at run time.
+  const bool column_is_string =
+      schema.column(index).type == ValueType::kString;
+  if (!literal_.is_null() &&
+      column_is_string != (literal_.type() == ValueType::kString)) {
+    return Status::InvalidArgument(
+        StrFormat("cannot compare %s column %s with %s literal %s",
+                  column_is_string ? "string" : "numeric", column_.c_str(),
+                  column_is_string ? "numeric" : "string",
+                  literal_.ToString().c_str()));
+  }
   *out = std::make_unique<BoundComparison>(index, op_, literal_);
   return Status::OK();
 }

@@ -50,43 +50,19 @@ double OptimizerEstimator::PredicateSelectivity(const Predicate& pred,
     } else {
       have_range = false;
     }
-    // Histogram path: equi-depth distribution instead of uniformity.
-    const EquiDepthHistogram* hist = nullptr;
-    if (options_.use_column_histograms) {
-      auto it = est.histograms.find(col);
-      if (it != est.histograms.end()) hist = it->second.get();
-    }
     switch (cmp->op()) {
       case CompareOp::kEq:
-        if (hist != nullptr && cmp->literal().type() != ValueType::kString) {
-          return std::clamp(hist->SelectivityEquals(lit), 0.0, 1.0);
-        }
         return d > 0 ? 1.0 / d : kDefaultSelectivity;
       case CompareOp::kNe:
-        if (hist != nullptr && cmp->literal().type() != ValueType::kString) {
-          return 1.0 - std::clamp(hist->SelectivityEquals(lit), 0.0, 1.0);
-        }
         return d > 0 ? 1.0 - 1.0 / d : 1.0 - kDefaultSelectivity;
       case CompareOp::kLt:
-      case CompareOp::kLe: {
-        bool inclusive = cmp->op() == CompareOp::kLe;
-        if (hist != nullptr && cmp->literal().type() != ValueType::kString) {
-          return hist->SelectivityBelow(lit, inclusive);
-        }
+      case CompareOp::kLe:
         if (!have_range) return kDefaultSelectivity;
-        double s = (lit - lo) / (hi - lo);
-        return std::clamp(s, 0.0, 1.0);
-      }
+        return std::clamp((lit - lo) / (hi - lo), 0.0, 1.0);
       case CompareOp::kGt:
-      case CompareOp::kGe: {
-        bool inclusive_below = cmp->op() == CompareOp::kGt;
-        if (hist != nullptr && cmp->literal().type() != ValueType::kString) {
-          return 1.0 - hist->SelectivityBelow(lit, inclusive_below);
-        }
+      case CompareOp::kGe:
         if (!have_range) return kDefaultSelectivity;
-        double s = (hi - lit) / (hi - lo);
-        return std::clamp(s, 0.0, 1.0);
-      }
+        return std::clamp((hi - lit) / (hi - lo), 0.0, 1.0);
     }
     return kDefaultSelectivity;
   }
@@ -124,9 +100,6 @@ Status OptimizerEstimator::EstimateNode(PlanNode* node,
             out->min[name] = cs.min.AsDouble();
             out->max[name] = cs.max.AsDouble();
           }
-          if (cs.histogram != nullptr) {
-            out->histograms[name] = cs.histogram;
-          }
         }
       }
       break;
@@ -141,7 +114,6 @@ Status OptimizerEstimator::EstimateNode(PlanNode* node,
       out->distinct = child.distinct;
       out->min = child.min;
       out->max = child.max;
-      out->histograms = child.histograms;
       for (auto& [name, d] : out->distinct) {
         (void)name;
         d = std::min(d, out->rows);
@@ -228,12 +200,9 @@ Status OptimizerEstimator::EstimateNode(PlanNode* node,
       out->distinct = left.distinct;
       out->min = left.min;
       out->max = left.max;
-      out->histograms = left.histograms;
       out->distinct.insert(right.distinct.begin(), right.distinct.end());
       out->min.insert(right.min.begin(), right.min.end());
       out->max.insert(right.max.begin(), right.max.end());
-      out->histograms.insert(right.histograms.begin(),
-                             right.histograms.end());
       for (auto& [name, d] : out->distinct) {
         (void)name;
         d = std::min(d, out->rows);

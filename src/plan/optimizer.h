@@ -18,21 +18,9 @@ namespace qpi {
 /// (PostgreSQL was off ~13x in Figure 4(a)), which is the starting point
 /// the *byte* estimator averages against and the future-pipeline estimate
 /// the gnm monitor refines.
-/// Knobs for the cardinality model.
-struct OptimizerOptions {
-  /// Consult per-column equi-depth histograms (when ANALYZE built them) for
-  /// range and equality selectivities instead of the uniform min/max
-  /// interpolation. Off by default: the paper's evaluation exercises the
-  /// naive-optimizer regime and histograms are the Section-3 "can make use
-  /// of" option.
-  bool use_column_histograms = false;
-};
-
 class OptimizerEstimator {
  public:
-  explicit OptimizerEstimator(const Catalog* catalog,
-                              OptimizerOptions options = {})
-      : catalog_(catalog), options_(options) {}
+  explicit OptimizerEstimator(const Catalog* catalog) : catalog_(catalog) {}
 
   /// Annotate `node->optimizer_cardinality` for every node in the tree.
   Status Annotate(PlanNode* node) const;
@@ -44,8 +32,6 @@ class OptimizerEstimator {
     std::map<std::string, double> distinct;
     std::map<std::string, double> min;
     std::map<std::string, double> max;
-    // qualified column name → equi-depth histogram (base columns only)
-    std::map<std::string, std::shared_ptr<EquiDepthHistogram>> histograms;
   };
 
   /// Selectivity of `pred` against `schema` under the model, in [0, 1].
@@ -56,7 +42,6 @@ class OptimizerEstimator {
   Status EstimateNode(PlanNode* node, NodeEstimate* out) const;
 
   const Catalog* catalog_;
-  OptimizerOptions options_;
 };
 
 }  // namespace qpi

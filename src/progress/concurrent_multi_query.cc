@@ -50,20 +50,16 @@ Status ConcurrentMultiQueryExecutor::RunAll() {
   std::thread monitor([this] { MonitorLoop(); });
   {
     // One fleet serves both layers: each registered query is a query-lane
-    // task (fair-share across run tags), and any intra-query fan-out
+    // task (run in registration order), and any intra-query fan-out
     // (morsel scans, join partitions) lands on the same workers through
     // the scheduler Execute attaches for the run's duration.
     TaskScheduler sched(options_.num_workers);
     TaskGroup group(&sched);
-    uint64_t tag = 1;
     for (auto& run : runs_) {
       if (run->IsTerminal()) continue;
-      group.Submit(TaskLane::kQuery, tag,
-                   [this, &sched, tag, r = run.get()] {
-                     r->Execute(&sched, tag, options_.publish_interval,
-                                nullptr);
-                   });
-      ++tag;
+      group.Submit(TaskLane::kQuery, [this, &sched, r = run.get()] {
+        r->Execute(&sched, options_.publish_interval, nullptr);
+      });
     }
     group.Wait();
   }

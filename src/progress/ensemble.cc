@@ -12,6 +12,18 @@ namespace {
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
+// Loss weights: a violation (estimate below the output already produced)
+// is provably wrong, so it costs more than instability.
+constexpr double kInstabilityWeight = 1.0;
+constexpr double kViolationWeight = 4.0;
+// EWMA smoothing of the per-candidate loss.
+constexpr double kEwmaAlpha = 0.2;
+// A challenger's score must be below margin × the incumbent's to take over
+// (hysteresis, so near-tied candidates do not flap).
+constexpr double kSwitchMargin = 0.9;
+// Loss charged to a candidate whose estimate is non-finite or <= 0.
+constexpr double kUnavailableLoss = 1.0;
+
 inline double EffectiveScore(double score) {
   return std::isfinite(score) ? score
                               : std::numeric_limits<double>::infinity();
@@ -42,15 +54,9 @@ std::string OperatorKindFromLabel(const std::string& label) {
 EstimatorEnsemble::EstimatorEnsemble(const GnmAccountant* accountant,
                                      const ExecContext* ctx,
                                      FeedbackCache* cache)
-    : EstimatorEnsemble(accountant, ctx, cache, Options()) {}
-
-EstimatorEnsemble::EstimatorEnsemble(const GnmAccountant* accountant,
-                                     const ExecContext* ctx,
-                                     FeedbackCache* cache, Options options)
     : accountant_(accountant),
       ctx_(ctx),
       cache_(cache),
-      options_(options),
       fingerprint_(PlanFingerprint(*accountant)) {
   const std::vector<const Operator*>& ops = accountant_->operators();
   ops_.reserve(ops.size());
@@ -72,7 +78,7 @@ EstimatorEnsemble::EstimatorEnsemble(const GnmAccountant* accountant,
         cache_->Lookup(fingerprint_, state.kind, &prior)) {
       for (size_t c = 0; c < kNumEstimatorCandidates; ++c) {
         if (prior.count[c] > 0 && std::isfinite(prior.score[c])) {
-          state.score[c] = options_.prior_scale * prior.score[c];
+          state.score[c] = kPriorScale * prior.score[c];
         }
       }
       size_t argmin = 0;
@@ -92,7 +98,7 @@ EstimatorEnsemble::EstimatorEnsemble(const GnmAccountant* accountant,
 double EstimatorEnsemble::LossFor(const PerOp& state, size_t candidate,
                                   double estimate, double emitted) const {
   if (!std::isfinite(estimate) || estimate <= 0) {
-    return options_.unavailable_loss;
+    return kUnavailableLoss;
   }
   double instability = 0;
   double prev = state.prev_estimate[candidate];
@@ -103,8 +109,7 @@ double EstimatorEnsemble::LossFor(const PerOp& state, size_t candidate,
   // realized progress is the one ground truth available mid-query.
   double violation = std::log((emitted + 1.0) / (estimate + 1.0));
   if (violation < 0) violation = 0;
-  return options_.instability_weight * instability +
-         options_.violation_weight * violation;
+  return kInstabilityWeight * instability + kViolationWeight * violation;
 }
 
 void EstimatorEnsemble::Observe(uint64_t tick) {
@@ -119,8 +124,8 @@ void EstimatorEnsemble::Observe(uint64_t tick) {
           state.op->CardinalityEstimate(static_cast<EstimationMode>(c));
       double loss = LossFor(state, c, estimate, emitted);
       state.score[c] = std::isfinite(state.score[c])
-                           ? (1.0 - options_.ewma_alpha) * state.score[c] +
-                                 options_.ewma_alpha * loss
+                           ? (1.0 - kEwmaAlpha) * state.score[c] +
+                                 kEwmaAlpha * loss
                            : loss;
       state.prev_estimate[c] = estimate;
       state.estimate[c] = estimate;
@@ -134,8 +139,7 @@ void EstimatorEnsemble::Observe(uint64_t tick) {
     }
     if (argmin != state.selected &&
         EffectiveScore(state.score[argmin]) <
-            options_.switch_margin *
-                EffectiveScore(state.score[state.selected])) {
+            kSwitchMargin * EffectiveScore(state.score[state.selected])) {
       state.selected = argmin;
     }
     ++state.scored_observations;
@@ -164,19 +168,7 @@ double EstimatorEnsemble::PublishedEstimate(const Operator* op) const {
   auto it = index_.find(op);
   if (it == index_.end()) return kNaN;
   const PerOp& state = ops_[it->second];
-  if (!options_.blend) return state.estimate[state.selected];
-  double weight_sum = 0;
-  double blended = 0;
-  for (size_t c = 0; c < kNumEstimatorCandidates; ++c) {
-    double estimate = state.estimate[c];
-    if (!std::isfinite(estimate) || estimate < 0) continue;
-    double w =
-        1.0 / (EffectiveScore(state.score[c]) + options_.blend_epsilon);
-    weight_sum += w;
-    blended += w * estimate;
-  }
-  if (weight_sum <= 0) return state.estimate[state.selected];
-  return blended / weight_sum;
+  return state.estimate[state.selected];
 }
 
 EstimationMode EstimatorEnsemble::SelectedFor(const Operator* op) const {

@@ -43,7 +43,7 @@ std::string OperatorKindFromLabel(const std::string& label);
 ///
 /// The operator's published N̂_i is its currently selected candidate's
 /// estimate; selection is argmin score with hysteresis (a challenger must
-/// beat the incumbent by `switch_margin`) so the published curve doesn't
+/// beat the incumbent by a fixed margin) so the published curve doesn't
 /// flap between near-tied candidates. Candidate order breaks exact ties in
 /// ONCE's favor — the paper's framework stays the default until the data
 /// argues otherwise.
@@ -59,34 +59,14 @@ std::string OperatorKindFromLabel(const std::string& label);
 /// FeedbackCache is internally locked and shared across queries.
 class EstimatorEnsemble {
  public:
-  struct Options {
-    double instability_weight = 1.0;
-    double violation_weight = 4.0;
-    /// EWMA smoothing of the per-candidate loss.
-    double ewma_alpha = 0.2;
-    /// A challenger's score must be below margin × incumbent's to take
-    /// over (hysteresis; 1.0 disables).
-    double switch_margin = 0.9;
-    /// Scale applied to cached |log R| priors when seeding scores.
-    double prior_scale = 0.5;
-    /// Loss charged to a candidate whose estimate is non-finite or ≤ 0.
-    double unavailable_loss = 1.0;
-    /// Blend the published estimate across candidates weighted by
-    /// 1/(score+ε) instead of hard selection. Off by default: selection
-    /// keeps the published curve equal to the winning candidate's curve,
-    /// which is easier to audit (and what the tests pin).
-    bool blend = false;
-    double blend_epsilon = 0.05;
-  };
+  /// Scale applied to cached |log R| priors when seeding scores (the other
+  /// scoring constants live in ensemble.cc).
+  static constexpr double kPriorScale = 0.5;
 
   /// `accountant` and `ctx` must outlive the ensemble; `cache` may be null
   /// (no cross-query feedback). Does not attach itself: callers decide via
   /// GnmAccountant::AttachEnsemble whether published snapshots route
   /// through the selector.
-  EstimatorEnsemble(const GnmAccountant* accountant, const ExecContext* ctx,
-                    FeedbackCache* cache, Options options);
-  /// Default-options overload (a default argument can't reference the
-  /// nested Options' member initializers from inside the class).
   EstimatorEnsemble(const GnmAccountant* accountant, const ExecContext* ctx,
                     FeedbackCache* cache);
 
@@ -95,7 +75,7 @@ class EstimatorEnsemble {
   /// before the snapshot is taken.
   void Observe(uint64_t tick);
 
-  /// The selected (or blended) N̂ for `op` as of the last Observe; NaN when
+  /// The selected candidate's N̂ for `op` as of the last Observe; NaN when
   /// the operator is unknown or nothing has been observed yet (callers
   /// fall back to the operator's own estimate).
   double PublishedEstimate(const Operator* op) const;
@@ -128,7 +108,6 @@ class EstimatorEnsemble {
 
   uint64_t fingerprint() const { return fingerprint_; }
   uint64_t observations() const { return observations_; }
-  const Options& options() const { return options_; }
 
  private:
   struct PerOp {
@@ -147,7 +126,6 @@ class EstimatorEnsemble {
   const GnmAccountant* accountant_;
   const ExecContext* ctx_;
   FeedbackCache* cache_;
-  Options options_;
   uint64_t fingerprint_ = 0;
   uint64_t observations_ = 0;
   std::vector<PerOp> ops_;

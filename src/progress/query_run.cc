@@ -31,10 +31,9 @@ QueryRun::QueryRun(OperatorPtr root_in, std::unique_ptr<ExecContext> ctx_in,
   trace->Record(MakeTraceSample(*accountant, seed, QueryPhase::kQueued));
 }
 
-void QueryRun::Execute(TaskScheduler* scheduler, uint64_t tag,
-                       uint64_t publish_interval,
+void QueryRun::Execute(TaskScheduler* scheduler, uint64_t publish_interval,
                        const OutcomeFn& on_outcome) {
-  ctx->AttachScheduler(scheduler, tag);
+  ctx->AttachScheduler(scheduler, 0);
   TracePublisher publisher(accountant.get(), ctx.get(), &slot, trace.get(),
                            publish_interval, ensemble.get());
   publisher.set_ola_feed(ola_feed);

@@ -53,14 +53,14 @@ struct QueryRun {
            bool with_ensemble = false, FeedbackCache* feedback = nullptr);
 
   /// Run the query to its terminal on the calling thread, at most once:
-  /// attach `scheduler` under `tag` (null: the context's own fleet); Open →
+  /// attach `scheduler` (null: the context's own fleet); Open →
   /// BeginExecution → drain → Close → EndExecution with a TracePublisher
   /// every `publish_interval` ticks; final ensemble Observe; final snapshot
   /// into `slot`; final OLA answer; terminal trace sample; for a finished
   /// query the audit and ensemble Finalize; `on_outcome` (may be empty);
   /// terminal release-store; detach the scheduler.
-  void Execute(TaskScheduler* scheduler, uint64_t tag,
-               uint64_t publish_interval, const OutcomeFn& on_outcome);
+  void Execute(TaskScheduler* scheduler, uint64_t publish_interval,
+               const OutcomeFn& on_outcome);
 
   /// Terminalize a query that never ran (cancelled while queued): close
   /// the trace with the seeded snapshot, then `on_outcome` and the store as

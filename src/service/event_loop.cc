@@ -34,6 +34,10 @@ constexpr size_t kSnapshotSkipBytes = 64 * 1024;
 /// connection is cut loose rather than buffered without bound.
 constexpr size_t kHostileOutboxBytes = 4 * 1024 * 1024;
 
+/// How long a draining loop gives its connections to flush their final
+/// snapshots before it force-closes them.
+constexpr double kSessionDrainDeadlineMs = 1000;
+
 uint64_t PeriodBits(double period_ms) {
   uint64_t bits;
   std::memcpy(&bits, &period_ms, sizeof(bits));
@@ -66,13 +70,8 @@ SnapshotBuffers SnapshotBroadcast::Get(QueryHandle* handle,
   return e.bufs;
 }
 
-EventLoop::EventLoop(QpiServer* server, SnapshotBroadcast* broadcast,
-                     size_t max_line_bytes,
-                     std::chrono::milliseconds drain_deadline)
-    : server_(server),
-      broadcast_(broadcast),
-      max_line_bytes_(max_line_bytes),
-      drain_deadline_(drain_deadline) {}
+EventLoop::EventLoop(QpiServer* server, SnapshotBroadcast* broadcast)
+    : server_(server), broadcast_(broadcast) {}
 
 EventLoop::~EventLoop() {
   BeginDrain();
@@ -282,7 +281,7 @@ void EventLoop::ProcessInbuf(Conn* conn) {
   while (!conn->dead && !conn->closing) {
     size_t nl = conn->inbuf.find('\n');
     if (nl == std::string::npos) {
-      if (!conn->discarding && conn->inbuf.size() > max_line_bytes_) {
+      if (!conn->discarding && conn->inbuf.size() > kDefaultMaxLineBytes) {
         // Same overlong rule as LineReader: report once, then discard to
         // the next newline so one hostile line cannot balloon memory.
         conn->inbuf.clear();
@@ -512,8 +511,7 @@ void EventLoop::UpdateEpollOut(Conn* conn) {
 
 void EventLoop::EnterDrain() {
   draining_ = true;
-  drain_deadline_ms_ =
-      MonotonicMs() + static_cast<double>(drain_deadline_.count());
+  drain_deadline_ms_ = MonotonicMs() + kSessionDrainDeadlineMs;
   for (auto& [fd, conn] : conns_) {
     (void)fd;
     if (conn->dead) continue;

@@ -2,7 +2,6 @@
 #define QPI_SERVICE_EVENT_LOOP_H_
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -103,8 +102,7 @@ class SnapshotBroadcast {
 /// queue empties (deadline-bounded), then exit; Join() reaps the thread.
 class EventLoop {
  public:
-  EventLoop(QpiServer* server, SnapshotBroadcast* broadcast,
-            size_t max_line_bytes, std::chrono::milliseconds drain_deadline);
+  EventLoop(QpiServer* server, SnapshotBroadcast* broadcast);
   ~EventLoop();
 
   EventLoop(const EventLoop&) = delete;
@@ -196,8 +194,6 @@ class EventLoop {
 
   QpiServer* server_;
   SnapshotBroadcast* broadcast_;
-  const size_t max_line_bytes_;
-  const std::chrono::milliseconds drain_deadline_;
 
   int epoll_fd_ = -1;
   int wake_fd_ = -1;

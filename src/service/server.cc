@@ -179,9 +179,7 @@ Status QpiServer::Start() {
   }
   size_t num_loops = options_.event_loops > 0 ? options_.event_loops : 1;
   for (size_t i = 0; i < num_loops; ++i) {
-    auto loop = std::make_unique<EventLoop>(this, &broadcast_,
-                                            options_.max_line_bytes,
-                                            options_.session_drain_deadline);
+    auto loop = std::make_unique<EventLoop>(this, &broadcast_);
     Status s = loop->Start();
     if (!s.ok()) {
       loops_.clear();
@@ -240,8 +238,7 @@ Status QpiServer::Submit(const std::string& sql, const OlaOptions* ola,
   auto ctx = std::make_unique<ExecContext>();
   ctx->catalog = catalog_;
   // Served queries fan intra-query subtasks (morsel scans, grace-join
-  // partitions) out on the shared fleet; the per-query tag keeps the
-  // sharing fair when several queries are inflight.
+  // partitions) out on the shared fleet.
   ctx->exec_workers = options_.exec_workers;
   if (ola != nullptr) {
     ctx->ola = *ola;
@@ -455,17 +452,15 @@ std::string QpiServer::RenderMetricsText() {
 void QpiServer::DispatchLoop() {
   // The dispatcher outlives the fleet reset only by the drain protocol
   // (step 3 joins this thread before step 5 resets fleet_), so the raw
-  // access is safe. Each admitted query is a query-lane task tagged with
-  // its id: with several inflight, the fleet round-robins dispatch across
-  // them instead of draining one query's backlog first.
+  // access is safe. Each admitted query is one query-lane task; the fleet
+  // runs them in admission order, so admission is the fairness policy.
   while (QueryHandle* handle = admission_.NextRunnable()) {
-    fleet_->Submit(TaskLane::kQuery, handle->id,
-                   [this, handle] { RunOne(handle); });
+    fleet_->Submit(TaskLane::kQuery, [this, handle] { RunOne(handle); });
   }
 }
 
 void QpiServer::RunOne(QueryHandle* handle) {
-  handle->Execute(fleet_.get(), handle->id, options_.publish_interval,
+  handle->Execute(fleet_.get(), options_.publish_interval,
                   std::bind_front(&QpiServer::CountOutcome, this, handle));
   admission_.OnComplete(handle->tenant);
 }
@@ -585,7 +580,7 @@ void QpiServer::DrainInternal() {
     (void)feedback_cache_.SaveToFile(options_.feedback_cache_path);
   }
 
-  // Each loop enforces session_drain_deadline internally: flush finals +
+  // Each loop enforces its session drain deadline: flush finals +
   // bye, close connections as their queues empty, force-close stragglers.
   for (auto& loop : loops_) loop->BeginDrain();
   for (auto& loop : loops_) loop->Join();

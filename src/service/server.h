@@ -121,9 +121,9 @@ struct ServerMetrics {
 ///  - dispatcher thread: pops the admission queue (per-session fair-share,
 ///    at most `max_inflight` running) and submits queries to the fleet;
 ///  - fleet: a TaskScheduler shared with the engine's intra-query
-///    parallelism — each admitted query is a query-lane task tagged with
-///    its id, and any morsel/partition fan-out it performs lands on the
-///    same workers as subtasks. Workers run each query to completion,
+///    parallelism — each admitted query is one query-lane task, and any
+///    morsel/partition fan-out it performs lands on the same workers as
+///    subtasks. Workers run each query to completion,
 ///    publishing snapshots through the per-query SnapshotSlot, which the
 ///    loops' broadcast cache serializes once per (query, cadence class)
 ///    and fans out to every watcher.
@@ -148,13 +148,10 @@ class QpiServer {
     /// with cores spent on delivery, not with watcher count.
     size_t event_loops = 2;
     uint64_t publish_interval = 1024;
-    size_t max_line_bytes = kDefaultMaxLineBytes;
     /// Per-query trace-ring capacity (samples kept per progress curve).
     size_t trace_capacity = TraceRing::kDefaultCapacity;
     /// How long running queries may keep draining before RequestCancel.
     std::chrono::milliseconds drain_deadline{2000};
-    /// How long a session writer may take to flush final snapshots.
-    std::chrono::milliseconds session_drain_deadline{1000};
     /// Run the concurrent candidate estimators + selector per query and
     /// route the published T̂ through the selection (the ensemble). Off,
     /// queries publish exactly the paper's single-estimator curve.

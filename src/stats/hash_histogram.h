@@ -41,6 +41,16 @@ inline uint64_t RowKeyCode(const Row& row,
   return h;
 }
 
+/// Whether the key of `row` over `indices` has a NULL component. Such a key
+/// matches nothing in an equi-join (SQL semantics), so no join statistic
+/// counts it.
+inline bool RowKeyHasNull(const Row& row, const std::vector<size_t>& indices) {
+  for (size_t idx : indices) {
+    if (row[idx].is_null()) return true;
+  }
+  return false;
+}
+
 /// \brief Frequency histogram: 64-bit key → occurrence count.
 ///
 /// This is the paper's core data structure — built on join/grouping

@@ -35,12 +35,6 @@ Status Catalog::Analyze(const std::string& name) {
 
   std::vector<HashHistogram> distinct(ncols);
   std::vector<bool> seen_any(ncols, false);
-  std::vector<std::vector<double>> numeric_values(ncols);
-  for (size_t c = 0; c < ncols; ++c) {
-    if (table->schema().column(c).type != ValueType::kString) {
-      numeric_values[c].reserve(table->num_rows());
-    }
-  }
   for (size_t b = 0; b < table->num_blocks(); ++b) {
     const Block& block = table->block(b);
     for (size_t r = 0; r < block.num_rows(); ++r) {
@@ -49,9 +43,6 @@ Status Catalog::Analyze(const std::string& name) {
         const Value& v = row[c];
         if (v.is_null()) continue;
         distinct[c].Increment(HistogramKeyCode(v));
-        if (v.type() != ValueType::kString) {
-          numeric_values[c].push_back(v.AsDouble());
-        }
         ColumnStats& cs = stats.columns[c];
         if (!seen_any[c]) {
           cs.min = v;
@@ -66,10 +57,6 @@ Status Catalog::Analyze(const std::string& name) {
   }
   for (size_t c = 0; c < ncols; ++c) {
     stats.columns[c].num_distinct = distinct[c].num_distinct();
-    if (!numeric_values[c].empty()) {
-      stats.columns[c].histogram =
-          EquiDepthHistogram::Build(std::move(numeric_values[c]));
-    }
   }
   stats_[name] = std::move(stats);
   return Status::OK();

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "stats/equi_depth.h"
 #include "storage/table.h"
 
 namespace qpi {
@@ -23,11 +22,6 @@ struct ColumnStats {
   uint64_t num_distinct = 0;
   Value min;
   Value max;
-  /// Equi-depth histogram of the column's value distribution (numeric
-  /// columns only; null if the column is non-numeric or empty). The
-  /// optimizer consults it when OptimizerOptions::use_column_histograms is
-  /// set.
-  std::shared_ptr<EquiDepthHistogram> histogram;
 };
 
 /// Statistics for one table.

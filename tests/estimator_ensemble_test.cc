@@ -69,7 +69,7 @@ void RunWithEnsemble(std::unique_ptr<ExecContext> ctx, PlanNodePtr plan,
                                           /*trace_capacity=*/256,
                                           /*with_ensemble=*/true, cache);
   QueryRun& query = *out->query;
-  query.Execute(nullptr, 0, publish_interval,
+  query.Execute(nullptr, publish_interval,
                 [out](QueryRun::Terminal terminal,
                       const AccuracyReport& report) {
                   EXPECT_EQ(terminal, QueryRun::Terminal::kFinished);
@@ -377,8 +377,8 @@ TEST_F(EnsembleFixture, FeedbackCacheSeedsSelectorPrior) {
   cache.Update(fp, kind, 2, 3.0);   // byte
 
   EstimatorEnsemble ensemble(&accountant, ctx.get(), &cache);
-  // Priors arrive scaled by prior_scale (default 0.5).
-  double scale = ensemble.options().prior_scale;
+  // Priors arrive scaled by kPriorScale.
+  double scale = EstimatorEnsemble::kPriorScale;
   EXPECT_DOUBLE_EQ(ensemble.Score(join, EstimationMode::kOnce),
                    scale * 0.01);
   EXPECT_DOUBLE_EQ(ensemble.Score(join, EstimationMode::kDne),

@@ -145,6 +145,7 @@ TEST(Adaptive, ChooserPicksMleOnLowSkewGeeOnHighSkew) {
   for (int i = 0; i < 20000; ++i) {
     low.Observe(static_cast<uint64_t>(flat.Next(&rng)));
   }
+  EXPECT_LT(low.Gamma2(), kGamma2Threshold);
   EXPECT_EQ(low.ChosenEstimator(), "MLE");
 
   AdaptiveGroupEstimator high([] { return 100000.0; });
@@ -152,16 +153,13 @@ TEST(Adaptive, ChooserPicksMleOnLowSkewGeeOnHighSkew) {
   for (int i = 0; i < 20000; ++i) {
     high.Observe(static_cast<uint64_t>(steep.Next(&rng)));
   }
+  EXPECT_GE(high.Gamma2(), kGamma2Threshold);
   EXPECT_EQ(high.ChosenEstimator(), "GEE");
 }
 
 TEST(Adaptive, PinnedPoliciesReportThatEstimator) {
-  AdaptiveGroupConfig gee_cfg;
-  gee_cfg.policy = GroupPolicy::kGee;
-  AdaptiveGroupEstimator gee([] { return 1000.0; }, gee_cfg);
-  AdaptiveGroupConfig mle_cfg;
-  mle_cfg.policy = GroupPolicy::kMle;
-  AdaptiveGroupEstimator mle([] { return 1000.0; }, mle_cfg);
+  AdaptiveGroupEstimator gee([] { return 1000.0; }, GroupPolicy::kGee);
+  AdaptiveGroupEstimator mle([] { return 1000.0; }, GroupPolicy::kMle);
   Pcg32 rng(3);
   for (int i = 0; i < 500; ++i) {
     uint64_t v = rng.NextBounded(50);
@@ -178,25 +176,27 @@ TEST(Adaptive, PinnedPoliciesReportThatEstimator) {
 TEST(Adaptive, Algorithm3DoublesIntervalWhenStable) {
   // A dense repeating stream stabilizes the MLE almost immediately, so the
   // recompute count should be far below t / lower_interval.
-  AdaptiveGroupConfig cfg;
-  cfg.policy = GroupPolicy::kMle;
-  cfg.lower_interval_fraction = 0.001;   // 100 tuples at |T| = 100000
-  cfg.upper_interval_fraction = 0.032;   // 3200 tuples
-  AdaptiveGroupEstimator est([] { return 100000.0; }, cfg);
+  const double kTotal = 100000;
+  AdaptiveGroupEstimator est([kTotal] { return kTotal; }, GroupPolicy::kMle);
   for (int i = 0; i < 100000; ++i) {
     est.Observe(static_cast<uint64_t>(i % 10));
   }
-  uint64_t naive_recomputes = 100000 / 100;
+  // 100 and 3200 tuples at |T| = 100000.
+  const uint64_t lower =
+      static_cast<uint64_t>(kMleLowerIntervalFraction * kTotal);
+  const uint64_t upper =
+      static_cast<uint64_t>(kMleUpperIntervalFraction * kTotal);
+  ASSERT_EQ(lower, 100u);
+  ASSERT_EQ(upper, 3200u);
+  uint64_t naive_recomputes = 100000 / lower;
   EXPECT_LT(est.mle_recompute_count(), naive_recomputes / 5);
-  EXPECT_GE(est.mle_recompute_count(), 100000 / 3200 - 1);
+  EXPECT_GE(est.mle_recompute_count(), 100000 / upper - 1);
 }
 
 TEST(Adaptive, Algorithm3ResetsIntervalWhenEstimateMoves) {
   // Alternate between two very different regimes to force resets: the
   // recompute count must stay well above the all-stable floor.
-  AdaptiveGroupConfig cfg;
-  cfg.policy = GroupPolicy::kMle;
-  AdaptiveGroupEstimator est([] { return 200000.0; }, cfg);
+  AdaptiveGroupEstimator est([] { return 200000.0; }, GroupPolicy::kMle);
   Pcg32 rng(4);
   for (int i = 0; i < 100000; ++i) {
     // Growing domain → estimate keeps moving upward.

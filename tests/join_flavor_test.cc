@@ -427,6 +427,85 @@ INSTANTIATE_TEST_SUITE_P(
              EstimationModeName(std::get<2>(info.param));
     });
 
+/// (plan kind, exec_workers, estimation mode).
+class StringIntKeys
+    : public ::testing::TestWithParam<
+          std::tuple<PlanKind, size_t, EstimationMode>> {};
+
+/// A string key never equals a number: not the empty string against 0,
+/// not "5" against 5, and not a string against the integer equal to its
+/// key code, which the hash join and the index nested-loops join look up
+/// as a candidate. Every join kind returns no rows.
+TEST_P(StringIntKeys, EveryJoinKindMatchesNothing) {
+  auto [kind, workers, mode] = GetParam();
+  const std::vector<std::string> texts = {"", "0", "5", "7",
+                                          "a-longer-join-key-than-inline"};
+  auto s = std::make_shared<Table>(
+      "s", Schema({Column{"s", "k", ValueType::kString},
+                   Column{"s", "id", ValueType::kInt64}}));
+  auto n = std::make_shared<Table>(
+      "n", Schema({Column{"n", "k", ValueType::kInt64},
+                   Column{"n", "id", ValueType::kInt64}}));
+  int64_t id = 0;
+  for (const std::string& text : texts) {
+    Value str{std::string_view(text)};
+    ASSERT_TRUE(s->Append({str, Value(id)}).ok());
+    ASSERT_TRUE(
+        n->Append({Value(static_cast<int64_t>(HistogramKeyCode(str))),
+                   Value(id)})
+            .ok());
+    ++id;
+  }
+  for (int64_t k : {0, 5, 7}) {
+    ASSERT_TRUE(n->Append({Value(k), Value(id++)}).ok());
+  }
+
+  Fixture fx;
+  fx.ctx.exec_workers = workers;
+  fx.ctx.mode = mode;
+  fx.ctx.batch_size = 2;
+  fx.Add(s);
+  fx.Add(n);
+  for (bool string_outer : {true, false}) {
+    SCOPED_TRACE(string_outer ? "string side first" : "int side first");
+    const std::string l = string_outer ? "s" : "n";
+    const std::string r = string_outer ? "n" : "s";
+    const std::string lk = l + ".k";
+    const std::string rk = r + ".k";
+    PlanNodePtr plan;
+    switch (kind) {
+      case PlanKind::kHashJoin:
+        plan = HashJoinPlan(ScanPlan(l), ScanPlan(r), lk, rk);
+        break;
+      case PlanKind::kMergeJoin:
+        plan = MergeJoinPlan(ScanPlan(l), ScanPlan(r), lk, rk);
+        break;
+      case PlanKind::kNestedLoopsJoin:
+        plan = NestedLoopsJoinPlan(ScanPlan(l), ScanPlan(r), lk, rk);
+        break;
+      default:
+        plan = IndexNestedLoopsJoinPlan(ScanPlan(l), ScanPlan(r), lk, rk);
+        break;
+    }
+    EXPECT_TRUE(fx.Run(std::move(plan)).empty());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    JoinKinds, StringIntKeys,
+    ::testing::Combine(::testing::Values(PlanKind::kHashJoin,
+                                         PlanKind::kMergeJoin,
+                                         PlanKind::kNestedLoopsJoin,
+                                         PlanKind::kIndexNestedLoopsJoin),
+                       ::testing::Values(size_t{1}, size_t{4}),
+                       ::testing::Values(EstimationMode::kNone,
+                                         EstimationMode::kOnce)),
+    [](const auto& info) {
+      return std::string(PlanKindName(std::get<0>(info.param))) + "_w" +
+             std::to_string(std::get<1>(info.param)) + "_" +
+             EstimationModeName(std::get<2>(info.param));
+    });
+
 TEST(JoinFlavor, SemiAndOuterOptimizerEstimatesAreConsistent) {
   Fixture fx;
   fx.Add(MakeSkewed("b", 1000, 0.0, 100, 1, 7));

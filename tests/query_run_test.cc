@@ -68,7 +68,7 @@ class QueryRunTest : public ::testing::Test {
                           const OlaSnapshotSlot* ola_slot = nullptr) {
     Observed seen;
     std::thread worker([&] {
-      run->Execute(nullptr, 0, /*publish_interval=*/64,
+      run->Execute(nullptr, /*publish_interval=*/64,
                    [&](Terminal outcome, const AccuracyReport&) {
                      seen.outcome = outcome;
                      seen.terminal_in_outcome = run->IsTerminal();

@@ -1,6 +1,6 @@
 // The unified work-stealing TaskScheduler: every-task-runs-exactly-once
-// under stealing contention, subtask-lane dispatch priority, fair-share
-// across query tags, bounded submission backpressure, the destructor's
+// under stealing contention, subtask-lane dispatch priority, a FIFO query
+// lane, bounded submission backpressure, the destructor's
 // drain contract, and the helping protocol (run under tsan/asan/ubsan via
 // the sanitizer presets).
 
@@ -38,11 +38,10 @@ TEST(SchedulerTest, DestructorDrainsPendingTasks) {
   {
     TaskScheduler sched(2);
     for (int i = 0; i < 50; ++i) {
-      sched.Submit(TaskLane::kSubtask, 1,
-                   [&counter] { counter.fetch_add(1); });
+      sched.Submit(TaskLane::kSubtask, [&counter] { counter.fetch_add(1); });
     }
     for (int i = 0; i < 10; ++i) {
-      sched.Submit(TaskLane::kQuery, 1, [&counter] { counter.fetch_add(1); });
+      sched.Submit(TaskLane::kQuery, [&counter] { counter.fetch_add(1); });
     }
   }
   // The drain contract: queued work executes, it never vanishes.
@@ -61,8 +60,8 @@ TEST(SchedulerTest, StealsUnderContentionAndRunsEachTaskOnce) {
   for (int round = 0; round < 50 && sched.tasks_stolen() == 0; ++round) {
     for (auto& r : runs) r.store(0);
     TaskGroup group(&sched);
-    group.Submit(TaskLane::kQuery, 1, [&] {
-      TaskGroup fanout(&sched, /*tag=*/1);
+    group.Submit(TaskLane::kQuery, [&] {
+      TaskGroup fanout(&sched);
       for (int i = 0; i < kTasks; ++i) {
         fanout.Submit([&runs, i] {
           std::this_thread::sleep_for(std::chrono::microseconds(200));
@@ -92,12 +91,12 @@ TEST(SchedulerTest, SubtaskLaneRunsBeforeQueuedQueryTask) {
   std::mutex mu;
   std::vector<int> order;
   TaskGroup group(&sched);
-  group.Submit(TaskLane::kQuery, 1, [released] { released.wait(); });
-  group.Submit(TaskLane::kQuery, 2, [&] {
+  group.Submit(TaskLane::kQuery, [released] { released.wait(); });
+  group.Submit(TaskLane::kQuery, [&] {
     std::lock_guard<std::mutex> lock(mu);
     order.push_back(2);
   });
-  group.Submit(TaskLane::kSubtask, 1, [&] {
+  group.Submit(TaskLane::kSubtask, [&] {
     std::lock_guard<std::mutex> lock(mu);
     order.push_back(1);
   });
@@ -108,60 +107,56 @@ TEST(SchedulerTest, SubtaskLaneRunsBeforeQueuedQueryTask) {
   EXPECT_EQ(order[1], 2);  // then the queued query task
 }
 
-TEST(SchedulerTest, QueryLaneFairShareAcrossTags) {
-  // Tag A queues three tasks before tag B queues one; the fair-share pick
-  // (fewest dispatches, ties by arrival) interleaves B after A's first
-  // task instead of draining A's backlog: A1 B1 A2 A3.
+TEST(SchedulerTest, QueryLaneIsFifoAcrossInterleavedSubmitters) {
+  // Four threads submit query tasks while the lone worker is parked, so
+  // their submissions interleave; the query lane runs them in exactly the
+  // order they were enqueued, whoever submitted them.
   TaskScheduler sched(1);
   std::promise<void> release;
   std::shared_future<void> released = release.get_future().share();
-  std::mutex mu;
-  std::vector<std::string> order;
-  auto record = [&](const char* name) {
-    std::lock_guard<std::mutex> lock(mu);
-    order.push_back(name);
-  };
   TaskGroup group(&sched);
-  group.Submit(TaskLane::kQuery, 99, [released] { released.wait(); });
-  group.Submit(TaskLane::kQuery, 7, [&] { record("A1"); });
-  group.Submit(TaskLane::kQuery, 7, [&] { record("A2"); });
-  group.Submit(TaskLane::kQuery, 7, [&] { record("A3"); });
-  group.Submit(TaskLane::kQuery, 8, [&] { record("B1"); });
-  release.set_value();
-  group.Wait();
-  ASSERT_EQ(order.size(), 4u);
-  EXPECT_EQ(order[0], "A1");
-  EXPECT_EQ(order[1], "B1");
-  EXPECT_EQ(order[2], "A2");
-  EXPECT_EQ(order[3], "A3");
-}
-
-TEST(SchedulerTest, SingleTagQueryLaneIsFifo) {
-  TaskScheduler sched(1);
-  std::mutex mu;
-  std::vector<int> order;
-  TaskGroup group(&sched);
-  for (int i = 0; i < 16; ++i) {
-    group.Submit(TaskLane::kQuery, 1, [&, i] {
-      std::lock_guard<std::mutex> lock(mu);
-      order.push_back(i);
+  group.Submit(TaskLane::kQuery, [released] { released.wait(); });
+  constexpr int kSubmitters = 4;
+  constexpr int kPerSubmitter = 32;
+  std::mutex submit_mu;
+  std::vector<int> submitted;
+  std::mutex run_mu;
+  std::vector<int> ran;
+  std::vector<std::thread> submitters;
+  for (int t = 0; t < kSubmitters; ++t) {
+    submitters.emplace_back([&, t] {
+      for (int i = 0; i < kPerSubmitter; ++i) {
+        int id = t * kPerSubmitter + i;
+        // Record and enqueue under one lock: the recorded order is the
+        // enqueue order.
+        {
+          std::lock_guard<std::mutex> lock(submit_mu);
+          submitted.push_back(id);
+          group.Submit(TaskLane::kQuery, [&, id] {
+            std::lock_guard<std::mutex> run_lock(run_mu);
+            ran.push_back(id);
+          });
+        }
+        std::this_thread::yield();
+      }
     });
   }
+  for (std::thread& t : submitters) t.join();
+  release.set_value();
   group.Wait();
-  ASSERT_EQ(order.size(), 16u);
-  for (int i = 0; i < 16; ++i) EXPECT_EQ(order[i], i);
+  ASSERT_EQ(ran.size(), static_cast<size_t>(kSubmitters * kPerSubmitter));
+  EXPECT_EQ(ran, submitted);
 }
 
 TEST(SchedulerTest, ExternalSubtaskSubmitIsBoundedWithBackpressure) {
-  TaskScheduler::Options options;
-  options.num_workers = 1;
-  options.inject_capacity = 4;
-  TaskScheduler sched(options);
+  constexpr int kCap = static_cast<int>(TaskScheduler::kInjectCapacity);
+  constexpr int kSubmits = kCap + 20;
+  TaskScheduler sched(1);
   std::promise<void> started;
   std::promise<void> release;
   std::shared_future<void> released = release.get_future().share();
   TaskGroup group(&sched);
-  group.Submit(TaskLane::kQuery, 1, [&started, released] {
+  group.Submit(TaskLane::kQuery, [&started, released] {
     started.set_value();
     released.wait();
   });
@@ -172,32 +167,39 @@ TEST(SchedulerTest, ExternalSubtaskSubmitIsBoundedWithBackpressure) {
   std::atomic<int> submitted{0};
   std::atomic<int> ran{0};
   std::thread submitter([&] {
-    for (int i = 0; i < 20; ++i) {
-      sched.Submit(TaskLane::kSubtask, 1, [&ran] { ran.fetch_add(1); });
+    for (int i = 0; i < kSubmits; ++i) {
+      sched.Submit(TaskLane::kSubtask, [&ran] { ran.fetch_add(1); });
       submitted.fetch_add(1);
     }
   });
-  // The injection queue fills to its cap of 4 and the 5th Submit blocks —
-  // the unbounded-queue hazard is gone.
+  // The injection queue fills to its cap and the next Submit blocks — the
+  // unbounded-queue hazard is gone.
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  EXPECT_LE(submitted.load(), 4);
+  EXPECT_LE(submitted.load(), kCap);
   EXPECT_GT(sched.run_queue_depth(), 0u);
   release.set_value();
   submitter.join();
   group.Wait();
-  while (ran.load() < 20) sched.HelpOneSubtask();
-  EXPECT_EQ(submitted.load(), 20);
-  EXPECT_EQ(ran.load(), 20);
+  while (ran.load() < kSubmits) sched.HelpOneSubtask();
+  EXPECT_EQ(submitted.load(), kSubmits);
+  EXPECT_EQ(ran.load(), kSubmits);
 }
 
 TEST(SchedulerTest, HelpOneSubtaskRunsQueuedWorkFromAnyThread) {
   TaskScheduler sched(1);
+  std::promise<void> started;
   std::promise<void> release;
   std::shared_future<void> released = release.get_future().share();
   TaskGroup group(&sched);
-  group.Submit(TaskLane::kQuery, 1, [released] { released.wait(); });
+  group.Submit(TaskLane::kQuery, [&started, released] {
+    started.set_value();
+    released.wait();
+  });
+  // Submit the subtask only once the lone worker is parked inside the
+  // query task; before that the worker could run it first.
+  started.get_future().wait();
   std::atomic<int> ran{0};
-  sched.Submit(TaskLane::kSubtask, 1, [&ran] { ran.fetch_add(1); });
+  sched.Submit(TaskLane::kSubtask, [&ran] { ran.fetch_add(1); });
   // This thread is not a fleet worker; helping still drains the lane.
   EXPECT_TRUE(sched.HelpOneSubtask());
   EXPECT_EQ(ran.load(), 1);
@@ -225,9 +227,9 @@ TEST(SchedulerTest, CountersSeparateLanes) {
   TaskScheduler sched(2);
   TaskGroup group(&sched);
   for (int i = 0; i < 5; ++i) {
-    group.Submit(TaskLane::kQuery, 1, [] {});
-    group.Submit(TaskLane::kSubtask, 1, [] {});
-    group.Submit(TaskLane::kSubtask, 1, [] {});
+    group.Submit(TaskLane::kQuery, [] {});
+    group.Submit(TaskLane::kSubtask, [] {});
+    group.Submit(TaskLane::kSubtask, [] {});
   }
   group.Wait();
   EXPECT_EQ(sched.tasks_executed(TaskLane::kQuery), 5u);

@@ -308,6 +308,33 @@ TEST_F(SqlEndToEnd, PlannerErrors) {
             Status::Code::kNotImplemented);
 }
 
+TEST_F(SqlEndToEnd, StringNumberComparisonIsInvalidArgument) {
+  TableBuilder t("t");
+  t.AddColumn("name", std::make_unique<RandomStringSpec>(4))
+      .AddColumn("n", std::make_unique<UniformIntSpec>(1, 10));
+  ASSERT_TRUE(catalog_.Register(t.Build(100, 3)).ok());
+  ASSERT_TRUE(catalog_.Analyze("t").ok());
+  auto compile = [&](const std::string& sql) {
+    SqlPlanner planner(&catalog_);
+    PlanNodePtr plan;
+    Status s = planner.PlanQuery(sql, &plan);
+    if (!s.ok()) return s;
+    OperatorPtr root;
+    return CompilePlan(plan.get(), &ctx_, &root);
+  };
+  for (const char* sql : {"SELECT * FROM t WHERE t.name = 5",
+                          "SELECT * FROM t WHERE t.name < 2.5",
+                          "SELECT * FROM t WHERE t.n = 'x'",
+                          "SELECT * FROM t WHERE t.n = 1 AND t.name >= 0"}) {
+    EXPECT_EQ(compile(sql).code(), Status::Code::kInvalidArgument) << sql;
+  }
+  for (const char* sql : {"SELECT * FROM t WHERE t.name = 'x'",
+                          "SELECT * FROM t WHERE t.n = 5",
+                          "SELECT * FROM t WHERE t.n < 2.5"}) {
+    EXPECT_TRUE(compile(sql).ok()) << sql;
+  }
+}
+
 TEST_F(SqlEndToEnd, SqlJoinGetsOnceEstimationWired) {
   SqlPlanner planner(&catalog_);
   PlanNodePtr plan;

@@ -244,6 +244,59 @@ TEST(Value, CompareIntAndDoubleExactly) {
   }
 }
 
+// Every number sorts before every string, and a string never compares
+// equal to a number: the empty string included, in either direction.
+TEST(Value, CompareStringAndNumberOrdersNumbersFirst) {
+  const Value empty{std::string_view("")};
+  EXPECT_GT(empty.Compare(Value(int64_t{5})), 0);
+  EXPECT_LT(Value(int64_t{5}).Compare(empty), 0);
+  EXPECT_NE(empty.Compare(Value(0.0)), 0);
+  EXPECT_NE(Value(int64_t{0}).Compare(empty), 0);
+  EXPECT_LT(Value::Null().Compare(empty), 0);
+  EXPECT_FALSE(JoinKeysEqual(empty, Value(int64_t{0})));
+
+  const std::vector<Value> keys = {
+      empty,
+      Value(std::string_view("0")),
+      Value(std::string_view("5")),
+      Value(std::string_view("a-string-longer-than-the-inline-capacity")),
+      Value(int64_t{-3}),
+      Value(int64_t{0}),
+      Value(int64_t{5}),
+      Value(int64_t{7}),
+      Value(std::numeric_limits<int64_t>::max()),
+      Value(-0.0),
+      Value(2.5),
+      Value(5.0),
+      Value(1e300),
+      Value(-std::numeric_limits<double>::infinity()),
+      Value::Null()};
+  auto sign = [](int c) { return (c > 0) - (c < 0); };
+  auto is_string = [](const Value& v) {
+    return v.type() == ValueType::kString;
+  };
+  for (const Value& a : keys) {
+    for (const Value& b : keys) {
+      EXPECT_EQ(sign(a.Compare(b)), -sign(b.Compare(a)))
+          << a.ToString() << " vs " << b.ToString();
+      if (!a.is_null() && !b.is_null() && is_string(a) != is_string(b)) {
+        EXPECT_EQ(sign(a.Compare(b)), is_string(a) ? 1 : -1)
+            << a.ToString() << " vs " << b.ToString();
+      }
+      for (const Value& c : keys) {
+        if (a.Compare(b) <= 0 && b.Compare(c) <= 0) {
+          EXPECT_LE(a.Compare(c), 0) << a.ToString() << " <= "
+                                     << b.ToString() << " <= " << c.ToString();
+        }
+        if (a.Compare(b) == 0 && b.Compare(c) == 0) {
+          EXPECT_EQ(a.Compare(c), 0) << a.ToString() << " == "
+                                     << b.ToString() << " == " << c.ToString();
+        }
+      }
+    }
+  }
+}
+
 // An integral double equals the int64 of the same value, so the two share
 // a hash and a key code; NaN, infinities and doubles outside int64_t's range
 // have no equal int64 and key by their hash (the cast would be undefined;
