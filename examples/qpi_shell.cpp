@@ -346,8 +346,7 @@ void WatchToCompletion(QpiClient* client, uint64_t id, double period_ms) {
 int ConnectRepl(const std::string& host, uint16_t port,
                 std::chrono::milliseconds connect_timeout, bool binary) {
   QpiClient client;
-  Status s = client.Connect(host, port, kDefaultMaxLineBytes,
-                            connect_timeout);
+  Status s = client.Connect(host, port, connect_timeout);
   if (!s.ok()) {
     std::fprintf(stderr, "%s\n", s.ToString().c_str());
     return 1;

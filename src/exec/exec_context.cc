@@ -15,14 +15,6 @@ TaskScheduler* ExecContext::scheduler() {
   return owned_sched_.get();
 }
 
-uint64_t ExecContext::DrainConcurrentTicks() {
-  uint64_t total = 0;
-  for (TickShard& shard : tick_shards_) {
-    total += shard.pending.exchange(0, std::memory_order_relaxed);
-  }
-  return total;
-}
-
 const char* QueryPhaseName(QueryPhase phase) {
   switch (phase) {
     case QueryPhase::kQueued:

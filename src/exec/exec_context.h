@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "common/check.h"
@@ -63,7 +62,10 @@ const char* QueryPhaseName(QueryPhase phase);
 /// (n == 1 per tuple at batch_size 1), replacing the former per-tuple
 /// `std::function<void()>` indirection: observers are registered once and
 /// invoked through a devirtualizable interface, and a batch of 1024 rows
-/// costs one call instead of 1024.
+/// costs one call instead of 1024. The operators a fused scan captures
+/// tick where the ordered merge delivers their rows, one call per
+/// delivery that counted any (OrderedMerge). Every call comes from the
+/// query's driving thread, in the same sequence at every worker count.
 class TickObserver {
  public:
   virtual ~TickObserver() = default;
@@ -226,21 +228,14 @@ struct ExecContext {
   /// Marks the execution window during which the observer list is frozen.
   /// Called by QueryExecutor::Run and QueryRun::Execute;
   /// manual NextBatch drivers may skip it (they lose the lifecycle
-  /// check, nothing else). BeginExecution also clears tick shards left by
-  /// a cancelled previous run.
+  /// check, nothing else).
   void BeginExecution() {
-    DrainConcurrentTicks();
     phase_.store(QueryPhase::kRunning, std::memory_order_relaxed);
     executing_.store(true, std::memory_order_relaxed);
   }
 
-  /// Ends the execution window. Ticks still banked by workers are folded
-  /// into one final observer delivery first (units that ran ahead of an
-  /// undrained merge, as in a cancelled query, would otherwise strand
-  /// them); call after every operator has Closed — the task-group joins
-  /// make all banked ticks visible.
+  /// Ends the execution window; call after every operator has Closed.
   void EndExecution() {
-    DeliverBankedTicks();
     executing_.store(false, std::memory_order_relaxed);
     phase_.store(QueryPhase::kFinished, std::memory_order_relaxed);
   }
@@ -256,35 +251,11 @@ struct ExecContext {
   }
 
   /// Deliver `n` getnext ticks to the observers. Called only from the
-  /// query's driving thread (every Operator::NextBatch wrapper runs
-  /// there); ticks banked by parallel workers via TickConcurrent are
-  /// folded into this delivery, so observers always run single-threaded.
+  /// query's driving thread: by every Operator::NextBatch wrapper, and by
+  /// OrderedMerge's delivery callbacks for the operators a fused scan
+  /// captures, so observers always run single-threaded, in unit order.
   void Tick(uint64_t n) {
-    if (has_concurrent_ticks_.load(std::memory_order_relaxed)) {
-      has_concurrent_ticks_.store(false, std::memory_order_relaxed);
-      n += DrainConcurrentTicks();
-    }
     for (TickObserver* observer : tick_observers_) observer->OnTick(n);
-  }
-
-  /// Deliver the ticks banked by TickConcurrent, if any, in one observer
-  /// call. Driving thread only; OrderedMerge calls it as it merges units.
-  void DeliverBankedTicks() {
-    if (has_concurrent_ticks_.load(std::memory_order_relaxed)) Tick(0);
-  }
-
-  /// Bank `n` ticks from an intra-query worker thread. Safe for any number
-  /// of concurrent callers: each add lands on one of a small set of
-  /// cache-line-padded shards (indexed by thread id) so hot parallel scans
-  /// don't serialize on a single counter line. The banked ticks reach the
-  /// observers with the driving thread's next Tick().
-  void TickConcurrent(uint64_t n) {
-    if (n == 0) return;
-    size_t shard =
-        std::hash<std::thread::id>{}(std::this_thread::get_id()) &
-        (kTickShards - 1);
-    tick_shards_[shard].pending.fetch_add(n, std::memory_order_relaxed);
-    has_concurrent_ticks_.store(true, std::memory_order_relaxed);
   }
 
   /// Cooperative cancellation flag, checked in the operator tick path and
@@ -334,20 +305,11 @@ struct ExecContext {
   ExecContext& operator=(const ExecContext&) = delete;
 
  private:
-  uint64_t DrainConcurrentTicks();
-
-  static constexpr size_t kTickShards = 8;  // power of two
-  struct alignas(64) TickShard {
-    std::atomic<uint64_t> pending{0};
-  };
-
   std::vector<TickObserver*> tick_observers_;
   std::atomic<QueryPhase> phase_{QueryPhase::kRunning};
   std::atomic<bool> cancelled_{false};
   std::atomic<bool> ola_stopped_{false};
   std::atomic<bool> executing_{false};
-  std::atomic<bool> has_concurrent_ticks_{false};
-  TickShard tick_shards_[kTickShards];
   TaskScheduler* attached_sched_ = nullptr;
   std::unique_ptr<TaskScheduler> owned_sched_;
 };

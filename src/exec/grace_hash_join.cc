@@ -215,24 +215,37 @@ void GraceHashJoinOp::StartJoinUnits() {
     }
   }
   merge_ = std::make_unique<OrderedMerge>(
-      num_units, ctx_, OrderedMerge::Boundaries::kUnit,
-      [this](size_t unit, RowBatch* out) { return ProduceUnit(unit, out); });
+      num_units, ctx_, OrderedMerge::Boundaries::kUnit, /*mark_width=*/1,
+      [this](size_t unit, RowBatch* out, std::vector<uint64_t>* marks) {
+        return ProduceUnit(unit, out, marks);
+      },
+      [this](size_t unit, size_t, bool passed, const uint64_t* mark) {
+        CreditUnit(unit, passed, mark);
+      });
 }
 
-bool GraceHashJoinOp::ProduceUnit(size_t unit, RowBatch* out) {
+bool GraceHashJoinOp::ProduceUnit(size_t unit, RowBatch* out,
+                                  std::vector<uint64_t>* marks) {
   JoinUnit& u = join_units_[unit];
-  const size_t before = out->size();
-  const uint64_t consumed = JoinPartitionInto(u.part, &u.cursor, out);
+  u.cursor.consumed += JoinPartitionInto(u.part, &u.cursor, out);
   // The shared table is dead weight once its partition's last unit is
   // done; that unit frees it.
   SharedTable& shared = part_tables_[u.part];
   if (u.cursor.done && shared.units_left.fetch_sub(1) == 1) {
     shared.table = JoinTable();
   }
-  // Join output is clustered by partition: its random_run stays 0.
-  CountEmitted(out->size() - before);
-  join_driver_consumed_.fetch_add(consumed, std::memory_order_relaxed);
+  // Join output is clustered by partition: its random_run stays 0. A
+  // fleet's batch goes to the consumer whole, so one mark per call.
+  if (marks != nullptr) marks->push_back(u.cursor.consumed);
   return u.cursor.done;
+}
+
+void GraceHashJoinOp::CreditUnit(size_t unit, bool passed,
+                                 const uint64_t* mark) {
+  const uint64_t consumed =
+      mark != nullptr ? *mark : join_units_[unit].cursor.consumed;
+  join_driver_consumed_ += consumed - unit_credited_;
+  unit_credited_ = passed ? 0 : consumed;
 }
 
 uint64_t GraceHashJoinOp::JoinPartitionInto(size_t part,
@@ -308,9 +321,10 @@ uint64_t GraceHashJoinOp::JoinPartitionInto(size_t part,
 void GraceHashJoinOp::NextBatchImpl(RowBatch* out) {
   PreparePartitions();
   // Start the join units on the first batch request (also after an
-  // explicit PreparePartitions). They count their own rows.
+  // explicit PreparePartitions).
   if (merge_ == nullptr) StartJoinUnits();
   merge_->Fill(out);
+  CountEmitted(out->size());
 }
 
 void GraceHashJoinOp::CloseImpl() {

@@ -90,9 +90,7 @@ class GraceHashJoinOp : public Operator {
   uint64_t probe_partition_consumed() const {
     return probe_partition_consumed_;
   }
-  uint64_t join_driver_consumed() const {
-    return join_driver_consumed_.load(std::memory_order_relaxed);
-  }
+  uint64_t join_driver_consumed() const { return join_driver_consumed_; }
   const OnceBinaryJoinEstimator* once_estimator() const {
     return estimation_.once();
   }
@@ -177,6 +175,8 @@ class GraceHashJoinOp : public Operator {
     /// Next chain entry to check for the current probe row; kNoRow while
     /// that row has not been looked up yet.
     uint32_t match = kNoRow;
+    /// Probe rows of the range looked up so far.
+    uint64_t consumed = 0;
   };
 
   /// The join phase's one loop: continue partition `part` from `*cursor`,
@@ -194,15 +194,19 @@ class GraceHashJoinOp : public Operator {
   /// each one's estimated output (the probe pass's partition weight, see
   /// part_weight_) is about OrderedMerge::UnitTarget rows. Units are
   /// ordered by (partition, probe range), so the merged row stream is the
-  /// same at any worker count; gnm counters are order-invariant, and the
-  /// join phase performs no estimator observation. The merge takes unit
-  /// batches whole (OrderedMerge::Boundaries::kUnit).
+  /// same at any worker count; the merge credits the driver consumption in
+  /// unit order (CreditUnit), and the join phase performs no estimator
+  /// observation. The merge takes unit batches whole
+  /// (OrderedMerge::Boundaries::kUnit).
   void StartJoinUnits();
   /// OrderedMerge producer: run the kernel for join unit `unit`,
-  /// appending to `out`, count the rows it added and its driver
-  /// consumption, and free the shared table once its partition's last
+  /// appending to `out`, advance the unit's driver consumption (and mark
+  /// it with a fleet), and free the shared table once its partition's last
   /// unit is done.
-  bool ProduceUnit(size_t unit, RowBatch* out);
+  bool ProduceUnit(size_t unit, RowBatch* out, std::vector<uint64_t>* marks);
+  /// OrderedMerge delivery callback: credit join_driver_consumed_ with
+  /// the unit's probe rows consumed through the delivered batch.
+  void CreditUnit(size_t unit, bool passed, const uint64_t* mark);
 
   Operator* build_child() const { return child(0); }
   Operator* probe_child() const { return child(1); }
@@ -221,9 +225,10 @@ class GraceHashJoinOp : public Operator {
   Row null_build_row_;
 
   uint64_t probe_partition_consumed_ = 0;
-  // Advanced by a join unit's producer per output batch; read by
-  // monitor-thread estimates.
-  std::atomic<uint64_t> join_driver_consumed_{0};
+  // Credited per delivered unit batch, in unit order (CreditUnit).
+  uint64_t join_driver_consumed_ = 0;
+  // The merge cursor's unit's consumption credited so far.
+  uint64_t unit_credited_ = 0;
 
   // Estimated join work per partition, Σ (1 + N^R(key)) over its probe
   // rows, accumulated by the probe-partition pass from ONCE's exact build

@@ -41,15 +41,18 @@ struct MorselStage {
 /// producer is the only place the scan order and its post-emission
 /// random-run rule are implemented.
 ///
-/// Counter accounting: producers attribute the captured (non-driving)
-/// operators' output counts via Operator::CountEmitted for every batch (a
-/// captured scan's in whole batches, ScanCountAt), and bank the matching
-/// progress ticks with ExecContext::TickConcurrent, which the merge hands
-/// to the observers after each unit's call or batch;
-/// the driving operator's own rows are counted by its NextBatchImpl and
-/// ticked by the ordinary wrapper. Totals are therefore the same at every
-/// worker count — gnm progress is a sum of per-operator counters and is
-/// invariant under the order in which threads contribute.
+/// Counter accounting: producers write no counter, state or tick. The
+/// merge reports each delivery on the driving thread, in morsel order, and
+/// Deliver attributes the captured (non-driving) operators' counts there
+/// (a captured scan's in whole batches, ScanCountAt), ticks once, and
+/// finishes them past the last morsel. It credits the chain through the
+/// input row after the last delivered row, or through the morsel's end
+/// once the merge has passed it: what the one-worker producer has counted
+/// when it returns. A fleet's consumer batch may end inside a produced
+/// one, so fleet producers mark each row (its input offset and the running
+/// count of each captured stage with a filter above it). The driving
+/// operator's own rows are counted by its NextBatchImpl and ticked by the
+/// ordinary wrapper.
 class MorselScanDriver {
  public:
   /// `stages` is the fused chain bottom-up; the last stage (or the scan
@@ -78,8 +81,19 @@ class MorselScanDriver {
     Row scratch;       ///< a projection stage's output, swapped into the slot
   };
 
-  /// OrderedMerge producer: fill `out` from morsel `m`.
-  bool Produce(size_t m, RowBatch* out);
+  /// OrderedMerge producer: fill `out` from morsel `m`, marking each row
+  /// in `marks` when it is set (a fleet's runner).
+  template <bool kMarked>
+  bool Produce(size_t m, RowBatch* out, std::vector<uint64_t>* marks);
+
+  /// OrderedMerge delivery callback: attribute the captured operators'
+  /// counts through the delivery point, finish them past the last morsel
+  /// and tick the observers once.
+  void Deliver(size_t m, size_t rows, bool passed, const uint64_t* mark);
+
+  uint64_t MorselEnd(size_t m) const {
+    return std::min(total_rows_, (m + 1) * morsel_rows_);
+  }
 
   /// A captured scan's emitted count once the chain has read its first
   /// `rows` rows. A scan hands its parent whole batches, so the count is
@@ -98,11 +112,16 @@ class MorselScanDriver {
   const ScanOrder* order_;
 
   // Captured operators: every chain member except the driving one. Their
-  // counters/states are attributed by the producers (friend of Operator).
+  // counters/states are attributed by Deliver (friend of Operator).
   std::vector<Operator*> captured_;
   // Leading projection stages: they pass the scan's rows one for one, in
   // its batches, so they count as the scan does (ScanCountAt).
   size_t scan_aligned_ = 0;
+  // Stages [scan_aligned_, marked_end_) have a filter above them: a row's
+  // marks carry its input offset, then their running counts in stage
+  // order. Every row a stage above them passes is delivered, so its count
+  // is the delivered rows.
+  size_t marked_end_ = 0;
 
   // Rows of the leading random prefix: UINT64_MAX for an unsampled scan,
   // whose whole stream is random.
@@ -110,11 +129,16 @@ class MorselScanDriver {
   uint64_t total_rows_ = 0;
   uint64_t morsel_rows_ = 1;
   std::vector<Cursor> cursors_;  // one per morsel
-  // Per-call output counts of each stage, written per row: morsel m's
-  // counts start at m * stage_stride_, which leaves 64 bytes between
-  // neighbouring morsels' counts.
+  // Running output counts of each stage within its morsel, written per
+  // row: morsel m's counts start at m * stage_stride_, which leaves 64
+  // bytes between neighbouring morsels' counts.
   size_t stage_stride_ = 0;
   std::vector<uint64_t> stage_rows_;
+
+  // Delivery side (driving thread only): how far the chain is credited.
+  uint64_t credited_row_ = 0;  // input rows, as ScanCountAt reads them
+  std::vector<uint64_t> credited_stage_;  // within the current morsel
+  uint64_t delivered_ = 0;                // rows of the current morsel
 
   // Declared last: its destructor waits for the producers, which touch
   // every member above.
@@ -159,6 +183,11 @@ MorselScanDriver::MorselScanDriver(SeqScanOp* scan,
          stages_[scan_aligned_].project != nullptr) {
     ++scan_aligned_;
   }
+  marked_end_ = scan_aligned_;
+  for (size_t s = scan_aligned_; s < stages_.size(); ++s) {
+    if (stages_[s].predicate != nullptr) marked_end_ = s;
+  }
+  credited_stage_.assign(stages_.size(), 0);
   if (!stages_.empty()) {
     captured_.push_back(scan_);
     for (size_t s = 0; s + 1 < stages_.size(); ++s) {
@@ -169,24 +198,29 @@ MorselScanDriver::MorselScanDriver(SeqScanOp* scan,
   // below it starts running the moment the first morsel is scheduled and
   // finishes with the last morsel.
   for (Operator* op : captured_) {
-    op->state_.store(OpState::kRunning, std::memory_order_relaxed);
+    op->state_.store(morsels == 0 ? OpState::kFinished : OpState::kRunning,
+                     std::memory_order_relaxed);
   }
+  // A bare scan captures nothing, so it needs no marks.
+  const size_t mark_width =
+      captured_.empty() ? 0 : 1 + marked_end_ - scan_aligned_;
   merge_ = std::make_unique<OrderedMerge>(
-      morsels, ctx_, OrderedMerge::Boundaries::kSequential,
-      [this](size_t m, RowBatch* out) { return Produce(m, out); },
-      [this] {
-        for (Operator* op : captured_) {
-          op->state_.store(OpState::kFinished, std::memory_order_relaxed);
-        }
+      morsels, ctx_, OrderedMerge::Boundaries::kSequential, mark_width,
+      [this](size_t m, RowBatch* out, std::vector<uint64_t>* marks) {
+        return marks == nullptr ? Produce<false>(m, out, nullptr)
+                                : Produce<true>(m, out, marks);
+      },
+      [this](size_t m, size_t rows, bool passed, const uint64_t* mark) {
+        Deliver(m, rows, passed, mark);
       });
 }
 
-bool MorselScanDriver::Produce(size_t m, RowBatch* out) {
+template <bool kMarked>
+bool MorselScanDriver::Produce(size_t m, RowBatch* out,
+                               std::vector<uint64_t>* marks) {
   Cursor& c = cursors_[m];
-  const uint64_t end = std::min(total_rows_, (m + 1) * morsel_rows_);
+  const uint64_t end = MorselEnd(m);
   uint64_t* stage_rows = stage_rows_.data() + m * stage_stride_;
-  std::fill_n(stage_rows, stages_.size(), 0);
-  const uint64_t first = c.row;
   while (!out->full() && c.row < end) {
     const Block& block = table_->block(order_->block_order[c.block]);
     if (c.local >= block.num_rows()) {
@@ -214,24 +248,57 @@ bool MorselScanDriver::Produce(size_t m, RowBatch* out) {
       // monotone in v, so an out-of-run input ends the run for every
       // later output even if a predicate drops it.
       if (c.row + 1 < prefix_rows_) out->bump_random_run();
+      if constexpr (kMarked) {
+        marks->push_back(c.row);
+        for (size_t s = scan_aligned_; s < marked_end_; ++s) {
+          marks->push_back(stage_rows[s]);
+        }
+      }
     }
     ++c.row;
   }
-
-  // Attribute the captured operators' counters and bank the matching
-  // progress ticks; the driving operator's rows are counted on delivery.
-  if (!captured_.empty()) {
-    const uint64_t scan_rows = ScanCountAt(c.row) - ScanCountAt(first);
-    scan_->CountEmitted(scan_rows);
-    uint64_t ticks = scan_rows;
-    for (size_t s = 0; s + 1 < stages_.size(); ++s) {
-      const uint64_t n = s < scan_aligned_ ? scan_rows : stage_rows[s];
-      stages_[s].op->CountEmitted(n);
-      ticks += n;
-    }
-    ctx_->TickConcurrent(ticks);
-  }
   return c.row == end;
+}
+
+void MorselScanDriver::Deliver(size_t m, size_t rows, bool passed,
+                               const uint64_t* mark) {
+  if (captured_.empty()) return;
+  const uint64_t* stage_rows = stage_rows_.data() + m * stage_stride_;
+  delivered_ += rows;
+  // Without a mark the producer stopped at its cursor (inline, or the
+  // morsel is done); with one, right after the last delivered row.
+  const uint64_t row = mark == nullptr ? cursors_[m].row : mark[0] + 1;
+  const uint64_t scan_rows = ScanCountAt(row) - ScanCountAt(credited_row_);
+  scan_->CountEmitted(scan_rows);
+  uint64_t ticks = scan_rows;
+  for (size_t s = 0; s + 1 < stages_.size(); ++s) {
+    uint64_t n = scan_rows;
+    if (s >= scan_aligned_) {
+      const uint64_t count = mark == nullptr   ? stage_rows[s]
+                             : s < marked_end_ ? mark[1 + s - scan_aligned_]
+                                               : delivered_;
+      n = count - credited_stage_[s];
+      credited_stage_[s] = count;
+    }
+    stages_[s].op->CountEmitted(n);
+    ticks += n;
+  }
+  credited_row_ = row;
+  if (passed) {
+    // The next morsel's counts start from zero at its first row (a
+    // cancelled morsel may have stopped short of its end).
+    credited_row_ = MorselEnd(m);
+    std::fill(credited_stage_.begin(), credited_stage_.end(), 0);
+    delivered_ = 0;
+  }
+  // A fleet's delivery reaches the table's end before the merge passes
+  // the last morsel when the last delivered row is the table's last.
+  if (row == total_rows_ || (passed && m + 1 == cursors_.size())) {
+    for (Operator* op : captured_) {
+      op->state_.store(OpState::kFinished, std::memory_order_relaxed);
+    }
+  }
+  if (ticks != 0) ctx_->Tick(ticks);
 }
 
 FusedScan::FusedScan() = default;

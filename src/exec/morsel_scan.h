@@ -18,10 +18,10 @@ class RowBatch;
 /// chain as one morsel scan driven by that operator (MorselScanDriver,
 /// morsel_scan.cc; DESIGN.md §9). At every worker count the chain runs
 /// through OrderedMerge: inline on the driving thread at one worker, on
-/// the fleet above. The merge hands the ticks the captured operators bank
-/// to the observers as it goes (ExecContext::DeliverBankedTicks), so a
-/// selective filter delays a scan's ticks by at most one unit of input
-/// (with a fleet, one window of units), never by the whole scan.
+/// the fleet above. The captured operators are counted and ticked where
+/// the merge delivers their rows, in morsel order, so a selective filter
+/// delays a scan's ticks by at most one unit of input, never by the whole
+/// scan, and every worker count gives the same counts and ticks.
 class FusedScan {
  public:
   FusedScan();

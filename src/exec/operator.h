@@ -55,9 +55,10 @@ class Operator {
   /// Progress accounting is amortized — `emitted_` advances by
   /// batch.size() in one relaxed atomic add (inside NextBatchImpl, via
   /// CountEmitted) and the context receives a single Tick(n). Counter and
-  /// state writes are relaxed atomics: only the executing thread mutates
-  /// them, but a concurrent progress monitor may read them at any time (see
-  /// DESIGN.md, "Threading model").
+  /// state writes are relaxed atomics: only the query's driving thread
+  /// mutates them (intra-query workers never do), but a concurrent
+  /// progress monitor may read them at any time (see DESIGN.md,
+  /// "Threading model").
   bool NextBatch(RowBatch* out) {
     out->Clear();
     if (state_.load(std::memory_order_relaxed) == OpState::kNotStarted) {
@@ -167,10 +168,10 @@ class Operator {
   /// Advance K_i by `n` tuples in one relaxed atomic add. NextBatchImpl
   /// implementations own their counting (the wrapper does not add), so a
   /// native impl may count mid-batch if its estimation logic reads
-  /// tuples_emitted(). Safe for concurrent callers: the partition-parallel
-  /// join phase counts from its worker tasks as output batches are flushed
-  /// (gnm progress is a sum of these counters, so it is invariant under
-  /// the order in which threads contribute).
+  /// tuples_emitted(). Driving thread only: no worker task counts. The
+  /// operators a fused scan captures are counted where the ordered merge
+  /// delivers their rows (MorselScanDriver), so every counter advances in
+  /// the same sequence at every worker count.
   void CountEmitted(uint64_t n) {
     if (n != 0) emitted_.fetch_add(n, std::memory_order_relaxed);
   }
@@ -186,9 +187,9 @@ class Operator {
   ExecContext* ctx_ = nullptr;
 
  private:
-  /// The morsel-parallel scan driver executes fused scan/filter/project
-  /// chains outside the NextBatch wrapper and therefore attributes
-  /// counters and state transitions to the captured operators itself.
+  /// The morsel scan driver executes fused scan/filter/project chains
+  /// outside the NextBatch wrapper and therefore attributes counters and
+  /// state transitions to the captured operators itself, on delivery.
   friend class MorselScanDriver;
 
   Schema schema_;

@@ -31,19 +31,30 @@ class TaskScheduler;
 /// may end is the caller's choice (Boundaries): only where a full batch
 /// ends, or also at the end of every unit.
 ///
-/// The producer, `produce(unit, batch) -> done`, resumes the unit from the
-/// caller's own cursor and appends to `batch` (capacity ctx->batch_size)
-/// until it is full or the unit is exhausted. It extends the batch's
-/// `random_run` over the in-run rows it appended and counts only those
-/// rows before it returns, so a monitor never sees more output than
-/// accounted input. It returns true once the unit has nothing more to
-/// produce; a call that returns false leaves the batch full. It must not
-/// block and never runs twice at once for one unit.
+/// The producer, `produce(unit, batch, marks) -> done`, resumes the unit
+/// from the caller's own cursor and appends to `batch` (capacity
+/// ctx->batch_size) until it is full or the unit is exhausted, extending
+/// the batch's `random_run` over the in-run rows it appended. It returns
+/// true once the unit has nothing more to produce; a call that returns
+/// false leaves the batch full. It must not block and never runs twice at
+/// once for one unit. It writes no operator counter, state or tick: those
+/// are the delivery callback's.
 ///
-/// Fill hands the ticks producers bank (ExecContext::TickConcurrent) to
-/// the observers after each inline producer call and, with a fleet, each
-/// time it takes a unit's batch or moves past a finished unit, so a unit
-/// that emits nothing still shows its input's progress.
+/// The delivery callback, `deliver(unit, rows, passed, mark)`, is the one
+/// place progress is attributed. Fill calls it on the driving thread, in
+/// unit order, exactly where the inline run's producer call returns: after
+/// each inline call, and with a fleet at each consumer-batch end and at
+/// each finished unit the merge passes. `rows` counts the unit's rows
+/// delivered since the unit's previous report, and `passed` says the
+/// merge has moved past the unit. `mark` is nullptr when the producer's
+/// own state is the point of delivery (inline, or a passed unit, whose
+/// runner has finished) or `mark_width` is 0; otherwise it points at the
+/// `mark_width` marks the producer left for the last delivered row. With
+/// a fleet and a nonzero `mark_width` the producer gets a `marks` vector
+/// (else nullptr): under Boundaries::kSequential it appends `mark_width`
+/// values per row it appends, its state right after that row; under
+/// Boundaries::kUnit a consumer batch ends only where a produced one does,
+/// so it appends them once per call, its state at the call's end.
 ///
 /// At ctx->exec_workers == 1 the runner is *inline*: it creates no task
 /// group and never asks the context for a scheduler, and Fill calls the
@@ -96,13 +107,15 @@ class OrderedMerge {
     return std::max<uint64_t>(kReadyCap * batch_size / 2, 256);
   }
 
-  using Producer = std::function<bool(size_t unit, RowBatch* batch)>;
+  using Producer = std::function<bool(size_t unit, RowBatch* batch,
+                                      std::vector<uint64_t>* marks)>;
+  using Deliver = std::function<void(size_t unit, size_t rows, bool passed,
+                                     const uint64_t* mark)>;
 
-  /// Starts running units at once. `all_done`, if set, runs once, on the
-  /// thread that finishes the last unit (in this constructor when `units`
-  /// is 0). Construct on the query's driving thread.
+  /// Starts running units at once. Construct on the query's driving
+  /// thread.
   OrderedMerge(size_t units, ExecContext* ctx, Boundaries boundaries,
-               Producer produce, std::function<void()> all_done = nullptr);
+               size_t mark_width, Producer produce, Deliver deliver);
 
   /// Stops outstanding units at their next batch and waits for their
   /// subtasks (helping the fleet meanwhile).
@@ -121,6 +134,12 @@ class OrderedMerge {
   void Fill(RowBatch* out);
 
  private:
+  /// A batch a runner produced, with the marks its producer left.
+  struct Produced {
+    RowBatch rows{0};
+    std::vector<uint64_t> marks;
+  };
+
   /// The in-flight state of one unit. Only the window's units are in
   /// flight, so unit u lives in slot u % window_.
   struct Unit {
@@ -133,7 +152,7 @@ class OrderedMerge {
     /// Produced, not yet merged, oldest first. At most kReadyCap, so
     /// with its capacity reserved up front publishing and merging a
     /// batch allocate nothing.
-    std::vector<RowBatch> ready;
+    std::vector<Produced> ready;
     State state = State::kQueued;
     Unit() { ready.reserve(kReadyCap); }
   };
@@ -143,16 +162,20 @@ class OrderedMerge {
   /// done or stalls.
   void Run(size_t u);
   /// A batch from the spare pool, or a new one if the pool is empty.
-  RowBatch TakeBatch();
+  Produced TakeBatch();
   /// Clear a drained batch and return it to the pool unless the pool is
   /// full (the batch is then left to its owner). Requires mu_.
-  void RecycleLocked(RowBatch* batch);
+  void RecycleLocked(Produced* batch);
+  /// Report the rows of the merge cursor's unit delivered since its last
+  /// report, which ended a consumer batch; `mark` is the last one's.
+  void DeliverPending(const uint64_t* mark);
 
   ExecContext* ctx_;
   Producer produce_;
-  std::function<void()> all_done_;
+  Deliver deliver_;
   TaskScheduler* sched_;  ///< nullptr in inline mode
   const Boundaries boundaries_;
+  const size_t mark_width_;
   const size_t batch_size_;
   const size_t window_;  ///< 0 in inline mode
 
@@ -160,15 +183,15 @@ class OrderedMerge {
   std::condition_variable cv_;  ///< the merge is the only waiter
   const size_t units_;
   std::vector<Unit> slots_;      ///< window_ of them; guarded by mu_
-  std::vector<RowBatch> spare_;  ///< guarded by mu_; ≤ window × kReadyCap
-  size_t units_done_ = 0;        ///< guarded by mu_
+  std::vector<Produced> spare_;  ///< guarded by mu_; ≤ window × kReadyCap
   std::atomic<bool> abort_{false};
 
   // Merge side (driving thread only).
   size_t submitted_ = 0;
   size_t emit_unit_ = 0;
-  RowBatch merge_batch_{0};  ///< the batch being merged
+  Produced merge_;  ///< the batch being merged
   size_t emit_row_ = 0;
+  size_t pending_ = 0;  ///< rows of emit_unit_ delivered, not yet reported
   bool run_open_ = true;
 
   // Declared last: its destructor waits for outstanding subtasks, which

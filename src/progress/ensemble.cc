@@ -52,10 +52,9 @@ std::string OperatorKindFromLabel(const std::string& label) {
 }
 
 EstimatorEnsemble::EstimatorEnsemble(const GnmAccountant* accountant,
-                                     const ExecContext* ctx,
+                                     const ExecContext* /*unused*/,
                                      FeedbackCache* cache)
     : accountant_(accountant),
-      ctx_(ctx),
       cache_(cache),
       fingerprint_(PlanFingerprint(*accountant)) {
   const std::vector<const Operator*>& ops = accountant_->operators();

@@ -63,12 +63,14 @@ class EstimatorEnsemble {
   /// scoring constants live in ensemble.cc).
   static constexpr double kPriorScale = 0.5;
 
-  /// `accountant` and `ctx` must outlive the ensemble; `cache` may be null
-  /// (no cross-query feedback). Does not attach itself: callers decide via
+  /// `accountant` must outlive the ensemble; `cache` may be null (no
+  /// cross-query feedback). Does not attach itself: callers decide via
   /// GnmAccountant::AttachEnsemble whether published snapshots route
-  /// through the selector.
-  EstimatorEnsemble(const GnmAccountant* accountant, const ExecContext* ctx,
-                    FeedbackCache* cache);
+  /// through the selector. The ExecContext parameter is unused; it stays
+  /// until QueryRun and the benchmark harness stop passing it (ROADMAP
+  /// item 11).
+  EstimatorEnsemble(const GnmAccountant* accountant,
+                    const ExecContext* /*unused*/, FeedbackCache* cache);
 
   /// Refresh candidate estimates and selections from the live counters.
   /// Executing thread only; called on the publish path (TracePublisher)
@@ -124,7 +126,6 @@ class EstimatorEnsemble {
                  double emitted) const;
 
   const GnmAccountant* accountant_;
-  const ExecContext* ctx_;
   FeedbackCache* cache_;
   uint64_t fingerprint_ = 0;
   uint64_t observations_ = 0;

@@ -45,10 +45,12 @@ class ProgressMonitor : public TickObserver {
   /// progress was overestimated at snapshot i. Valid after Finalize.
   double RatioErrorAt(size_t i) const;
 
-  /// Ticks may arrive in batch-sized jumps, or unit-sized ones from a
-  /// fused scan chain (DESIGN.md §8); a snapshot is taken whenever the
-  /// count crosses an interval boundary (at most one per delivery, so the
-  /// sampling lag is bounded by one delivery).
+  /// Ticks arrive on the query's driving thread in batch-sized jumps, or
+  /// unit-sized ones where the ordered merge delivers a fused scan
+  /// chain's rows (DESIGN.md §8), in the same sequence at every worker
+  /// count; a snapshot is taken whenever the count crosses an interval
+  /// boundary (at most one per delivery, so the sampling lag is bounded
+  /// by one delivery).
   void OnTick(uint64_t n) override;
 
  private:

@@ -19,10 +19,13 @@ void TracePublisher::OnTick(uint64_t n) {
       ticks_, ctx_->confidence, ctx_->ci_combine);
   slot_->Store(snap);
   if (ring_ != nullptr) {
-    TraceSample sample = MakeTraceSample(*accountant_, snap, ctx_->phase());
-    if (ensemble_ != nullptr) ensemble_->FillTraceSample(&sample);
-    if (ola_feed_ != nullptr) ola_feed_->FillTraceSample(&sample);
-    ring_->Record(std::move(sample));
+    uint64_t offer;
+    if (ring_->TakeOffer(&offer)) {
+      TraceSample sample = MakeTraceSample(*accountant_, snap, ctx_->phase());
+      if (ensemble_ != nullptr) ensemble_->FillTraceSample(&sample);
+      if (ola_feed_ != nullptr) ola_feed_->FillTraceSample(&sample);
+      ring_->Store(offer, std::move(sample));
+    }
     ++samples_offered_;
   }
 }
@@ -46,15 +49,20 @@ void TraceRing::CompactLocked() {
   stride_ *= 2;
 }
 
-void TraceRing::Record(TraceSample sample) {
+bool TraceRing::TakeOffer(uint64_t* offer) {
   std::lock_guard<std::mutex> lock(mu_);
-  sample.offer = offered_++;
-  sample.terminal = false;
-  if (sample.offer % stride_ != 0) return;
+  *offer = offered_++;
+  if (*offer % stride_ != 0) return false;
   if (samples_.size() == capacity_) CompactLocked();
-  // The doubled stride may now reject this sample; the invariant "retained
+  // The doubled stride may now reject this offer; the invariant "retained
   // offers are contiguous multiples of stride_" must survive compaction.
-  if (sample.offer % stride_ != 0) return;
+  return *offer % stride_ == 0;
+}
+
+void TraceRing::Store(uint64_t offer, TraceSample sample) {
+  std::lock_guard<std::mutex> lock(mu_);
+  sample.offer = offer;
+  sample.terminal = false;
   samples_.push_back(std::move(sample));
 }
 

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <mutex>
+#include <utility>
 #include <vector>
 
 #include "progress/gnm.h"
@@ -71,7 +72,17 @@ class TraceRing {
 
   /// Offer one sample from the publish path; retained iff the decimation
   /// stride selects it. `sample.offer` is assigned by the ring.
-  void Record(TraceSample sample);
+  void Record(TraceSample sample) {
+    uint64_t offer;
+    if (TakeOffer(&offer)) Store(offer, std::move(sample));
+  }
+
+  /// Record in two steps, so the publish path builds only the samples the
+  /// ring keeps: TakeOffer counts the next offer and, if the stride keeps
+  /// it, compacts as needed and returns true with `*offer` set; Store
+  /// then appends the sample built for it. Writer only.
+  bool TakeOffer(uint64_t* offer);
+  void Store(uint64_t offer, TraceSample sample);
 
   /// Record the query's final sample. Always retained, marked terminal,
   /// and always the last sample in the ring.

@@ -15,11 +15,10 @@ std::string RequestLine(const std::string& body) { return body + "\n"; }
 }  // namespace
 
 Status QpiClient::Connect(const std::string& host, uint16_t port,
-                          size_t max_line_bytes,
                           std::chrono::milliseconds timeout) {
   if (connected()) return Status::Internal("client is already connected");
   QPI_RETURN_NOT_OK(TcpConnect(host, port, &fd_, timeout));
-  reader_ = std::make_unique<FrameReader>(fd_, max_line_bytes);
+  reader_ = std::make_unique<FrameReader>(fd_, kDefaultMaxLineBytes);
   JsonValue hello;
   std::string type;
   Status s = ReadReplyLine(&hello, &type);

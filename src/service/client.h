@@ -28,8 +28,8 @@ class QpiClient {
   QpiClient& operator=(const QpiClient&) = delete;
 
   /// Connect (bounded by `timeout`) and consume the server's hello line.
+  /// Replies are read with the protocol's line limit, kDefaultMaxLineBytes.
   Status Connect(const std::string& host, uint16_t port,
-                 size_t max_line_bytes = kDefaultMaxLineBytes,
                  std::chrono::milliseconds timeout =
                      std::chrono::milliseconds(10000));
 

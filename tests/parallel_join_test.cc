@@ -27,11 +27,17 @@
 // worker the join runs the same units inline: it must cut them and submit
 // no task. With a fleet the join hands each unit's batches to the
 // consumer whole: the hand-off test pins what may and may not change about
-// join output batches.
+// join output batches. Shapes whose estimators read a fused scan chain's
+// counters between batches (an aggregate, a sort, the merge and
+// nested-loops joins over filtered scans, filter chains) must show every
+// observer call, and every count, state and estimate it reads, exactly as
+// at one worker: the ordered merge is the one place progress is
+// attributed.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <functional>
 #include <iterator>
@@ -48,7 +54,10 @@
 #include "exec/nl_join.h"
 #include "exec/ordered_merge.h"
 #include "exec/seq_scan.h"
+#include "exec/aggregate.h"
 #include "progress/concurrent_multi_query.h"
+#include "progress/ensemble.h"
+#include "progress/gnm.h"
 #include "storage/catalog.h"
 
 namespace qpi {
@@ -521,6 +530,199 @@ TEST(ParallelTickDelivery, SelectiveFilterDeliversBankedTicksPerUnit) {
   }
 }
 
+/// Shapes whose estimators read the counters of a fused scan chain below
+/// them between batches: an aggregate, a sort, the merge join and the
+/// three nested-loops modes over filtered scans, and filter chains whose
+/// lower stages a fused scan captures. f spans several morsels at every
+/// batch size; s is a small inner side.
+void BuildAttributionCatalog(Catalog* catalog) {
+  TableBuilder f("f");
+  f.AddColumn("k", std::make_unique<ZipfSpec>(0.75, 200, 77))
+      .AddColumn("v", std::make_unique<UniformIntSpec>(1, 50));
+  ASSERT_TRUE(catalog->Register(f.Build(17000, 5)).ok());
+  ASSERT_TRUE(catalog->Analyze("f").ok());
+  TableBuilder s("s");
+  s.AddColumn("k", std::make_unique<ZipfSpec>(0.0, 60, 3))
+      .AddColumn("v", std::make_unique<UniformIntSpec>(1, 50));
+  ASSERT_TRUE(catalog->Register(s.Build(300, 6)).ok());
+  ASSERT_TRUE(catalog->Analyze("s").ok());
+}
+
+PlanNodePtr FilteredScan(const char* table, CompareOp op, int64_t v) {
+  return FilterPlan(ScanPlan(table), MakeCompare("v", op, Value(v)));
+}
+
+const Shape kAttributionShapes[] = {
+    {"group_by_over_filter",
+     [] {
+       return HashAggregatePlan(
+           FilteredScan("f", CompareOp::kLe, 30), {"k"},
+           {AggregateSpec{AggregateSpec::Kind::kCountStar, ""}});
+     }},
+    {"group_by_over_filter_project",
+     [] {
+       return HashAggregatePlan(
+           ProjectPlan(FilteredScan("f", CompareOp::kLe, 30), {"k", "v"}),
+           {"k"}, {AggregateSpec{AggregateSpec::Kind::kSum, "v"}});
+     }},
+    {"sort_over_filter",
+     [] { return SortPlan(FilteredScan("f", CompareOp::kGe, 20), {"k", "v"}); }},
+    {"merge_join_over_filters",
+     [] {
+       return MergeJoinPlan(FilteredScan("s", CompareOp::kLe, 40),
+                            FilteredScan("f", CompareOp::kLe, 25), "s.k",
+                            "f.k");
+     }},
+    {"rescan_nl_over_filters",
+     [] {
+       return NestedLoopsJoinPlan(FilteredScan("f", CompareOp::kLe, 10),
+                                  FilteredScan("s", CompareOp::kLe, 25), "f.k",
+                                  "s.k");
+     }},
+    {"theta_nl_over_filters",
+     [] {
+       return ThetaNestedLoopsJoinPlan(FilteredScan("f", CompareOp::kLe, 5),
+                                       FilteredScan("s", CompareOp::kLe, 25),
+                                       "f.k", "s.k", CompareOp::kLt);
+     }},
+    {"index_nl_over_filters",
+     [] {
+       return IndexNestedLoopsJoinPlan(FilteredScan("f", CompareOp::kLe, 25),
+                                       FilteredScan("s", CompareOp::kLe, 40),
+                                       "f.k", "s.k");
+     }},
+    {"filter_filter",
+     [] {
+       return FilterPlan(FilteredScan("f", CompareOp::kLe, 40),
+                         MakeCompare("k", CompareOp::kLe, Value(int64_t{20})));
+     }},
+    {"filter_project_filter",
+     [] {
+       return FilterPlan(
+           ProjectPlan(FilteredScan("f", CompareOp::kLe, 40), {"k", "v"}),
+           MakeCompare("k", CompareOp::kLe, Value(int64_t{20})));
+     }},
+};
+
+/// Everything the progress layer can read of one run.
+struct AttributionRun {
+  std::vector<std::string> rows;  ///< emitted order
+  std::vector<OpObservation> ops;
+  std::vector<OnceObservation> once;
+  /// Per aggregate: the group estimator's Estimate() and MLE recomputes.
+  std::vector<std::pair<double, uint64_t>> groups;
+  /// Per observer call: n, then each operator's emitted count, state and
+  /// estimate bits.
+  std::vector<std::vector<uint64_t>> ticks;
+  std::vector<EstimationMode> selected;  ///< the ensemble's, per operator
+};
+
+AttributionRun RunAttribution(const Catalog& catalog, const Shape& shape,
+                              size_t workers, size_t batch_size) {
+  ExecContext ctx;
+  ctx.catalog = const_cast<Catalog*>(&catalog);
+  ctx.mode = EstimationMode::kOnce;
+  ctx.batch_size = batch_size;
+  ctx.exec_workers = workers;
+  PlanNodePtr plan = shape.make();
+  OperatorPtr root;
+  AttributionRun out;
+  Status s = CompilePlan(plan.get(), &ctx, &root);
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  if (!s.ok()) return out;
+  std::vector<Operator*> ops;
+  root->Visit([&](Operator* op) { ops.push_back(op); });
+  GnmAccountant accountant(root.get());
+  EstimatorEnsemble ensemble(&accountant, &ctx, nullptr);
+  FunctionTickObserver observer([&](uint64_t n) {
+    std::vector<uint64_t> tick = {n};
+    for (const Operator* op : ops) {
+      tick.push_back(op->tuples_emitted());
+      tick.push_back(static_cast<uint64_t>(op->state()));
+      tick.push_back(std::bit_cast<uint64_t>(op->CurrentCardinalityEstimate()));
+    }
+    out.ticks.push_back(std::move(tick));
+    ensemble.Observe(out.ticks.size());
+  });
+  ctx.AddTickObserver(&observer);
+  std::vector<Row> rows;
+  EXPECT_TRUE(QueryExecutor::Run(root.get(), &ctx, &rows).ok());
+  ctx.RemoveTickObserver(&observer);
+  for (const Row& row : rows) out.rows.push_back(RowToString(row));
+  for (const Operator* op : ops) {
+    out.ops.push_back(
+        {op->label(), op->tuples_emitted(), op->CurrentCardinalityEstimate()});
+    out.selected.push_back(ensemble.SelectedFor(op));
+    if (auto* j = dynamic_cast<const MergeJoinOp*>(op)) {
+      out.once.push_back(ObserveOnce(j->once_estimator()));
+    }
+    if (auto* j = dynamic_cast<const NestedLoopsJoinOp*>(op)) {
+      out.once.push_back(ObserveOnce(j->once_estimator()));
+      out.once.push_back(ObserveOnce(j->theta_estimator()));
+    }
+    if (auto* agg = dynamic_cast<const AggregateBaseOp*>(op)) {
+      const AdaptiveGroupEstimator* est = agg->group_estimator();
+      EXPECT_NE(est, nullptr);
+      if (est != nullptr) {
+        out.groups.emplace_back(est->Estimate(), est->mle_recompute_count());
+      }
+    }
+  }
+  return out;
+}
+
+/// Every estimator input crosses the ordered merge in unit order: the
+/// counts, states and ticks of a fused scan chain are attributed where
+/// the merge delivers its rows, so at any worker count every observer
+/// call, every estimate it reads and every final estimator state is that
+/// of the one-worker run.
+TEST(ParallelAttribution, EveryWorkerCountSeesTheOneWorkerRun) {
+  Catalog catalog;
+  BuildAttributionCatalog(&catalog);
+  for (const Shape& shape : kAttributionShapes) {
+    for (size_t batch_size : {size_t{1}, size_t{7}, size_t{1024}}) {
+      const AttributionRun reference =
+          RunAttribution(catalog, shape, 1, batch_size);
+      ASSERT_FALSE(reference.rows.empty()) << shape.name;
+      for (size_t workers : {size_t{2}, size_t{4}, size_t{8}}) {
+        SCOPED_TRACE(std::string(shape.name) + " batch " +
+                     std::to_string(batch_size) + " workers " +
+                     std::to_string(workers));
+        const AttributionRun run =
+            RunAttribution(catalog, shape, workers, batch_size);
+        EXPECT_TRUE(run.rows == reference.rows) << "row stream differs";
+        ASSERT_EQ(run.ops.size(), reference.ops.size());
+        for (size_t i = 0; i < reference.ops.size(); ++i) {
+          EXPECT_EQ(run.ops[i].emitted, reference.ops[i].emitted)
+              << reference.ops[i].label;
+          EXPECT_EQ(run.ops[i].estimate, reference.ops[i].estimate)
+              << reference.ops[i].label;
+          EXPECT_EQ(run.selected[i], reference.selected[i])
+              << reference.ops[i].label;
+        }
+        ASSERT_EQ(run.once.size(), reference.once.size());
+        for (size_t i = 0; i < reference.once.size(); ++i) {
+          EXPECT_EQ(run.once[i].probe_seen, reference.once[i].probe_seen);
+          EXPECT_EQ(run.once[i].estimate, reference.once[i].estimate);
+          EXPECT_EQ(run.once[i].frozen, reference.once[i].frozen);
+          EXPECT_EQ(run.once[i].exact, reference.once[i].exact);
+        }
+        EXPECT_EQ(run.groups, reference.groups);
+        EXPECT_EQ(run.ticks.size(), reference.ticks.size())
+            << "observer calls";
+        const size_t common = std::min(run.ticks.size(), reference.ticks.size());
+        size_t first_diff = 0;
+        while (first_diff < common &&
+               run.ticks[first_diff] == reference.ticks[first_diff]) {
+          ++first_diff;
+        }
+        EXPECT_EQ(first_diff, common) << "observer call " << first_diff
+                                      << " of " << common << " differs";
+      }
+    }
+  }
+}
+
 /// hash_join_partitions is normalized to the next power of two at Open;
 /// 0 is rejected with InvalidArgument.
 TEST(PartitionNormalization, RoundsUpToPowerOfTwo) {
@@ -685,9 +887,10 @@ TEST(ParallelCancellation, DrainsCleanly) {
   root->Close();
   ctx.EndExecution();
   EXPECT_GE(batches, 2u);
-  // Workers may have counted rows that were still queued when the
-  // cancellation hit; the counter must never lag what was delivered.
+  // Rows are counted where the merge delivers them, never by the workers
+  // that ran ahead: the counter is exactly what was delivered.
   EXPECT_GE(root->tuples_emitted(), delivered);
+  EXPECT_EQ(root->tuples_emitted(), delivered);
   EXPECT_EQ(root->state(), OpState::kFinished);
 }
 
